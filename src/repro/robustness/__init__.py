@@ -46,6 +46,7 @@ from repro.robustness.errors import (
     LifecycleError,
     OptimizerTimeout,
     PersistError,
+    ReadOnlySnapshotError,
     RetryableOptimizerError,
     StatisticsUnavailable,
     WorkloadParseError,
@@ -81,6 +82,7 @@ __all__ = [
     "NO_RETRY",
     "OptimizerTimeout",
     "PersistError",
+    "ReadOnlySnapshotError",
     "RetryPolicy",
     "RetryableOptimizerError",
     "SearchBudget",

@@ -25,11 +25,12 @@ Every variant is scored by the same full-workload evaluator, so
 benefits are directly comparable and the portfolio result is by
 construction ``>=`` each surviving single strategy.  When the caller
 passes a :class:`~repro.storage.snapshots.SnapshotStore` (the serving
-front end does), each *concurrent* lane runs against its own composed
-store snapshot instead of the shared live database: the first lane pays
-one compose from cached blobs, every other lane is pure cache hits, and
-lanes stop contending on the live catalog.  Retry mode and store-less
-calls keep the shared-database semantics.  A faulted variant
+front end does), each *concurrent* lane runs against its own store
+snapshot instead of the shared live database: a private catalog and
+counters (lanes stop contending on ``fresh_name``) over the store's
+shared read-only collections, at the cost of one shell round-trip per
+lane (storage/snapshots.py has the sharing contract).  Retry mode and
+store-less calls keep the shared-database semantics.  A faulted variant
 (fault site ``serve.portfolio``) degrades the portfolio to the
 survivors' best -- never an unhandled exception; only when *every*
 variant fails does the portfolio raise (a typed
@@ -239,10 +240,9 @@ def run_portfolio(
         remaining = clock_budget.remaining_seconds()
         lane_database = database
         if snapshots is not None and mode != "retry":
-            # Concurrent lanes each get an isolated composed snapshot:
-            # identical bytes (the differential suite pins this), zero
-            # re-serialization after the first lane, and no cross-lane
-            # catalog contention.
+            # Concurrent lanes each get their own snapshot shell:
+            # identical bytes (the differential suite pins this), O(shell)
+            # to take, and no cross-lane catalog contention.
             lane_database = snapshots.snapshot(database)
         return _run_variant(
             lane_database,

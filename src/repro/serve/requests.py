@@ -26,14 +26,12 @@ code                meaning
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 #: Error codes a Response may carry (``None`` on success).
 ERROR_CODES = ("rejected", "config", "bad-request", "advisor-error", "internal")
 
 
-@dataclass
 class Response:
     """One endpoint result.
 
@@ -43,18 +41,66 @@ class Response:
     for reads the *watermark*: how many writes had committed when the
     read validated -- the exact position a serial replay must execute
     the read at (tests/test_serve_differential.py).
+
+    A server hands out one of these per request and callers keep them by
+    the thousand, so the layout is ``__slots__`` (a hand-written
+    dataclass: ``dataclass(slots=True)`` needs Python 3.10) and the
+    ``statistics`` digest inside ``value`` is one object shared by every
+    response at the same epochs -- treat ``value`` as read-only.
     """
 
-    kind: str
-    ok: bool
-    tenant: str = "default"
-    value: Any = None
-    error: Optional[str] = None
-    code: Optional[str] = None
-    epoch: Optional[Tuple[Tuple[str, int], ...]] = None
-    seq: Optional[int] = None
-    retries: int = 0
-    elapsed_seconds: float = 0.0
+    __slots__ = (
+        "kind",
+        "ok",
+        "tenant",
+        "value",
+        "error",
+        "code",
+        "epoch",
+        "seq",
+        "retries",
+        "elapsed_seconds",
+    )
+
+    def __init__(
+        self,
+        kind: str,
+        ok: bool,
+        tenant: str = "default",
+        value: Any = None,
+        error: Optional[str] = None,
+        code: Optional[str] = None,
+        epoch: Optional[Tuple[Tuple[str, int], ...]] = None,
+        seq: Optional[int] = None,
+        retries: int = 0,
+        elapsed_seconds: float = 0.0,
+    ) -> None:
+        self.kind = kind
+        self.ok = ok
+        self.tenant = tenant
+        self.value = value
+        self.error = error
+        self.code = code
+        self.epoch = epoch
+        self.seq = seq
+        self.retries = retries
+        self.elapsed_seconds = elapsed_seconds
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+        )
+        return f"Response({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name)
+            for name in self.__slots__
+        )
+
+    __hash__ = None  # type: ignore[assignment]  # mutable, compared by value
 
     def to_dict(self) -> Dict:
         """JSON-serializable form (CLI ``--json``, bench artifacts)."""

@@ -17,10 +17,11 @@ Concurrency model (docs/serving.md):
   (tests/test_serve_differential.py).
 * **Advise-class reads** (``whatif``, ``recommend``) run against an
   epoch-consistent *snapshot* taken atomically under the gate by the
-  :class:`~repro.storage.snapshots.SnapshotStore` -- composed from
-  per-collection blobs cached at their epochs, so repeat requests at
-  unchanged epochs re-serialize nothing and a multi-second portfolio
-  search never races live DML (reproducible at its epoch token).
+  :class:`~repro.storage.snapshots.SnapshotStore` -- a private shell
+  over the store's shared, read-only decoded collections, so a request
+  at unchanged epochs neither serializes nor unpickles anything and a
+  multi-second portfolio search never races live DML (reproducible at
+  its epoch token).  storage/snapshots.py states the sharing contract.
 
 Execution modes: *inline* (``lanes=0``, default) runs engine steps on
 the event loop with cooperative yield points -- combined with a
@@ -114,10 +115,9 @@ class AdvisorServer:
     ) -> None:
         self.database = resolve_database(database)
         self.gate = EpochGate(self.database)
-        #: Epoch-keyed snapshot engine: advise-class reads compose their
-        #: snapshots from cached per-collection blobs, so repeat
-        #: requests at unchanged epochs re-pickle nothing.  Shareable
-        #: (the online daemon / cluster tuner pass one in).
+        #: Epoch-keyed snapshot engine: advise-class reads run on
+        #: read-only snapshots over its shared decoded collections.
+        #: Shareable (the online daemon / cluster tuner pass one in).
         self.snapshots = snapshot_store or SnapshotStore()
         self.admission = AdmissionController(tenants, default_policy)
         self.mode = mode
@@ -138,6 +138,9 @@ class AdvisorServer:
         #: the differential tests.
         self.journal: List[Dict] = []
         self.counters: Dict[str, int] = {}
+        #: collections -> (their (epoch, statistics stamp) pairs, digest):
+        #: the last statistics fingerprint handed out for them.
+        self._fingerprints: Dict[Tuple[str, ...], Tuple[Tuple, Dict]] = {}
         self._executor: Optional[ThreadPoolExecutor] = None
         self._started = False
 
@@ -252,11 +255,9 @@ class AdvisorServer:
             await self._read_backoff(retries, "serve.read.retry")
 
     async def _snapshot(self, collections):
-        """An epoch-consistent database snapshot for advise-class reads,
-        composed by the snapshot store from per-collection blobs cached
-        at their epochs (taken atomically under the gate, exactly like
-        the full pickle round-trip it replaces -- but a repeat request
-        at unchanged epochs re-pickles nothing)."""
+        """An epoch-consistent, read-only database snapshot for
+        advise-class reads, taken atomically under the gate from the
+        snapshot store (see storage/snapshots.py for what it shares)."""
         (snapshot,), token, retries, watermark = await self._gated_read(
             collections, [lambda: self.snapshots.snapshot(self.database)]
         )
@@ -280,18 +281,34 @@ class AdvisorServer:
     def _stats_fingerprint(self, collections, database=None) -> Dict:
         """Deterministic per-collection statistics digest; returned with
         every read so a response is a *configuration/statistics pair*
-        whose single-epoch consistency the property tests check."""
+        whose single-epoch consistency the property tests check.
+
+        The digest is a function of each collection's ``(epoch,
+        statistics stamp)``, so it is computed once per such state and
+        the same dict rides every response until one moves -- callers
+        must not modify it."""
         database = database if database is not None else self.database
-        fingerprint = {}
-        for name in sorted(set(collections)):
-            stats = database.runstats(name)
-            fingerprint[name] = {
-                "doc_count": stats.doc_count,
-                "total_nodes": stats.total_nodes,
-                "paths": len(stats.path_counts),
-                "path_nodes": sum(stats.path_counts.values()),
-            }
-        return fingerprint
+        names = tuple(sorted(set(collections)))
+        statistics = [database.runstats(name) for name in names]
+        state = tuple(
+            (database.collection_epochs.get(name, 0), stats.mutation_stamp)
+            for name, stats in zip(names, statistics)
+        )
+        held = self._fingerprints.get(names)
+        if held is None or held[0] != state:
+            held = self._fingerprints[names] = (
+                state,
+                {
+                    name: {
+                        "doc_count": stats.doc_count,
+                        "total_nodes": stats.total_nodes,
+                        "paths": len(stats.path_counts),
+                        "path_nodes": sum(stats.path_counts.values()),
+                    }
+                    for name, stats in zip(names, statistics)
+                },
+            )
+        return held[1]
 
     # ------------------------------------------------------------------
     # Request wrapper: typed responses, never raises

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Protocol, runtime_checkable
 
+from repro.robustness.errors import ReadOnlySnapshotError
 from repro.robustness.faults import maybe_inject
 from repro.storage.catalog import Catalog, IndexDefinition
 from repro.storage.index import PathIndex
@@ -140,6 +141,14 @@ class Collection:
 class Database:
     """An XML database: collections + catalog + indexes + statistics."""
 
+    #: ``_shares_parts`` marks a database the snapshot store composed
+    #: from parts other snapshots hold (storage/snapshots.py); the
+    #: mutators below refuse to run on one.  It sits in a slot so that
+    #: it stays out of ``__dict__`` and therefore out of the pickled
+    #: state: a pickled copy owns its parts, is writable, and has the
+    #: same bytes as a pickle of the database the snapshot was taken of.
+    __slots__ = ("_shares_parts", "__dict__", "__weakref__")
+
     def __init__(self, name: str = "xmldb") -> None:
         self.name = name
         self.collections: Dict[str, Collection] = {}
@@ -157,6 +166,20 @@ class Database:
         #: rescans vs. DML absorbed as synopsis deltas.
         self.stats_rescans = 0
         self.stats_delta_applies = 0
+
+    def __getstate__(self) -> Dict:
+        # Without this the default state of a class with slots is a
+        # ``(__dict__, slots)`` pair whenever the slot is set.
+        return self.__dict__
+
+    def _check_writable(self, operation: str) -> None:
+        if getattr(self, "_shares_parts", False):
+            raise ReadOnlySnapshotError(
+                f"{operation} on a store-composed snapshot of "
+                f"{self.name!r}: its data is shared with other snapshots "
+                f"(apply the write to the live database, or to a pickled "
+                f"copy of the snapshot)"
+            )
 
     def touch(self, collection_name: Optional[str] = None) -> None:
         """Record a modification (data, statistics, or index visibility
@@ -209,6 +232,7 @@ class Database:
         :meth:`insert_document`; a cluster parses once and feeds the same
         tree -- and its cached synopsis -- to every replica of the
         owning shard)."""
+        self._check_writable("insert")
         collection = self.collection(collection_name)
         doc_id = collection.insert(document)
         synopsis = get_synopsis(document)
@@ -225,6 +249,7 @@ class Database:
 
     def delete_document(self, collection_name: str, doc_id: int) -> None:
         """Delete a document from a collection, maintaining real indexes."""
+        self._check_writable("delete")
         collection = self.collection(collection_name)
         document = collection.delete(doc_id)
         synopsis = get_synopsis(document)
@@ -243,6 +268,7 @@ class Database:
     # ------------------------------------------------------------------
     def create_index(self, definition: IndexDefinition) -> PathIndex:
         """Create a *real* index: register it and bulk-build its entries."""
+        self._check_writable("create_index")
         self.catalog.add(definition)
         index = PathIndex(definition)
         index.bulk_load(self.collection(definition.collection))
@@ -251,6 +277,7 @@ class Database:
         return index
 
     def drop_index(self, name: str) -> None:
+        self._check_writable("drop_index")
         definition = self.catalog.get(name)
         self.catalog.remove(name)
         self.indexes.pop(name, None)
@@ -291,6 +318,7 @@ class Database:
         return self._statistics[collection_name]
 
     def invalidate_statistics(self, collection_name: str) -> None:
+        self._check_writable("invalidate_statistics")
         self._statistics.pop(collection_name, None)
 
     def storage_stats(self) -> Dict[str, int]:
@@ -341,6 +369,8 @@ class EpochGate:
     def __init__(self, database: "Database") -> None:
         self.database = database
         self._writing: Dict[str, int] = {}
+        #: collections -> the last epoch token handed out for them.
+        self._tokens: Dict[tuple, tuple] = {}
         self.reads_validated = 0
         self.reads_torn = 0
         self.reads_refused = 0
@@ -357,11 +387,18 @@ class EpochGate:
 
     def epochs(self, collections: Iterable[str]) -> tuple:
         """Sorted ``(collection, epoch)`` snapshot; unknown collections
-        read as epoch 0 (consistent with :meth:`Database.touch`)."""
+        read as epoch 0 (consistent with :meth:`Database.touch`).  While
+        the epochs stand still every call returns the *same* tuple: the
+        serve layer attaches the token to each response, and callers
+        keep responses by the thousand."""
         eps = self.database.collection_epochs
-        return tuple(
-            (name, eps.get(name, 0)) for name in sorted(set(collections))
-        )
+        names = tuple(sorted(set(collections)))
+        token = tuple((name, eps.get(name, 0)) for name in names)
+        held = self._tokens.get(names)
+        if held == token:
+            return held
+        self._tokens[names] = token
+        return token
 
     def read_view(self, collections: Iterable[str]) -> Optional[tuple]:
         """Begin an optimistic read over ``collections``: the epoch token

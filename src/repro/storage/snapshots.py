@@ -1,21 +1,24 @@
 """The epoch-keyed snapshot engine: :class:`SnapshotStore`.
 
 Every advise/whatif request on the serve path, every process-pool
-rebuild in the parallel engine, and every per-cycle tuning pass used to
-pay a full ``pickle.dumps`` of the entire database -- even when nothing
-(or only one collection) had changed since the last snapshot.  At an
+rebuild in the parallel engine, and every per-cycle tuning pass needs a
+consistent copy of the database that live DML cannot touch.  At an
 unchanged collection epoch a collection's serialized form is immutable,
 so the store serializes each collection to its *own* blob keyed by
-``(database, collection, epoch, statistics stamp)``, caches the blobs
-under an LRU byte budget, and assembles full-database snapshots by
-composing cached blobs:
+``(database, collection, epoch, statistics stamp)`` and keeps exactly
+**one generation** -- the blob plus the :class:`CollectionPart` decoded
+from it -- per ``(database, collection)``:
 
-* DML on one collection re-serializes only that collection;
-* a no-DML steady state re-serializes nothing (every snapshot is pure
-  cache hits plus a tiny fresh "shell");
+* DML on one collection re-serializes (and re-decodes) only that
+  collection; the generation it supersedes is dropped on the spot, so
+  the store holds O(collections) blobs no matter how many writes ran;
+* a no-DML steady state serializes and decodes nothing: a snapshot is
+  the shared decoded parts plus a tiny fresh "shell" (one ~7 kB pickle
+  round-trip), not an unpickle of the database;
 * the parallel engine ships workers the base blobs once and then only
   the blobs whose key moved (the delta protocol in
-  ``parallel/session.py``).
+  ``parallel/session.py``); workers decode their own private parts
+  (:func:`load_parts`).
 
 The cache key
 -------------
@@ -37,23 +40,60 @@ epoch.  Two wrinkles make the key more than ``(collection, epoch)``:
   snapshot-of-a-snapshot at unchanged epochs is pure cache hits too
   (portfolio lanes lean on this).
 
-Everything *outside* the per-collection blobs -- the catalog, the
-modification/epoch counters, the dict orders -- is the "shell", captured
-fresh for every snapshot.  The shell is tiny (it carries no documents,
-no index entries, no statistics), and capturing it fresh is what keeps
-store-backed snapshots **bit-identical** to a fresh
-``pickle.loads(pickle.dumps(database))`` round-trip even though parts
-of it (catalog name counters, rescan counters) move without epoch
-bumps.  "Bit-identical" is pinned in two serialized forms: the
-partitioned canonical form (:func:`partitioned_dumps` -- raw equality,
-exactly the bytes the store caches and ships) and the whole-graph form
-under string-canonical memoization (:func:`canonical_dumps` -- a plain
-whole-graph ``dumps`` additionally encodes which *equal* strings happen
-to share identity across collections, an accident of build history that
-is invisible to every consumer and that per-collection blobs
-deliberately do not reproduce).  The differential suite
-(``tests/test_snapshot_store.py``) and the ``--snapshot-sweep`` bench
-assert both identities in-run.
+Epochs and stamps only move forward, so a superseded key is never asked
+for again by the database that moved past it.  Only an *older* composed
+snapshot can still carry it; re-snapshotting one after its generation
+was dropped is a miss that re-serializes from that snapshot -- slower,
+never wrong bytes.  The LRU byte budget is the outer cap: it evicts
+whole generations, blob and decoded part together.
+
+The sharing contract
+--------------------
+
+Who may mutate what, stated once:
+
+* The **shell** -- catalog, modification/epoch counters, rescan
+  counters, the ``collections`` / ``indexes`` / ``_statistics`` dicts
+  and one :class:`~repro.storage.index.PathIndex` wrapper per built
+  index -- is private to each snapshot.  ``catalog.fresh_name``, the
+  ``_name_counter`` save/restore of the portfolio, virtual-index DDL in
+  the catalog and ``runstats`` on a collection without statistics all
+  stay inside the snapshot that did them.
+* The **parts** -- ``Collection`` objects and their documents, index
+  entry lists, ``DataStatistics`` -- are shared by every snapshot the
+  store composes at that key, across requests and across portfolio
+  lanes, and are **read-only**.  A store-composed snapshot therefore
+  refuses DML, index DDL and ``invalidate_statistics`` with
+  :class:`~repro.robustness.errors.ReadOnlySnapshotError`; a
+  ``pickle``/``deepcopy`` of it owns its parts and is writable again.
+  :func:`compose_database` never writes to a part either: the
+  catalog's definition object is linked on the per-snapshot index
+  wrapper, not on the part's own index.
+* Three writes do reach shared parts, all invisible to serialization
+  or detected: the per-pattern ``_matching_cache`` / ``_path_ids`` memos
+  of ``DataStatistics`` and the per-document synopsis cache (idempotent,
+  dropped by ``__getstate__``, safe to race), and a lazy
+  ``_clean_summary`` repair fired by a probe *through* a snapshot
+  (serialized by the statistics' own lock; it moves the part's
+  ``mutation_stamp`` off its key's stamp, so the store discards the
+  part and decodes the blob again before handing it to anyone else).
+
+Bit-identity
+------------
+
+Capturing the shell fresh is what keeps store-backed snapshots
+**bit-identical** to a fresh ``pickle.loads(pickle.dumps(database))``
+round-trip even though parts of it (catalog name counters, rescan
+counters) move without epoch bumps.  "Bit-identical" is pinned in two
+serialized forms: the partitioned canonical form
+(:func:`partitioned_dumps` -- raw equality, exactly the bytes the store
+caches and ships) and the whole-graph form under string-canonical
+memoization (:func:`canonical_dumps` -- a plain whole-graph ``dumps``
+additionally encodes which *equal* strings happen to share identity
+across collections, an accident of build history that is invisible to
+every consumer and that per-collection blobs deliberately do not
+reproduce).  The differential suite (``tests/test_snapshot_store.py``)
+and the ``--snapshot-sweep`` bench assert both identities in-run.
 """
 
 from __future__ import annotations
@@ -68,6 +108,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.storage.database import Database
+from repro.storage.index import PathIndex
 
 #: Serialization protocol for every blob; pinned so blob bytes (and the
 #: bit-identity contract) do not depend on the caller.
@@ -153,6 +194,8 @@ def compose_database(
     round-trip yields: same attribute order, same dict orders, and the
     same cross-references (each built index shares its definition object
     with the catalog, each statistics object its backing collection).
+    Parts are only read: they may be shared with other snapshots (see
+    the module docstring's sharing contract).
     """
     database = Database.__new__(Database)
     # Attribute insertion order mirrors Database.__init__ so the
@@ -164,10 +207,11 @@ def compose_database(
     database.catalog = shell.catalog
     indexes = {}
     for index_name, collection_name in shell.index_order:
-        index = parts[collection_name].indexes[index_name]
         # A whole-database pickle memoizes the definition once for the
-        # catalog and the built index; relink to restore that sharing.
-        index.definition = shell.catalog.get(index_name)
+        # catalog and the built index.  That link goes on a wrapper of
+        # this snapshot's own, over the part's entry list.
+        index = PathIndex(shell.catalog.get(index_name))
+        index.entries = parts[collection_name].indexes[index_name].entries
         indexes[index_name] = index
     database.indexes = indexes
     database._statistics = {
@@ -255,21 +299,39 @@ class SnapshotDelta:
         )
 
 
-class SnapshotStore:
-    """Epoch-keyed cache of per-collection database blobs.
+def _statistics_stamp(statistics) -> Optional[int]:
+    """The stamp component of a blob key (``None``: no statistics)."""
+    return None if statistics is None else statistics.mutation_stamp
 
-    Thread-safe: the serve layer's thread lanes and portfolio lanes
-    compose snapshots concurrently.  The lock covers the whole
-    composition, serializing snapshot takes -- the win is skipping
-    serialization entirely, not overlapping it.
+
+@dataclass
+class _Generation:
+    """The one generation the store holds for a ``(database token,
+    collection)``: the blob at ``key`` and, once a snapshot asked for
+    it, the part decoded from that blob (shared, read-only)."""
+
+    key: BlobKey
+    blob: bytes
+    part: Optional[CollectionPart] = None
+
+
+class SnapshotStore:
+    """Epoch-keyed cache of per-collection database generations (blob +
+    decoded part); the module docstring states what is shared and who
+    may mutate it.
+
+    Thread-safe: the serve layer's thread lanes and portfolio lanes take
+    snapshots concurrently.  One lock covers lookup, the occasional
+    serialize/decode and the shell round-trip; composing from held parts
+    is O(shell), so there is nothing worth overlapping.
     """
 
     def __init__(self, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> None:
         self.budget_bytes = max(0, int(budget_bytes))
         self._lock = threading.RLock()
-        self._blobs: "OrderedDict[BlobKey, bytes]" = OrderedDict()
-        self._tokens: "weakref.WeakValueDictionary[int, Database]" = (
-            weakref.WeakValueDictionary()
+        #: ``(db token, collection)`` -> its one generation, LRU order.
+        self._generations: "OrderedDict[Tuple[int, str], _Generation]" = (
+            OrderedDict()
         )
         self._token_ids: "weakref.WeakKeyDictionary[Database, int]" = (
             weakref.WeakKeyDictionary()
@@ -285,6 +347,11 @@ class SnapshotStore:
         #: acceptance gates pin at zero for unchanged epochs).
         self.serializations = 0
         self.bytes_serialized = 0
+        #: Blobs unpickled into parts (zero for snapshots at held keys).
+        self.decodes = 0
+        #: Held parts thrown away because a lazy summary repair through
+        #: a snapshot moved their statistics stamp off the key's.
+        self.parts_discarded = 0
         #: Full snapshots composed.
         self.compositions = 0
         self.shell_bytes = 0
@@ -295,28 +362,21 @@ class SnapshotStore:
     def token(self, database: Database) -> int:
         """The store's identity for ``database``.  Databases composed by
         :meth:`snapshot` inherit their source's token, so a re-snapshot
-        of an unmutated snapshot hits the same blobs."""
+        of an unmutated snapshot hits the same generations."""
         with self._lock:
             token = self._token_ids.get(database)
             if token is None:
                 token = next(self._token_counter)
                 self._token_ids[database] = token
-                self._tokens[token] = database
             return token
-
-    def _adopt(self, database: Database, token: int) -> None:
-        """Register a composed snapshot under its source's token."""
-        self._token_ids[database] = token
 
     def collection_key(self, database: Database, name: str) -> BlobKey:
         """The blob cache key for one collection right now."""
-        stats = database._statistics.get(name)
-        stamp = None if stats is None else stats.mutation_stamp
         return (
             self.token(database),
             name,
             database.collection_epochs.get(name, 0),
-            stamp,
+            _statistics_stamp(database._statistics.get(name)),
         )
 
     def current_keys(self, database: Database) -> Dict[str, BlobKey]:
@@ -327,34 +387,61 @@ class SnapshotStore:
         }
 
     # ------------------------------------------------------------------
-    # Blob cache
+    # Generation cache
     # ------------------------------------------------------------------
+    def _generation(self, database: Database, name: str) -> _Generation:
+        """The generation at the collection's current key: the held one
+        on a hit; on a miss a fresh serialization that supersedes (and
+        drops) whatever was held for that collection.  Caller holds the
+        lock."""
+        key = self.collection_key(database, name)
+        slot = key[:2]
+        held = self._generations.get(slot)
+        if held is not None and held.key == key:
+            self.hits += 1
+            self._generations.move_to_end(slot)
+            return held
+        self.misses += 1
+        blob = pickle.dumps(capture_part(database, name), PROTOCOL)
+        self.serializations += 1
+        self.bytes_serialized += len(blob)
+        if held is not None:
+            self._drop(slot)
+        generation = self._generations[slot] = _Generation(key, blob)
+        self.bytes_cached += len(blob)
+        while (
+            self.bytes_cached > self.budget_bytes
+            and len(self._generations) > 1
+        ):
+            self._drop(next(iter(self._generations)))
+            self.evictions += 1
+        return generation
+
+    def _drop(self, slot: Tuple[int, str]) -> None:
+        self.bytes_cached -= len(self._generations.pop(slot).blob)
+
+    def _part(self, database: Database, name: str) -> CollectionPart:
+        """The shared decoded part at the collection's current key,
+        decoded at most once per generation.  Caller holds the lock."""
+        generation = self._generation(database, name)
+        part = generation.part
+        if part is not None and (
+            _statistics_stamp(part.statistics) != generation.key[3]
+        ):
+            # A lazy summary repair fired through some snapshot: the
+            # part no longer equals its blob.
+            self.parts_discarded += 1
+            part = None
+        if part is None:
+            part = generation.part = pickle.loads(generation.blob)
+            self.decodes += 1
+        return part
+
     def collection_blob(self, database: Database, name: str) -> bytes:
         """The serialized :class:`CollectionPart` for one collection,
         from cache when its key is unchanged."""
         with self._lock:
-            key = self.collection_key(database, name)
-            blob = self._blobs.get(key)
-            if blob is not None:
-                self.hits += 1
-                self._blobs.move_to_end(key)
-                return blob
-            self.misses += 1
-            blob = pickle.dumps(capture_part(database, name), PROTOCOL)
-            self.serializations += 1
-            self.bytes_serialized += len(blob)
-            self._store(key, blob)
-            return blob
-
-    def _store(self, key: BlobKey, blob: bytes) -> None:
-        if key in self._blobs:  # pragma: no cover - store() races are
-            return  # excluded by the lock; defensive only
-        self._blobs[key] = blob
-        self.bytes_cached += len(blob)
-        while self.bytes_cached > self.budget_bytes and len(self._blobs) > 1:
-            _, evicted = self._blobs.popitem(last=False)
-            self.bytes_cached -= len(evicted)
-            self.evictions += 1
+            return self._generation(database, name).blob
 
     def shell_blob(self, database: Database) -> bytes:
         """The serialized shell, captured fresh (never cached: catalog
@@ -379,17 +466,23 @@ class SnapshotStore:
             return shell, collection_blobs
 
     def snapshot(self, database: Database) -> Database:
-        """An epoch-consistent deep snapshot of ``database``, composed
-        from cached blobs -- bit-identical to
-        ``pickle.loads(pickle.dumps(database))`` but only serializing
-        collections whose key moved since the last snapshot."""
+        """An epoch-consistent snapshot of ``database``: a private shell
+        over the store's shared decoded parts -- bit-identical to
+        ``pickle.loads(pickle.dumps(database))``, at the cost of one
+        shell round-trip while no key moved.  Read-only: mutating it
+        raises :class:`~repro.robustness.errors.ReadOnlySnapshotError`
+        (a pickled copy is writable)."""
         with self._lock:
             token = self.token(database)
-            shell_blob, collection_blobs = self.blobs(database)
+            shell = pickle.loads(self.shell_blob(database))
+            parts = {
+                name: self._part(database, name)
+                for name in database.collections
+            }
             self.compositions += 1
-            shell = pickle.loads(shell_blob)
-            composed = compose_database(shell, load_parts(collection_blobs))
-            self._adopt(composed, token)
+            composed = compose_database(shell, parts)
+            composed._shares_parts = True
+            self._token_ids[composed] = token
             return composed
 
     def delta(
@@ -422,8 +515,14 @@ class SnapshotStore:
                 "serializations": self.serializations,
                 "bytes_serialized": self.bytes_serialized,
                 "bytes_cached": self.bytes_cached,
-                "cached_blobs": len(self._blobs),
+                "cached_blobs": len(self._generations),
                 "evictions": self.evictions,
+                "decodes": self.decodes,
+                "parts_held": sum(
+                    generation.part is not None
+                    for generation in self._generations.values()
+                ),
+                "parts_discarded": self.parts_discarded,
                 "compositions": self.compositions,
                 "shell_bytes": self.shell_bytes,
                 "budget_bytes": self.budget_bytes,
@@ -431,5 +530,5 @@ class SnapshotStore:
 
     def clear(self) -> None:
         with self._lock:
-            self._blobs.clear()
+            self._generations.clear()
             self.bytes_cached = 0

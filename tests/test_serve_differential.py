@@ -167,6 +167,50 @@ class TestSerialEquivalence:
         )
         assert_serially_equivalent(schedule, server, responses)
 
+    def test_thread_lanes_share_snapshot_parts_under_concurrent_dml(self):
+        """A few hundred requests through two thread lanes with the
+        default tournament: advise requests and their portfolio lanes
+        read the store's shared parts while DML supersedes them.  No
+        response may fail and the run must replay serially."""
+        schedule = []
+        for index in range(240):
+            schedule.append(
+                {"kind": "query", "text": QUERY_TEXTS[index % len(QUERY_TEXTS)]}
+            )
+            if index % 4 == 0:
+                schedule.append(
+                    {
+                        "kind": "dml",
+                        "text": "insert into SDOC value "
+                        f"'{security(f'LANE{index}')}'",
+                    }
+                )
+            if index % 40 == 20:
+                schedule.append(
+                    {
+                        "kind": "whatif",
+                        "statements": QUERY_TEXTS,
+                        "patterns": ["/Security/Symbol"],
+                        "collection": "SDOC",
+                    }
+                )
+            if index % 80 == 40:
+                schedule.append(
+                    {
+                        "kind": "recommend",
+                        "statements": QUERY_TEXTS,
+                        "budget_bytes": BUDGET,
+                    }
+                )
+        server, responses = run(
+            concurrent_run(schedule, clients=4, lanes=2)
+        )
+        assert server.mode == "tournament"
+        assert_serially_equivalent(schedule, server, responses)
+        snapshots = server.snapshots.stats()
+        assert snapshots["cached_blobs"] == len(server.database.collections)
+        assert snapshots["compositions"] > snapshots["decodes"]
+
     def test_advise_requests_replay_bit_identical(self):
         schedule = mixed_schedule(writes=2, with_advise=True)
         server, responses = run(concurrent_run(schedule, seed=13))

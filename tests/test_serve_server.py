@@ -18,6 +18,7 @@ from repro.serve import (
     run_portfolio,
 )
 from repro.serve.portfolio import perturbed_specs
+from repro.serve.requests import Response
 from repro.serve.server import normalized_recommendation, serial_order
 from repro.storage.database import EpochGate
 from repro.workloads import tpox
@@ -192,6 +193,68 @@ class TestEndpoints:
         assert delete.epoch[0][1] == insert.epoch[0][1] + 1
         assert [entry["seq"] for entry in journal] == [0, 1]
         assert delete.value["rows"] == 1
+
+    def test_statistics_digest_and_token_shared_until_an_epoch_moves(self):
+        """Per-request waste regression: responses at unchanged epochs
+        carry the *same* digest and epoch-token objects; a write moves
+        both, to the values a fresh computation gives."""
+        text = next(t for t in QUERY_TEXTS if "SDOC" in t)
+
+        async def scenario():
+            async with AdvisorServer(small_database()) as server:
+                first = await server.query(text)
+                second = await server.query(text)
+                write = await server.dml(
+                    "insert into SDOC value "
+                    "'<Security><Symbol>NEW</Symbol></Security>'"
+                )
+                third = await server.query(text)
+                return first, second, write, third
+
+        first, second, write, third = run(scenario())
+        assert second.value["statistics"] is first.value["statistics"]
+        assert second.epoch is first.epoch
+        assert third.epoch != first.epoch
+        assert third.value["statistics"] is write.value["statistics"]
+        assert (
+            third.value["statistics"]["SDOC"]["doc_count"]
+            == first.value["statistics"]["SDOC"]["doc_count"] + 1
+        )
+        assert first.comparable() == second.comparable()
+
+    def test_response_layout_keeps_its_projections(self):
+        response = Response(
+            "query",
+            True,
+            value={"rows": 1},
+            epoch=(("SDOC", 3),),
+            seq=2,
+            retries=1,
+            elapsed_seconds=0.5,
+        )
+        assert not hasattr(response, "__dict__")
+        assert response.to_dict() == {
+            "kind": "query",
+            "ok": True,
+            "tenant": "default",
+            "value": {"rows": 1},
+            "error": None,
+            "code": None,
+            "epoch": [["SDOC", 3]],
+            "seq": 2,
+            "retries": 1,
+            "elapsed_seconds": 0.5,
+        }
+        assert list(response.to_dict()) == list(Response.__slots__)
+        assert list(response.comparable()) == [
+            name
+            for name in Response.__slots__
+            if name not in ("retries", "elapsed_seconds")
+        ]
+        failed = Response("dml", False, error="boom", code="internal")
+        assert failed.to_dict()["epoch"] is None
+        assert failed == Response("dml", False, error="boom", code="internal")
+        assert failed != response
 
     def test_wrong_statement_kind_is_bad_request(self):
         db = small_database()

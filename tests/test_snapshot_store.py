@@ -12,7 +12,13 @@ Three layers of pinning:
    epochs serialize nothing; DML on one collection re-serializes only
    that collection (the PR's headline perf claims, pinned as counter
    equalities, not timings).
-3. **Consumers** -- the serve layer's request snapshots and the
+3. **Shared generations** (ISSUE PR 12) -- snapshots at unchanged keys
+   share one decoded part per collection and decode nothing; the store
+   holds one generation per collection however many writes ran;
+   snapshots taken around DML stay isolated; a store-composed snapshot
+   is read-only (typed error) while a pickled copy of it is writable;
+   concurrent lanes reading one shared part leave it unchanged.
+4. **Consumers** -- the serve layer's request snapshots and the
    parallel engine's delta-shipped process workers produce results
    bit-identical to their store-less baselines, and the EpochGate's
    read-retry backoff (satellite 1) makes validated reads dominate
@@ -21,6 +27,8 @@ Three layers of pinning:
 
 import asyncio
 import pickle
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -30,11 +38,13 @@ from repro.core.advisor import IndexAdvisor
 from repro.optimizer.session import WhatIfSession
 from repro.parallel import ParallelWhatIfSession
 from repro.query.workload import Workload
+from repro.robustness.errors import ReadOnlySnapshotError
 from repro.serve import AdvisorServer, SeededScheduler
 from repro.storage import IndexDefinition, IndexValueType
 from repro.storage.snapshots import (
     SnapshotStore,
     canonical_dumps,
+    capture_part,
     partitioned_dumps,
 )
 from repro.workloads import tpox
@@ -204,6 +214,12 @@ def test_any_interleaving_stays_bit_identical(
     assert_bit_identical(store.snapshot(database), fresh_round_trip(database))
 
 
+def _probe(database):
+    session = WhatIfSession(database)
+    with session.evaluating(()) as scope:
+        scope.result(WORKLOAD.entries[0].statement)
+
+
 @settings(max_examples=10, deadline=None)
 @given(
     ops=st.lists(
@@ -221,12 +237,41 @@ def test_whatif_probes_between_ops_stay_bit_identical(ops):
     track it.  Probe between every op and re-check identity."""
     database = build_database()
     store = SnapshotStore()
-    statement = WORKLOAD.entries[0].statement
     for op, payload in ops:
         _apply_op(database, op, payload)
-        session = WhatIfSession(database)
-        with session.evaluating(()) as scope:
-            scope.result(statement)
+        _probe(database)
+        assert_bit_identical(
+            store.snapshot(database), fresh_round_trip(database)
+        )
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=5),
+            st.integers(min_value=0, max_value=7),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_whatif_probes_through_snapshots_stay_bit_identical(ops):
+    """The same probe *through a store snapshot* reaches parts other
+    snapshots share (after a delete it repairs a dirty summary in
+    place).  The probed snapshot must equal a private round-trip copy
+    given the same probe, and the next snapshot of the untouched live
+    database must still equal a fresh round-trip of it -- the store may
+    not hand the repaired part out again under the old key."""
+    database = build_database()
+    store = SnapshotStore()
+    for op, payload in ops:
+        _apply_op(database, op, payload)
+        snapshot = store.snapshot(database)
+        private = fresh_round_trip(database)
+        _probe(snapshot)
+        _probe(private)
+        assert_bit_identical(snapshot, private)
         assert_bit_identical(
             store.snapshot(database), fresh_round_trip(database)
         )
@@ -296,6 +341,286 @@ class TestReserializationAccounting:
         changed, removed = store.delta(database, base_keys)
         assert sorted(changed) == ["SDOC"]
         assert removed == ()
+
+
+# ---------------------------------------------------------------------------
+# Shared generations: one decoded part per collection, read-only snapshots
+# ---------------------------------------------------------------------------
+
+
+def _primed_database():
+    database = build_database()
+    for name in database.collections:
+        database.runstats(name)
+    return database
+
+
+def _recommend_on(database):
+    return IndexAdvisor(
+        database,
+        Workload(list(WORKLOAD.entries)),
+        session=WhatIfSession(database),
+    ).recommend(BUDGET)
+
+
+class TestSharedGenerations:
+    def test_unchanged_keys_decode_nothing_and_share_parts(self):
+        database = _primed_database()
+        names = list(database.collections)
+        store = SnapshotStore()
+        first = store.snapshot(database)
+        warm = store.stats()
+        assert warm["decodes"] == warm["parts_held"] == len(names)
+        second = store.snapshot(database)
+        assert store.stats()["decodes"] == warm["decodes"]
+        for name in names:
+            assert second.collections[name] is first.collections[name]
+            assert second._statistics[name] is first._statistics[name]
+        # the shell is private: catalogs and counters never cross
+        assert second.catalog is not first.catalog
+        assert second.collection_epochs is not first.collection_epochs
+
+    def test_dml_decodes_only_the_touched_collection(self):
+        database = _primed_database()
+        store = SnapshotStore()
+        before = store.snapshot(database)
+        decodes = store.stats()["decodes"]
+        database.insert_document("SDOC", SECURITY)
+        after = store.snapshot(database)
+        assert store.stats()["decodes"] == decodes + 1
+        assert after.collections["SDOC"] is not before.collections["SDOC"]
+        for name in database.collections:
+            if name != "SDOC":
+                assert after.collections[name] is before.collections[name]
+
+    def test_built_index_shares_entries_not_its_definition_link(self):
+        """Each snapshot's built index shares its definition object with
+        its *own* catalog (what a whole-database pickle memoizes) while
+        the entry list is the shared part's."""
+        database = _primed_database()
+        database.create_index(
+            IndexDefinition(
+                "snap_idx",
+                "SDOC",
+                parse_pattern("/Security/Yield"),
+                IndexValueType.NUMERIC,
+            )
+        )
+        store = SnapshotStore()
+        first, second = store.snapshot(database), store.snapshot(database)
+        for snapshot in (first, second):
+            assert snapshot.indexes["snap_idx"].definition is (
+                snapshot.catalog.get("snap_idx")
+            )
+        assert first.indexes["snap_idx"] is not second.indexes["snap_idx"]
+        assert (
+            first.indexes["snap_idx"].entries
+            is second.indexes["snap_idx"].entries
+        )
+
+    def test_snapshots_around_dml_are_isolated(self):
+        database = _primed_database()
+        store = SnapshotStore()
+        earlier = store.snapshot(database)
+        earlier_bytes = partitioned_dumps(earlier)
+        database.insert_document("SDOC", SECURITY)
+        later = store.snapshot(database)
+        later_bytes = partitioned_dumps(later)
+        assert {
+            name
+            for name in database.collections
+            if earlier_bytes[name] != later_bytes[name]
+        } == {"SDOC"}
+        assert partitioned_dumps(earlier) == earlier_bytes
+        # A full recommend moves only the shell of the snapshot it ran
+        # on (catalog name counter): the sibling keeps all its bytes,
+        # the snapshot itself every collection's.
+        _recommend_on(later)
+        assert partitioned_dumps(earlier) == earlier_bytes
+        later_shell = partitioned_dumps(later)[""]
+        _recommend_on(earlier)
+        assert partitioned_dumps(later) == {**later_bytes, "": later_shell}
+        assert partitioned_dumps(earlier) == {
+            **earlier_bytes, "": partitioned_dumps(earlier)[""]
+        }
+
+    def test_writes_leave_one_generation_per_collection(self):
+        """Regression: every DML used to leave its superseded blob in
+        the store until the byte budget tripped (``cached_blobs`` grew
+        O(DML))."""
+        database = _primed_database()
+        store = SnapshotStore()
+        store.snapshot(database)
+        baseline = store.stats()
+        assert baseline["cached_blobs"] == len(database.collections)
+        for _ in range(12):
+            doc_id = database.insert_document("SDOC", SECURITY)
+            store.snapshot(database)
+            database.delete_document("SDOC", doc_id)
+            store.snapshot(database)
+        after = store.stats()
+        assert after["cached_blobs"] == len(database.collections)
+        assert after["parts_held"] == len(database.collections)
+        assert after["evictions"] == 0
+        # flat up to the tombstone each deleted document id leaves
+        assert after["bytes_cached"] < baseline["bytes_cached"] + 1024
+
+    def test_resnapshot_of_a_superseded_snapshot_is_a_correct_miss(self):
+        database = _primed_database()
+        store = SnapshotStore()
+        older = store.snapshot(database)
+        older_baseline = fresh_round_trip(database)
+        database.insert_document("SDOC", SECURITY)
+        store.snapshot(database)  # drops the generation ``older`` holds
+        misses = store.stats()["misses"]
+        again = store.snapshot(older)
+        assert store.stats()["misses"] == misses + 1
+        assert_bit_identical(again, older_baseline)
+        assert_bit_identical(
+            store.snapshot(database), fresh_round_trip(database)
+        )
+
+    def test_lazy_repair_through_a_snapshot_discards_the_part(self):
+        """A delete leaves dirty summaries; a probe through a snapshot
+        repairs them in place on the shared statistics, moving their
+        stamp off the key's -- the store must decode the blob again
+        instead of handing the repaired part out."""
+        database = _primed_database()
+        database.delete_document("SDOC", 0)
+        store = SnapshotStore()
+        probed = store.snapshot(database)
+        stats = probed._statistics["SDOC"]
+        stamp = stats.mutation_stamp
+        assert stats.rebuild_dirty_summaries() > 0
+        assert stats.mutation_stamp > stamp
+        fresh = store.snapshot(database)
+        assert store.stats()["parts_discarded"] == 1
+        assert fresh._statistics["SDOC"] is not stats
+        assert_bit_identical(fresh, fresh_round_trip(database))
+
+    def test_eviction_drops_part_with_blob(self):
+        database = _primed_database()
+        store = SnapshotStore(budget_bytes=1)
+        for _ in range(3):
+            assert_bit_identical(
+                store.snapshot(database), fresh_round_trip(database)
+            )
+            stats = store.stats()
+            assert stats["cached_blobs"] == 1
+            assert stats["parts_held"] <= stats["cached_blobs"]
+        assert stats["evictions"] > 0
+        assert stats["decodes"] == 3 * len(database.collections)
+
+
+MUTATORS = {
+    "insert": lambda db: db.insert_document("SDOC", SECURITY),
+    "delete": lambda db: db.delete_document("SDOC", 0),
+    "create_index": lambda db: db.create_index(
+        IndexDefinition(
+            "ro_idx",
+            "SDOC",
+            parse_pattern("/Security/Symbol"),
+            IndexValueType.STRING,
+        )
+    ),
+    "drop_index": lambda db: db.drop_index("snap_idx"),
+    "invalidate_statistics": lambda db: db.invalidate_statistics("SDOC"),
+}
+
+
+class TestReadOnlySnapshots:
+    @staticmethod
+    def _database():
+        database = _primed_database()
+        database.create_index(
+            IndexDefinition(
+                "snap_idx",
+                "SDOC",
+                parse_pattern("/Security/Yield"),
+                IndexValueType.NUMERIC,
+            )
+        )
+        return database
+
+    @pytest.mark.parametrize("mutator", sorted(MUTATORS))
+    def test_mutators_raise_typed_error_and_spare_siblings(self, mutator):
+        database = self._database()
+        store = SnapshotStore()
+        snapshot, sibling = store.snapshot(database), store.snapshot(database)
+        sibling_bytes = partitioned_dumps(sibling)
+        own_bytes = partitioned_dumps(snapshot)
+        with pytest.raises(ReadOnlySnapshotError):
+            MUTATORS[mutator](snapshot)
+        assert partitioned_dumps(sibling) == sibling_bytes
+        assert partitioned_dumps(snapshot) == own_bytes
+
+    @pytest.mark.parametrize("mutator", sorted(MUTATORS))
+    def test_pickled_copy_is_writable(self, mutator):
+        database = self._database()
+        store = SnapshotStore()
+        snapshot = store.snapshot(database)
+        snapshot_bytes = partitioned_dumps(snapshot)
+        copy = pickle.loads(pickle.dumps(snapshot))
+        MUTATORS[mutator](copy)
+        MUTATORS[mutator](database)  # and so is the live database
+        assert partitioned_dumps(snapshot) == snapshot_bytes
+
+    def test_marker_stays_out_of_the_pickled_state(self):
+        database = self._database()
+        snapshot = SnapshotStore().snapshot(database)
+        assert snapshot._shares_parts
+        assert "_shares_parts" not in vars(snapshot)
+        copy = pickle.loads(pickle.dumps(snapshot))
+        assert not hasattr(copy, "_shares_parts")
+        assert_bit_identical(copy, snapshot)
+
+
+def test_thread_lanes_reading_one_shared_part_leave_it_unchanged():
+    """Three lanes (more threads than this box has cores, switching
+    every few bytecodes) hammer ``runstats`` / ``matching_paths`` on
+    snapshots sharing one part.  The per-pattern memo they race on is
+    the only thing written; every answer must equal a private copy's and
+    the part's serialized form must not move."""
+    database = _primed_database()
+    store = SnapshotStore()
+    lanes = [store.snapshot(database) for _ in range(3)]
+    assert len({id(lane.collections["SDOC"]) for lane in lanes}) == 1
+    part_bytes = canonical_dumps(capture_part(lanes[0], "SDOC"))
+    reference = fresh_round_trip(database).runstats("SDOC")
+    patterns = [
+        parse_pattern(text)
+        for path in reference.path_counts
+        for text in ("/" + "/".join(path), "//" + path[-1], "/" + path[0] + "//*")
+    ]
+    expected = [reference.matching_paths(pattern) for pattern in patterns]
+    failures = []
+
+    def hammer(lane):
+        try:
+            for _ in range(300):
+                stats = lane.runstats("SDOC")
+                stats._matching_cache.clear()  # keep the memo race live
+                for pattern, want in zip(patterns, expected):
+                    if stats.matching_paths(pattern) != want:
+                        failures.append(str(pattern))
+        except Exception as exc:  # surfaced below, on the main thread
+            failures.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=hammer, args=(lane,)) for lane in lanes
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=TIMEOUT)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert canonical_dumps(capture_part(lanes[0], "SDOC")) == part_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +747,32 @@ class TestServeConsumer:
         assert first.value == second.value
         assert stats["serializations"] == warm
         assert stats["compositions"] > 1  # lanes composed, from cache
+
+    def test_served_recommend_composes_four_snapshots_from_held_parts(self):
+        """A tournament recommend takes four snapshots (the request's
+        and one per lane); at unchanged epochs none of them decodes a
+        blob, after a write exactly the touched collection is decoded
+        once for all four."""
+
+        async def scenario():
+            async with AdvisorServer(build_database()) as server:
+                stats = []
+                for write in (None, None, SECURITY):
+                    if write:
+                        assert (
+                            await server.dml(
+                                f"insert into SDOC value '{write}'"
+                            )
+                        ).ok
+                    assert (await server.recommend(QUERY_TEXTS, BUDGET)).ok
+                    stats.append(server.snapshots.stats())
+                return stats
+
+        warm, steady, written = _run(scenario())
+        assert steady["compositions"] == warm["compositions"] + 4
+        assert steady["decodes"] == warm["decodes"]
+        assert written["compositions"] == steady["compositions"] + 4
+        assert written["decodes"] == steady["decodes"] + 1
 
     @staticmethod
     def _contended_schedule(rounds: int = 3):
