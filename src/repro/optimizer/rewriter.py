@@ -164,14 +164,6 @@ class DisjunctiveRequest:
         return " OR ".join(str(a) for a in self.alternatives)
 
 
-#: Per-statement memo of (conjunctive requests, disjunctions, flattened
-#: all-requests).  Statements are frozen/hashable and every optimizer call
-#: re-extracts its statement's requests, so parsing each statement's
-#: predicates once per process is the single biggest rewrite-phase saving.
-#: Entries are tuples: callers must treat them as immutable.
-_EXTRACTION_MEMO: dict = {}
-
-
 def _extraction(
     statement: Statement,
 ) -> Tuple[
@@ -179,18 +171,25 @@ def _extraction(
     Tuple[DisjunctiveRequest, ...],
     Tuple[PathRequest, ...],
 ]:
-    memo = _EXTRACTION_MEMO.get(statement)
-    if memo is None:
-        requests, disjunctions = _extract(statement)
-        flattened = list(requests)
+    """(conjunctive requests, disjunctions, flattened all-requests) of a
+    statement, extracted once and kept on the statement itself (see
+    :mod:`repro.query.model`): every optimizer call asks for them again,
+    and a memo that lives and dies with its statement cannot grow with
+    the number of distinct texts a long-lived server has seen.  Entries
+    are tuples: callers must treat them as immutable."""
+    try:
+        return statement._extraction
+    except AttributeError:
+        pass
+    requests, disjunctions = _extract(statement)
+    conjunctive = flattened = tuple(_dedupe(requests))
+    if disjunctions:
+        everything = list(requests)
         for disjunction in disjunctions:
-            flattened.extend(disjunction.alternatives)
-        memo = (
-            tuple(_dedupe(requests)),
-            tuple(disjunctions),
-            tuple(_dedupe(flattened)),
-        )
-        _EXTRACTION_MEMO[statement] = memo
+            everything.extend(disjunction.alternatives)
+        flattened = tuple(_dedupe(everything))
+    memo = (conjunctive, tuple(disjunctions), flattened)
+    object.__setattr__(statement, "_extraction", memo)
     return memo
 
 

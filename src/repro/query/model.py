@@ -15,6 +15,12 @@ additional existence clauses plus return paths (same-document navigation).
 Update statements (:class:`InsertStatement`, :class:`DeleteStatement`)
 model the data-modification side: they carry enough structure for the
 optimizer to cost them and for the advisor to charge index maintenance.
+
+Statements are immutable values that key the optimizer's memos, so each
+one computes its deep hash once (:func:`_hash_once`).  A statement's
+``__dict__`` may also carry other derived memos under underscore names
+(the rewriter's request extraction); only the dataclass fields are
+compared, printed or pickled.
 """
 
 from __future__ import annotations
@@ -24,6 +30,35 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 from repro.xpath.ast import Literal, LocationPath
+
+
+def _hash_once(cls):
+    """Class decorator over ``@dataclass(frozen=True)``: keep the
+    generated field-tuple hash, but walk the AST for it once per
+    instance instead of on every dict lookup.
+
+    ``str`` hashes differ between processes and statements travel to
+    pool workers and into snapshot blobs, so ``__getstate__`` pickles
+    the dataclass fields and nothing else.  Two threads racing to fill a
+    memo store the same value.
+    """
+    deep_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = deep_hash(self)
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        return {name: state[name] for name in self.__dataclass_fields__}
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
 
 
 class StatementKind(enum.Enum):
@@ -84,6 +119,7 @@ class Aggregate:
         return f"{self.function}(${{var}}/{self.path})"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Query:
     """A FLWOR query over one collection (see module docstring)."""
@@ -118,6 +154,7 @@ class Query:
         return self.describe()
 
 
+@_hash_once
 @dataclass(frozen=True)
 class JoinQuery:
     """A two-collection equi-join::
@@ -180,6 +217,7 @@ class JoinQuery:
         return self.describe()
 
 
+@_hash_once
 @dataclass(frozen=True)
 class InsertStatement:
     """``insert into <collection> value '<xml>'``.
@@ -204,6 +242,7 @@ class InsertStatement:
         return self.describe()
 
 
+@_hash_once
 @dataclass(frozen=True)
 class DeleteStatement:
     """``delete from <collection> where <abs-path> <op> <literal>``.

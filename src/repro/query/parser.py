@@ -25,7 +25,7 @@ are indexable -- the property the advisor cares about.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from repro.query.model import (
     DeleteStatement,
@@ -38,7 +38,7 @@ from repro.xpath.ast import Literal, LocationPath
 from repro.xpath.parser import (
     XPathSyntaxError,
     _XPathParser,
-    parse_comparison,
+    parse_condition,
     parse_xpath,
 )
 
@@ -61,61 +61,116 @@ _DELETE_RE = re.compile(
 _RETURN_VAR_PATH = re.compile(r"\$([A-Za-z_]\w*)((?:/{1,2}[^\s,<>{}()\]\[$]+)?)")
 
 
-def _split_top_level(text: str, keyword: str) -> List[str]:
-    """Split ``text`` on a keyword appearing at bracket/quote depth zero."""
-    pattern = re.compile(rf"\b{keyword}\b", re.I)
-    pieces: List[str] = []
-    depth = 0
-    quote: Optional[str] = None
-    start = 0
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if quote:
-            if ch == quote:
-                quote = None
-            i += 1
-            continue
-        if ch in "'\"":
-            quote = ch
-        elif ch in "[({":
-            depth += 1
-        elif ch in "])}":
-            depth -= 1
-        elif depth == 0:
-            match = pattern.match(text, i)
-            if match and (i == 0 or not text[i - 1].isalnum()):
-                pieces.append(text[start:i])
-                start = match.end()
-                i = match.end()
-                continue
-        i += 1
-    pieces.append(text[start:])
-    return pieces
+_VARIABLE = re.compile(r"\$([A-Za-z_]\w*)")
+
+#: Everything that decides where a FLWOR clause starts or ends: a quoted
+#: string (an unterminated one runs to the end of the text), a bracket, a
+#: comma, or a clause keyword.  A keyword directly after ``$`` is a
+#: variable name, not a keyword.
+_CLAUSE_TOKEN = re.compile(
+    r"""'[^']*'?|"[^"]*"?|[\[({\])},]"""
+    r"""|(?<![\w$])(?:for|let|where|return|in|and)(?!\w)""",
+    re.I,
+)
 
 
-def _split_top_level_char(text: str, separator: str) -> List[str]:
-    """Split on a single character at bracket/quote depth zero."""
-    pieces: List[str] = []
+#: What separates the pieces of a section, besides ``let``, ``where`` and
+#: ``return`` opening theirs.  Any other keyword is ordinary text there.
+_SEPARATORS = {"for": ("for", ","), "let": (), "where": ("and",)}
+
+
+class _ForPart(NamedTuple):
+    """One binding of the ``for`` section and its pieces around each
+    top-level ``in`` (a well-formed binding has exactly two)."""
+
+    text: str
+    pieces: List[str]
+
+
+class _Clauses(NamedTuple):
+    """The top-level clause texts of one FLWOR statement."""
+
+    for_parts: List[_ForPart]
+    lets: List[str]
+    conjuncts: List[str]
+    returned: str
+
+
+def _scan_clauses(text: str) -> _Clauses:
+    """Find every clause of a FLWOR statement in one pass.
+
+    Clauses come in the order ``for`` -> ``let`` -> ``where`` ->
+    ``return``; a keyword counts only outside quotes and brackets and
+    only in the section where it means something (``in`` and ``,`` in
+    the for section, ``and`` in the where section).  Nothing after the
+    top-level ``return`` is looked at: a constructor may say
+    ``<p>where</p>``.
+    """
+    for_parts: List[_ForPart] = []
+    lets: List[str] = []
+    conjuncts: List[str] = []
+    returned = ""
+    cuts: List[int] = []  # start, end of each 'in' of the current binding
+
+    def close(section: str, start: int, end: int) -> None:
+        piece = text[start:end]
+        if not piece.strip():
+            return
+        if section == "for":
+            bounds = [start, *cuts, end]
+            for_parts.append(
+                _ForPart(
+                    piece,
+                    [
+                        text[bounds[i] : bounds[i + 1]]
+                        for i in range(0, len(bounds), 2)
+                    ],
+                )
+            )
+        elif section == "let":
+            lets.append(piece.strip())
+        else:
+            conjuncts.append(piece.strip())
+
+    section = "for"
     depth = 0
-    quote: Optional[str] = None
-    start = 0
-    for position, ch in enumerate(text):
-        if quote:
-            if ch == quote:
-                quote = None
+    start = 0  # of the piece (binding, let or conjunct) being scanned
+    for match in _CLAUSE_TOKEN.finditer(text):
+        token = match.group()
+        first = token[0]
+        if first in "'\"":
             continue
-        if ch in "'\"":
-            quote = ch
-        elif ch in "[({":
+        if first in "[({":
             depth += 1
-        elif ch in "])}":
+            continue
+        if first in "])}":
             depth -= 1
-        elif ch == separator and depth == 0:
-            pieces.append(text[start:position])
-            start = position + 1
-    pieces.append(text[start:])
-    return pieces
+            continue
+        if depth != 0:
+            continue
+        word = token.lower()
+        if word == "return":
+            close(section, start, match.start())
+            returned = text[match.end() :].strip()
+            break
+        if word == "where":
+            if section == "where":
+                raise QuerySyntaxError("multiple where clauses")
+            following = "where"
+        elif word == "let" and section != "where":
+            following = "let"
+        elif word in _SEPARATORS[section]:
+            following = section
+        else:
+            if word == "in" and section == "for":
+                cuts.extend(match.span())
+            continue
+        close(section, start, match.start())
+        section, start = following, match.end()
+        cuts.clear()
+    else:  # no return clause: the last piece runs to the end
+        close(section, start, len(text))
+    return _Clauses(for_parts, lets, conjuncts, returned)
 
 
 def _to_relative(path: LocationPath) -> LocationPath:
@@ -155,15 +210,10 @@ def _parse_delete(stripped: str, original: str) -> DeleteStatement:
         raise QuerySyntaxError(f"malformed delete statement: {original!r}")
     collection, condition = match.group(1), match.group(2).strip()
     try:
-        path, op, literal = parse_comparison(condition)
-        return DeleteStatement(collection, path, op, literal, text=original.strip())
-    except XPathSyntaxError:
-        pass
-    try:
-        path = parse_xpath(condition)
+        path, op, literal = parse_condition(condition)
     except XPathSyntaxError as exc:
         raise QuerySyntaxError(f"bad delete condition {condition!r}") from exc
-    return DeleteStatement(collection, path, text=original.strip())
+    return DeleteStatement(collection, path, op, literal, text=original.strip())
 
 
 # ---------------------------------------------------------------------------
@@ -190,32 +240,11 @@ def _parse_bare_path(stripped: str, original: str) -> Query:
 
 
 def _parse_flwor(stripped: str, original: str) -> Query:
-    where_split = _split_top_level(stripped, "where")
-    if len(where_split) > 2:
-        raise QuerySyntaxError("multiple where clauses")
-    head = where_split[0]
-    tail = where_split[1] if len(where_split) == 2 else ""
-    if tail:
-        return_split = _split_top_level(tail, "return")
-        where_text = return_split[0].strip()
-        return_text = return_split[1].strip() if len(return_split) == 2 else ""
-    else:
-        return_split = _split_top_level(head, "return")
-        head = return_split[0]
-        where_text = ""
-        return_text = return_split[1].strip() if len(return_split) == 2 else ""
-
-    # let-clauses sit between the for-section and where/return
-    let_split = _split_top_level(head, "let")
-    head = let_split[0]
-    let_texts = [piece.strip() for piece in let_split[1:] if piece.strip()]
-
-    bindings = _parse_for_bindings(head)
+    clauses = _scan_clauses(stripped)
+    bindings = _parse_for_bindings(clauses.for_parts)
     collection_count = sum(1 for b in bindings if b[0] == "col")
     if collection_count == 2:
-        return _parse_join(
-            bindings, let_texts, where_text, return_text, original
-        )
+        return _parse_join(bindings, clauses, original)
     if collection_count > 2:
         raise QuerySyntaxError("at most two collection bindings are supported")
 
@@ -240,19 +269,18 @@ def _parse_flwor(stripped: str, original: str) -> Query:
 
     # let bindings are pure aliases: unlike 'for', they do NOT filter
     # (no existence conjunct) and do not iterate.
-    for let_text in let_texts:
+    for let_text in clauses.lets:
         var, full = _parse_let_binding(let_text, var_prefix)
         var_prefix[var] = full
         for clause in _predicate_clauses(full):
             where.append(clause)
 
-    if where_text:
-        for clause_text in _split_top_level(where_text, "and"):
-            clause_text = clause_text.strip()
-            if clause_text:
-                where.append(_parse_where_clause(clause_text, var_prefix))
+    for clause_text in clauses.conjuncts:
+        where.append(_parse_where_clause(clause_text, var_prefix))
 
-    return_paths, aggregates = _parse_return_section(return_text, var_prefix)
+    return_paths, aggregates = _parse_return_section(
+        clauses.returned, var_prefix
+    )
     return Query(
         collection,
         binding_path,
@@ -269,9 +297,7 @@ _JOIN_CLAUSE_RE = re.compile(
 )
 
 
-def _parse_join(
-    bindings, let_texts, where_text: str, return_text: str, original: str
-) -> "JoinQuery":
+def _parse_join(bindings, clauses: _Clauses, original: str) -> "JoinQuery":
     """Assemble a two-collection :class:`JoinQuery` (see model docstring)."""
     from repro.query.model import JoinQuery
 
@@ -305,7 +331,7 @@ def _parse_join(
             sides[group]["where"].append(WhereClause(full.without_predicates()))
             sides[group]["where"].extend(_predicate_clauses(full))
 
-    for let_text in let_texts:
+    for let_text in clauses.lets:
         var, full = _parse_let_binding(let_text, var_prefix)
         source = _LET_RE.match(let_text).group(2)
         group = var_group[source]
@@ -314,10 +340,7 @@ def _parse_join(
         sides[group]["where"].extend(_predicate_clauses(full))
 
     join_condition = None
-    for clause_text in _split_top_level(where_text, "and"):
-        clause_text = clause_text.strip()
-        if not clause_text:
-            continue
+    for clause_text in clauses.conjuncts:
         join_match = _JOIN_CLAUSE_RE.match(clause_text)
         if join_match:
             var_a, rel_a, var_b, rel_b = join_match.groups()
@@ -332,7 +355,7 @@ def _parse_join(
                 path_b = var_prefix[var_b].concat(_parse_relative(rel_b.strip()))
                 join_condition = (var_group[var_a], path_a, path_b)
                 continue
-        var_match = re.match(r"^\$([A-Za-z_]\w*)", clause_text)
+        var_match = _VARIABLE.match(clause_text)
         if not var_match or var_match.group(1) not in var_group:
             raise QuerySyntaxError(
                 f"where clause must start with a known variable: {clause_text!r}"
@@ -354,7 +377,9 @@ def _parse_join(
         group_prefixes = {
             v: p for v, p in var_prefix.items() if var_group[v] == group
         }
-        returns, aggregates = _parse_return_section(return_text, group_prefixes)
+        returns, aggregates = _parse_return_section(
+            clauses.returned, group_prefixes
+        )
         if aggregates:
             raise QuerySyntaxError("aggregates are not supported in join queries")
         side_returns.append(returns)
@@ -402,30 +427,25 @@ def _parse_let_binding(
     return var, var_prefix[source_var].concat(_parse_relative(rel_text))
 
 
-def _parse_for_bindings(head: str):
-    """Parse the ``for``-clause section into tagged bindings.
+def _parse_for_bindings(parts: List[_ForPart]):
+    """Parse the bindings of the ``for`` section into tagged bindings.
 
     Returns a list of ``("col", var, collection, abs_path)`` for
     collection-ranging bindings and ``("var", var, source_var, rel_path)``
     for navigation bindings.  The first binding must range over a
     collection; a second collection binding makes the query a join.
     """
-    body = re.sub(r"^\s*for\b", "", head, flags=re.I)
-    parts: List[str] = []
-    for for_piece in _split_top_level(body, "for"):
-        parts.extend(
-            p for p in _split_top_level_char(for_piece, ",") if p.strip()
-        )
     if not parts:
         raise QuerySyntaxError("for clause has no bindings")
     bindings = []
     seen_vars = set()
     for position, part in enumerate(parts):
-        in_split = _split_top_level(part, "in")
-        if len(in_split) != 2:
-            raise QuerySyntaxError(f"malformed for binding: {part.strip()!r}")
-        var_text, expr_text = in_split[0].strip(), in_split[1].strip()
-        var_match = re.match(r"^\$([A-Za-z_]\w*)$", var_text)
+        if len(part.pieces) != 2:
+            raise QuerySyntaxError(
+                f"malformed for binding: {part.text.strip()!r}"
+            )
+        var_text, expr_text = part.pieces[0].strip(), part.pieces[1].strip()
+        var_match = _VARIABLE.fullmatch(var_text)
         if not var_match:
             raise QuerySyntaxError(f"expected a variable, got {var_text!r}")
         var = var_match.group(1)
@@ -497,7 +517,7 @@ def _predicate_clauses(path: LocationPath) -> List[WhereClause]:
 def _parse_where_clause(
     text: str, var_prefix: Dict[str, LocationPath]
 ) -> WhereClause:
-    match = re.match(r"^\$([A-Za-z_]\w*)\s*(.*)$", text, re.S)
+    match = _VARIABLE_BINDING.match(text)
     if not match:
         raise QuerySyntaxError(f"where clause must start with a variable: {text!r}")
     var = match.group(1)
@@ -516,15 +536,10 @@ def _parse_where_clause(
         literal = parser._parse_literal()
         return WhereClause(prefix, op_token.text, literal)
     try:
-        path, op, literal = parse_comparison(rest)
-        return WhereClause(prefix.concat(_to_relative(path)), op, literal)
-    except XPathSyntaxError:
-        pass
-    try:
-        path = parse_xpath(rest)
+        path, op, literal = parse_condition(rest)
     except XPathSyntaxError as exc:
         raise QuerySyntaxError(f"bad where clause {text!r}") from exc
-    return WhereClause(prefix.concat(_to_relative(path)))
+    return WhereClause(prefix.concat(_to_relative(path)), op, literal)
 
 
 _RETURN_AGGREGATE = re.compile(

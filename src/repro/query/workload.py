@@ -9,12 +9,22 @@ of occurrence in the workload (Section III):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, Union
+from typing import Dict, Iterable, Iterator, List, Sequence, Union
 
 from repro.query.model import Statement
 from repro.query.parser import QuerySyntaxError, parse_statement
 from repro.robustness.errors import WorkloadParseError
 from repro.robustness.faults import maybe_inject
+
+
+def _parse_once(text: str, parsed: Dict[str, Statement]) -> Statement:
+    """``parse_statement(text)``, remembered in ``parsed`` -- the dict of
+    one ``from_*`` call, never a process-wide cache.  A text that fails
+    to parse is not remembered, so every occurrence reports its error."""
+    statement = parsed.get(text)
+    if statement is None:
+        statement = parsed[text] = parse_statement(text)
+    return statement
 
 
 @dataclass(frozen=True)
@@ -47,14 +57,17 @@ class Workload:
     ) -> "Workload":
         """Build a workload from statement texts or objects.
 
-        ``frequencies`` (if given) must parallel ``statements``.
+        ``frequencies`` (if given) must parallel ``statements``.  A text
+        that occurs more than once is parsed once; its entries share the
+        one immutable statement object.
         """
         if frequencies and len(frequencies) != len(statements):
             raise ValueError("frequencies must parallel statements")
         entries = []
+        parsed: Dict[str, Statement] = {}
         for position, statement in enumerate(statements):
             if isinstance(statement, str):
-                statement = parse_statement(statement)
+                statement = _parse_once(statement, parsed)
             freq = frequencies[position] if frequencies else 1.0
             entries.append(WorkloadEntry(statement, freq))
         return cls(entries)
@@ -71,9 +84,11 @@ class Workload:
         ingestion, docs/robustness.md); with ``strict=True`` the first
         bad statement raises
         :class:`~repro.robustness.errors.WorkloadParseError` naming the
-        statement number.
+        statement number.  As in :meth:`from_statements`, repeated texts
+        share one parsed statement.
         """
         workload = cls()
+        parsed: Dict[str, Statement] = {}
         pieces: List[tuple] = []  # (statement_text, frequency)
         current: List[str] = []
         for line in text.splitlines():
@@ -107,7 +122,7 @@ class Workload:
                         raise QuerySyntaxError(
                             f"frequency must be positive, got {frequency}"
                         )
-                workload.add(parse_statement(statement_text), frequency)
+                workload.add(_parse_once(statement_text, parsed), frequency)
             except (QuerySyntaxError, WorkloadParseError) as exc:
                 preview = " ".join(statement_text.split())[:60]
                 message = (

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import Iterator, List
 
@@ -32,105 +33,74 @@ class Token:
     position: int
 
 
-_NAME_START_EXTRA = "_"
-_NAME_EXTRA = "_.-"
-
-
-def _is_name_start(ch: str) -> bool:
-    return ch.isalpha() or ch in _NAME_START_EXTRA
-
-
-def _is_name_char(ch: str) -> bool:
-    return ch.isalnum() or ch in _NAME_EXTRA
-
-
 class XPathLexError(ValueError):
     """Raised on an unrecognized character in an XPath expression."""
+
+
+#: One alternative per token class; ``BAD`` catches any other character,
+#: so ``finditer`` never skips input.  Names start with a letter or ``_``
+#: and continue over letters, digits and ``_ . - :``; a number is digits
+#: and dots after an optional leading ``-``.
+_TOKEN = re.compile(
+    r"[ \t\r\n]*(?:"
+    r"(?P<PUNCT>//|[/*@\[\](),])"
+    r"|(?P<NAME>[^\W\d][\w.\-:]*)"
+    r"|(?P<NUMBER>-?\d[\d.]*)"
+    r"|(?P<STRING>'[^']*'|\"[^\"]*\")"
+    r"|(?P<OP>[<>!]=|[=<>])"
+    r"|(?P<DOT>\.)"
+    r"|(?P<END>\Z)"
+    r"|(?P<BAD>.)"
+    r")",
+    re.S,
+)
+_PUNCTUATION = {
+    kind.value: kind
+    for kind in (
+        TokenKind.SLASH,
+        TokenKind.DOUBLE_SLASH,
+        TokenKind.STAR,
+        TokenKind.AT,
+        TokenKind.LBRACKET,
+        TokenKind.RBRACKET,
+        TokenKind.LPAREN,
+        TokenKind.RPAREN,
+        TokenKind.COMMA,
+    )
+}
+#: Groups whose token is the matched text under the kind of that name.
+_LEXEME_KINDS = {
+    "NAME": TokenKind.NAME,
+    "OP": TokenKind.OP,
+    "DOT": TokenKind.DOT,
+}
 
 
 def tokenize(text: str) -> List[Token]:
     """Tokenize ``text`` into a list ending with an END token."""
     tokens: List[Token] = []
-    pos = 0
-    length = len(text)
-    while pos < length:
-        ch = text[pos]
-        if ch in " \t\r\n":
-            pos += 1
-            continue
-        if ch == "/":
-            if text.startswith("//", pos):
-                tokens.append(Token(TokenKind.DOUBLE_SLASH, "//", pos))
-                pos += 2
-            else:
-                tokens.append(Token(TokenKind.SLASH, "/", pos))
-                pos += 1
-            continue
-        if ch == "*":
-            tokens.append(Token(TokenKind.STAR, "*", pos))
-            pos += 1
-            continue
-        if ch == "@":
-            tokens.append(Token(TokenKind.AT, "@", pos))
-            pos += 1
-            continue
-        if ch == "[":
-            tokens.append(Token(TokenKind.LBRACKET, "[", pos))
-            pos += 1
-            continue
-        if ch == "]":
-            tokens.append(Token(TokenKind.RBRACKET, "]", pos))
-            pos += 1
-            continue
-        if ch == "(":
-            tokens.append(Token(TokenKind.LPAREN, "(", pos))
-            pos += 1
-            continue
-        if ch == ")":
-            tokens.append(Token(TokenKind.RPAREN, ")", pos))
-            pos += 1
-            continue
-        if ch == ",":
-            tokens.append(Token(TokenKind.COMMA, ",", pos))
-            pos += 1
-            continue
-        if ch in "\"'":
-            end = text.find(ch, pos + 1)
-            if end == -1:
-                raise XPathLexError(f"unterminated string literal at {pos}")
-            tokens.append(Token(TokenKind.STRING, text[pos + 1 : end], pos))
-            pos = end + 1
-            continue
-        if ch in "=<>!":
-            if text.startswith(("<=", ">=", "!=") , pos):
-                tokens.append(Token(TokenKind.OP, text[pos : pos + 2], pos))
-                pos += 2
-            elif ch == "!":
-                raise XPathLexError(f"unexpected '!' at {pos}")
-            else:
-                tokens.append(Token(TokenKind.OP, ch, pos))
-                pos += 1
-            continue
-        if ch.isdigit() or (
-            ch == "-" and pos + 1 < length and text[pos + 1].isdigit()
-        ):
-            start = pos
-            pos += 1
-            while pos < length and (text[pos].isdigit() or text[pos] == "."):
-                pos += 1
-            tokens.append(Token(TokenKind.NUMBER, text[start:pos], pos))
-            continue
-        if ch == ".":
-            tokens.append(Token(TokenKind.DOT, ".", pos))
-            pos += 1
-            continue
-        if _is_name_start(ch):
-            start = pos
-            pos += 1
-            while pos < length and (_is_name_char(text[pos]) or text[pos] == ":"):
-                pos += 1
-            tokens.append(Token(TokenKind.NAME, text[start:pos], start))
-            continue
-        raise XPathLexError(f"unexpected character {ch!r} at position {pos}")
-    tokens.append(Token(TokenKind.END, "", length))
+    for match in _TOKEN.finditer(text):
+        group = match.lastgroup
+        start, end = match.span(group)
+        lexeme = text[start:end]
+        if group == "PUNCT":
+            tokens.append(Token(_PUNCTUATION[lexeme], lexeme, start))
+        elif group in _LEXEME_KINDS:
+            tokens.append(Token(_LEXEME_KINDS[group], lexeme, start))
+        elif group == "STRING":
+            tokens.append(Token(TokenKind.STRING, lexeme[1:-1], start))
+        elif group == "NUMBER":
+            # a number token's position is the offset just past it
+            tokens.append(Token(TokenKind.NUMBER, lexeme, end))
+        elif group == "END":
+            break
+        elif lexeme in "\"'":
+            raise XPathLexError(f"unterminated string literal at {start}")
+        elif lexeme == "!":
+            raise XPathLexError(f"unexpected '!' at {start}")
+        else:
+            raise XPathLexError(
+                f"unexpected character {lexeme!r} at position {start}"
+            )
+    tokens.append(Token(TokenKind.END, "", len(text)))
     return tokens

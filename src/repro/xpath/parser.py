@@ -16,7 +16,7 @@ A path written without a leading separator (``Symbol``) or starting with
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.xpath.ast import (
     PREDICATE_FUNCTIONS,
@@ -240,16 +240,27 @@ def parse_xpath(text: str) -> LocationPath:
     return _XPathParser(text).parse_complete(allow_predicates=True)
 
 
-def parse_comparison(text: str) -> Tuple[LocationPath, str, Literal]:
-    """Parse ``path op literal`` (used by where clauses in the mini-XQuery
-    front end).  Returns the path, operator, and literal."""
+def parse_condition(
+    text: str,
+) -> Tuple[LocationPath, Optional[str], Optional[Literal]]:
+    """Parse ``path`` or ``path op literal`` in one pass (where clauses
+    and delete conditions of the mini-XQuery front end).  ``op`` and
+    ``literal`` are ``None`` for a bare path (an existence test)."""
     parser = _XPathParser(text)
     path = parser.parse_path(allow_predicates=True)
-    token = parser._peek()
-    if token.kind is not TokenKind.OP:
-        raise XPathSyntaxError(f"expected a comparison operator in {text!r}")
-    op = parser._advance().text
-    literal = parser._parse_literal()
+    op = literal = None
+    if parser._peek().kind is TokenKind.OP:
+        op = parser._advance().text
+        literal = parser._parse_literal()
     if parser._peek().kind is not TokenKind.END:
         raise XPathSyntaxError(f"unexpected trailing tokens in {text!r}")
+    return path, op, literal
+
+
+def parse_comparison(text: str) -> Tuple[LocationPath, str, Literal]:
+    """Parse ``path op literal``.  Returns the path, operator, and
+    literal."""
+    path, op, literal = parse_condition(text)
+    if op is None:
+        raise XPathSyntaxError(f"expected a comparison operator in {text!r}")
     return path, op, literal
