@@ -1,16 +1,9 @@
-"""Shared constants and helpers for the benchmark harness."""
+"""Shared constants for the paper-figure benchmark suite."""
 
 from __future__ import annotations
-
-from repro import IndexAdvisor
 
 #: Scale of the benchmark database (documents per collection).
 NUM_SECURITIES = 250
 NUM_ORDERS = 250
 NUM_CUSTOMERS = 120
 SEED = 42
-
-
-def fresh_advisor(db, workload) -> IndexAdvisor:
-    """A cold advisor (no caches shared between algorithms)."""
-    return IndexAdvisor(db, workload)

@@ -23,8 +23,8 @@ from bench_common import NUM_CUSTOMERS, NUM_ORDERS, NUM_SECURITIES, SEED
 def _serial_workers():
     """Benchmark figures are recorded serially by contract: an inherited
     ``REPRO_WORKERS`` would silently change wall times (and on small
-    boxes, worsen them) without changing any recommendation.  The
-    workers sweep in record_bench.py measures parallelism explicitly."""
+    boxes, worsen them) without changing any recommendation.
+    Parallelism is measured by the ``parallel.*`` probes of ``bench/``."""
     previous = os.environ.get("REPRO_WORKERS")
     os.environ["REPRO_WORKERS"] = "0"
     yield

@@ -29,7 +29,7 @@ bit-identical to a single database's (pinned by
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.optimizer.executor import ExecutionResult, Executor
 from repro.query.model import InsertStatement, Statement
@@ -44,7 +44,7 @@ class ShardExecutor(Executor):
         cluster,
         shard: int,
         replica: int,
-        use_synopsis: Optional[bool] = None,
+        use_synopsis: bool = True,
     ) -> None:
         super().__init__(
             cluster.replica_database(shard, replica),
@@ -72,7 +72,7 @@ class ClusterExecutor:
     """Executes statements against every shard of a cluster, routing
     each shard's work to its cost-cheapest replica."""
 
-    def __init__(self, cluster, use_synopsis: Optional[bool] = None) -> None:
+    def __init__(self, cluster, use_synopsis: bool = True) -> None:
         self.cluster = cluster
         self.router = cluster.router
         self.use_synopsis = use_synopsis

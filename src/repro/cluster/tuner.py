@@ -14,8 +14,9 @@ column that tuned for it.
 
 ``divergent=False`` is the uniform baseline: one advisor per shard over
 the full workload, the same configuration applied to every replica.
-``BENCH_PR6.json`` records divergent beating uniform on a mixed
-TPoX/XMark workload at the same per-replica budget.
+On a mixed TPoX/XMark workload at the same per-replica budget, the
+statements routed over divergent replicas cost no more than over uniform
+ones (pinned in ``tests/test_cluster.py``).
 """
 
 from __future__ import annotations
@@ -208,7 +209,6 @@ def tune_cluster(
     create: bool = True,
     deadline_seconds: Optional[float] = None,
     optimizer_call_budget: Optional[int] = None,
-    snapshot_store=None,
 ) -> ClusterTuningResult:
     """Tune every replica of ``cluster`` for ``workload``.
 
@@ -217,10 +217,7 @@ def tune_cluster(
     tunes each shard once on the full workload and applies the same
     configuration to every replica.  ``create=True`` (the default)
     physically builds the recommended indexes; the router then prices
-    statements against the real configurations.  ``snapshot_store``
-    shares one :class:`~repro.storage.snapshots.SnapshotStore` across
-    every replica's advisor (blobs are keyed per database, so replicas
-    coexist in the cache under one byte budget).
+    statements against the real configurations.
     """
     mode = "divergent" if divergent else "uniform"
     if divergent:
@@ -240,7 +237,6 @@ def tune_cluster(
                     slice_workload,
                     workers=workers,
                     executor=executor,
-                    snapshot_store=snapshot_store,
                 )
                 try:
                     recommendation = advisor.recommend(

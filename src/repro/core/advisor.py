@@ -243,8 +243,7 @@ class Recommendation:
                     f"({shipping.get('base_bytes', 0)} bytes), "
                     f"{shipping.get('delta_syncs', 0)} deltas "
                     f"({shipping.get('delta_bytes', 0)} bytes), "
-                    f"{shipping.get('rebases', 0)} rebases, "
-                    f"{shipping.get('legacy_ships', 0)} legacy"
+                    f"{shipping.get('rebases', 0)} rebases"
                 )
         compression = self.compression_stats
         if compression:
@@ -342,7 +341,6 @@ class IndexAdvisor:
         session: Optional[WhatIfSession] = None,
         workers=None,
         executor: Optional[str] = None,
-        snapshot_store=None,
         compress: str = "off",
     ) -> None:
         #: The storage target as handed in -- a plain :class:`Database`
@@ -376,10 +374,6 @@ class IndexAdvisor:
         #: advisors (e.g. the generalization experiments).  ``workers``
         #: selects the parallel session (``None`` consults
         #: ``REPRO_WORKERS``; 0/"serial" stays serial).
-        #: ``snapshot_store`` lets callers that already snapshot this
-        #: database (the serving front end, the cluster tuner, the
-        #: online daemon) share one blob cache with the parallel
-        #: session's shipping.
         if session is None:
             from repro.parallel import create_session
 
@@ -388,7 +382,6 @@ class IndexAdvisor:
                 cost_constants,
                 workers=workers,
                 executor=executor,
-                snapshot_store=snapshot_store,
             )
         self.session = session
         # Ship the workload statements with the worker snapshot so batch
@@ -664,22 +657,11 @@ class IndexAdvisor:
             raise ValueError(
                 "pass either a policy or policy_overrides, not both"
             )
-        # The daemon inherits this advisor's snapshot blob cache (if its
-        # session kept one) so re-tuning cycles reuse the blobs the
-        # batch run already serialized.
-        store = getattr(self.session, "_snapshot_store", None)
         if resume:
             if journal_path is None:
                 raise ValueError("resume=True requires a journal_path")
-            return OnlineAdvisor.resume(
-                self.storage, policy, journal_path, snapshot_store=store
-            )
-        daemon = OnlineAdvisor(
-            self.storage,
-            policy,
-            journal_path=journal_path,
-            snapshot_store=store,
-        )
+            return OnlineAdvisor.resume(self.storage, policy, journal_path)
+        daemon = OnlineAdvisor(self.storage, policy, journal_path=journal_path)
         if seed_window:
             for entry in self.raw_workload:
                 repeats = max(1, int(round(entry.frequency)))

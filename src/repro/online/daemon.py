@@ -157,15 +157,9 @@ class OnlineAdvisor:
         journal_path: Optional[str] = None,
         verifier: Optional[Callable[..., float]] = None,
         sleep: Callable[[float], None] = time.sleep,
-        snapshot_store=None,
     ) -> None:
         self.storage = storage
         self.database = resolve_database(storage)
-        #: One snapshot blob cache shared by every tuning cycle's
-        #: advisor (and by whoever handed the daemon its store -- the
-        #: serving front end passes the server's).  Only parallel
-        #: sessions consume it; serial cycles leave it cold.
-        self.snapshots = snapshot_store
         self.policy = policy.validate()
         self.journal = DaemonJournal(journal_path) if journal_path else None
         self.window = StatementWindow(
@@ -413,7 +407,6 @@ class OnlineAdvisor:
             self.database,
             workload,
             compress=self.policy.compress,
-            snapshot_store=self.snapshots,
         )
         return advisor.recommend(
             budget_bytes=self.policy.budget_bytes,
@@ -646,7 +639,6 @@ class OnlineAdvisor:
         journal_path: str,
         verifier: Optional[Callable[..., float]] = None,
         sleep: Callable[[float], None] = time.sleep,
-        snapshot_store=None,
     ) -> "OnlineAdvisor":
         """Reconstruct a daemon from its journal.  A missing journal
         starts fresh; a corrupt one degrades to fresh with a diagnostic
@@ -661,7 +653,6 @@ class OnlineAdvisor:
             journal_path=journal_path,
             verifier=verifier,
             sleep=sleep,
-            snapshot_store=snapshot_store,
         )
         if diagnostic is not None:
             daemon.diagnostics.append(diagnostic)

@@ -9,7 +9,6 @@ virtual indexes cannot be used for query execution").
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import List, Optional, Set, Tuple
@@ -65,7 +64,7 @@ class Executor:
         database,
         optimizer: Optional[Optimizer] = None,
         session: Optional[WhatIfSession] = None,
-        use_synopsis: Optional[bool] = None,
+        use_synopsis: bool = True,
     ) -> None:
         #: Execution reads one concrete database (a cluster handed in
         #: here resolves to its primary replica -- scatter-gather over
@@ -85,10 +84,7 @@ class Executor:
         #: path synopsis (matcher bitmap + node-id lookup) instead of a
         #: tree walk.  Results are bit-identical either way (pinned by
         #: tests/test_executor_synopsis.py); the toggle exists for the
-        #: differential harness and as an escape hatch
-        #: (``REPRO_SYNOPSIS_EXEC=0``).
-        if use_synopsis is None:
-            use_synopsis = os.environ.get("REPRO_SYNOPSIS_EXEC", "1") != "0"
+        #: differential harness.
         self.use_synopsis = use_synopsis
         self._entries_scanned = 0
 

@@ -28,12 +28,10 @@ from repro.parallel.executors import (
     workers_from_env,
 )
 from repro.parallel.session import ParallelWhatIfSession, WorkerRuntime
-from repro.parallel.snapshot import EvaluationSnapshot
 from repro.storage.database import Database
 
 __all__ = [
     "EXECUTOR_CHOICES",
-    "EvaluationSnapshot",
     "ParallelWhatIfSession",
     "PoolBrokenError",
     "WorkerRuntime",
@@ -51,7 +49,6 @@ def create_session(
     *,
     workers=None,
     executor: Optional[str] = None,
-    snapshot_store=None,
     **kwargs,
 ) -> WhatIfSession:
     """Build the right session for a worker-count spec.
@@ -60,9 +57,6 @@ def create_session(
     serial); ``"auto"`` uses the CPU count.  0 workers returns a plain
     :class:`WhatIfSession` -- the parallel session's serial mode is
     reserved for tests that want the chunk/merge machinery inline.
-    ``snapshot_store`` (a :class:`~repro.storage.snapshots.
-    SnapshotStore`) feeds the parallel session's base/delta shipping;
-    the serial session never snapshots, so it is dropped there.
     """
     count = (
         workers_from_env() if workers is None else resolve_workers(workers)
@@ -74,6 +68,5 @@ def create_session(
         constants,
         workers=count,
         executor=executor,
-        snapshot_store=snapshot_store,
         **kwargs,
     )

@@ -73,7 +73,6 @@ from repro.parallel.snapshot import (
     ENUMERATE_MODE,
     EVALUATE_MODE,
     ChunkOutcome,
-    EvaluationSnapshot,
     SnapshotBundle,
     SnapshotSync,
     StaleSnapshotError,
@@ -122,18 +121,24 @@ class WorkerRuntime:
     retry/degraded events back in the :class:`TaskOutcome` instead of
     mutating counters (the parent owns the counters)."""
 
-    def __init__(self, snapshot: EvaluationSnapshot) -> None:
-        self.database = snapshot.database
-        self.constants = snapshot.constants
-        self.optimizer = Optimizer(snapshot.database, snapshot.constants)
-        self.statements = snapshot.statements
-        self.retry_policy = snapshot.retry_policy or RetryPolicy()
+    def __init__(
+        self,
+        database: Database,
+        constants: Optional[CostConstants],
+        statements: Tuple[Statement, ...],
+        retry_policy: Optional[RetryPolicy] = None,
+    ) -> None:
+        self.database = database
+        self.constants = constants
+        self.optimizer = Optimizer(database, constants)
+        self.statements = statements
+        self.retry_policy = retry_policy or RetryPolicy()
         self._fallback = None
         #: Delta-protocol generation this runtime has applied (0 = the
         #: base ship).  In-process runtimes read the live database and
         #: never advance it.
         self.version = 0
-        self._base_statements = snapshot.statements
+        self._base_statements = statements
 
     def apply_sync(self, sync: SnapshotSync) -> None:
         """Patch the runtime to the parent's state: swap in the synced
@@ -239,20 +244,16 @@ _RUNTIME: Optional[WorkerRuntime] = None
 
 
 def _initialize_worker(payload: bytes) -> None:
-    """Pool initializer: unpickle the base payload once per worker.  A
-    :class:`SnapshotBundle` (the delta protocol's partitioned base) is
-    composed into a database; a legacy :class:`EvaluationSnapshot`
-    (full-payload escape hatch) is used as-is."""
+    """Pool initializer: unpickle the base :class:`SnapshotBundle` once
+    per worker and compose its database."""
     global _RUNTIME
-    snapshot = pickle.loads(payload)
-    if isinstance(snapshot, SnapshotBundle):
-        snapshot = EvaluationSnapshot(
-            database=snapshot.compose(),
-            constants=snapshot.constants,
-            statements=snapshot.statements,
-            retry_policy=snapshot.retry_policy,
-        )
-    _RUNTIME = WorkerRuntime(snapshot)
+    bundle = pickle.loads(payload)
+    _RUNTIME = WorkerRuntime(
+        bundle.compose(),
+        bundle.constants,
+        bundle.statements,
+        bundle.retry_policy,
+    )
 
 
 def _load_sync(chunk: WorkerChunk) -> SnapshotSync:
@@ -321,8 +322,6 @@ class ParallelWhatIfSession(WhatIfSession):
         executor: Optional[str] = None,
         chunks_per_worker: int = DEFAULT_CHUNKS_PER_WORKER,
         min_batch: int = 2,
-        snapshot_store: Optional[SnapshotStore] = None,
-        delta_ship: Optional[bool] = None,
         **kwargs,
     ) -> None:
         super().__init__(database, constants, **kwargs)
@@ -338,17 +337,9 @@ class ParallelWhatIfSession(WhatIfSession):
         self._pool_finalizer = None
         self._local_runtime: Optional[WorkerRuntime] = None
         self._snapshot_payload: Optional[bytes] = None
-        #: Snapshot engine driving the base/delta ship protocol; shared
-        #: when the caller passes one (serve layer, cluster tuner),
-        #: created lazily otherwise.  ``delta_ship=False`` (or
-        #: ``REPRO_DELTA_SHIP=0``) restores the legacy full-payload
-        #: protocol: DML discards the pool and re-pickles the world.
-        self._snapshot_store = snapshot_store
-        if delta_ship is None:
-            delta_ship = os.environ.get(
-                "REPRO_DELTA_SHIP", "1"
-            ).strip().lower() not in ("0", "off", "false")
-        self.delta_ship = bool(delta_ship)
+        #: Snapshot engine driving the base/delta ship protocol,
+        #: created on first use (only process pools ship anything).
+        self._snapshot_store: Optional[SnapshotStore] = None
         self._base_keys = None
         self._base_statement_count = 0
         self._base_payload_bytes = 0
@@ -374,17 +365,14 @@ class ParallelWhatIfSession(WhatIfSession):
             "parallel_tasks": 0,
             "pool_failures": 0,
         }
-        #: Ship accounting for the delta protocol (and the legacy escape
-        #: hatch), surfaced under ``stats()["workers"]["shipping"]`` and
-        #: gated by the ``--snapshot-sweep`` bench.
+        #: Ship accounting for the delta protocol, surfaced under
+        #: ``stats()["workers"]["shipping"]``.
         self._ship_stats = {
             "base_ships": 0,
             "base_bytes": 0,
             "delta_syncs": 0,
             "delta_bytes": 0,
             "rebases": 0,
-            "legacy_ships": 0,
-            "legacy_bytes": 0,
         }
 
     # ------------------------------------------------------------------
@@ -400,18 +388,8 @@ class ParallelWhatIfSession(WhatIfSession):
                 self._registered[statement] = len(self._registered_list)
                 self._registered_list.append(statement)
 
-    def _build_snapshot(self) -> EvaluationSnapshot:
-        self._shipped_count = len(self._registered_list)
-        return EvaluationSnapshot(
-            database=self.database,
-            constants=self._constants,
-            statements=tuple(self._registered_list),
-            retry_policy=sanitize_retry_policy(self.retry_policy),
-        )
-
     def snapshot_store(self) -> SnapshotStore:
-        """The session's snapshot engine (lazily created unless one was
-        shared in)."""
+        """The session's snapshot engine (created on first use)."""
         if self._snapshot_store is None:
             self._snapshot_store = SnapshotStore()
         return self._snapshot_store
@@ -419,17 +397,7 @@ class ParallelWhatIfSession(WhatIfSession):
     def _payload(self) -> bytes:
         if self._snapshot_payload is None:
             try:
-                if self.delta_ship:
-                    self._snapshot_payload = self._build_base_payload()
-                else:
-                    self._snapshot_payload = pickle.dumps(
-                        self._build_snapshot(),
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    )
-                    self._ship_stats["legacy_ships"] += 1
-                    self._ship_stats["legacy_bytes"] += len(
-                        self._snapshot_payload
-                    )
+                self._snapshot_payload = self._build_base_payload()
             except PoolBrokenError:
                 raise
             except Exception as exc:
@@ -531,13 +499,12 @@ class ParallelWhatIfSession(WhatIfSession):
             self._shipped_count = max(
                 self._shipped_count, len(self._registered_list)
             )
-            snapshot = EvaluationSnapshot(
-                database=self.database,
-                constants=self._constants,
-                statements=tuple(self._registered_list[: self._shipped_count]),
-                retry_policy=self.retry_policy,
+            self._local_runtime = WorkerRuntime(
+                self.database,
+                self._constants,
+                tuple(self._registered_list[: self._shipped_count]),
+                self.retry_policy,
             )
-            self._local_runtime = WorkerRuntime(snapshot)
         return self._local_runtime
 
     def _ensure_pool(self) -> WorkerPool:
@@ -578,21 +545,15 @@ class ParallelWhatIfSession(WhatIfSession):
 
     def _drop_stale_workers(self) -> None:
         # Process workers hold a *copy* of the database; a modification
-        # makes that copy stale.  Under the delta protocol the pool
-        # stays up and the next dispatch ships a sync covering exactly
-        # the diverged collections; in legacy mode the snapshot and pool
-        # are rebuilt from scratch on next use.  The in-process runtime
-        # reads the live database (its statistics absorb DML deltas in
-        # place), so it stays either way.
-        if self.delta_ship and self.executor_kind == "process":
-            if self._pool is not None:
-                self._sync_dirty = True
-            else:
-                self._snapshot_payload = None
-            return
-        self._snapshot_payload = None
-        if self.executor_kind == "process":
-            self._discard_pool()
+        # makes that copy stale.  A live pool stays up and the next
+        # dispatch ships a sync covering exactly the diverged
+        # collections; without one the next pool ships a fresh base.
+        # The in-process runtime reads the live database (its statistics
+        # absorb DML deltas in place), so it stays either way.
+        if self.executor_kind == "process" and self._pool is not None:
+            self._sync_dirty = True
+        else:
+            self._snapshot_payload = None
 
     def close(self) -> None:
         """Shut down the worker pool (idempotent; also runs at GC)."""
@@ -727,11 +688,7 @@ class ParallelWhatIfSession(WhatIfSession):
         # A live process pool may be behind the database: write this
         # round's sync generation (or decide to rebase) before building
         # chunks, so they carry the right required_version.
-        if (
-            self.delta_ship
-            and self.executor_kind == "process"
-            and self._pool is not None
-        ):
+        if self.executor_kind == "process" and self._pool is not None:
             self._prepare_sync()
         # The pool (and with it the snapshot) must exist before chunks
         # are built: _shipped_count decides which statements may travel

@@ -10,9 +10,8 @@ through a spill file every worker reads lazily, instead of discarding
 the pool and re-pickling the world.  Tasks stay tiny: a statement
 reference (an index into the snapshot's statement tuple, or an inline
 statement for late arrivals), the projected virtual index definitions,
-and a task id for the deterministic merge.  (:class:`EvaluationSnapshot`
-is the legacy whole-database payload, kept for the in-process executors
-and for delta-shipping's escape hatch.)
+and a task id for the deterministic merge.  The in-process executors
+ship nothing: their runtime reads the live database.
 
 Everything here must pickle cleanly across a spawn boundary:
 
@@ -65,16 +64,6 @@ def sanitize_retry_policy(policy: RetryPolicy) -> RetryPolicy:
     )
 
 
-@dataclass
-class EvaluationSnapshot:
-    """The read-only world one worker costs statements against."""
-
-    database: Database
-    constants: Optional[CostConstants]
-    statements: Tuple[Statement, ...]
-    retry_policy: Optional[RetryPolicy] = None
-
-
 class StaleSnapshotError(RuntimeError):
     """A worker was handed a chunk requiring a sync generation it cannot
     reach (missing/unreadable sync file, or a file older than required).
@@ -90,9 +79,9 @@ class SnapshotBundle:
     worker: the database as a shell blob plus per-collection blobs
     (straight out of the parent's
     :class:`~repro.storage.snapshots.SnapshotStore`, so an unchanged
-    collection costs zero serialization), with the same sidecar state
-    :class:`EvaluationSnapshot` carries.  Workers compose their database
-    from the blobs; afterwards the parent ships only
+    collection costs zero serialization), plus the cost constants, the
+    registered statements and a sanitized retry policy.  Workers compose
+    their database from the blobs; afterwards the parent ships only
     :class:`SnapshotSync` deltas."""
 
     shell: bytes

@@ -111,14 +111,12 @@ class AdvisorServer:
         scheduler: Optional[Callable] = None,
         seed: int = 0,
         read_retry_limit: int = 64,
-        snapshot_store: Optional[SnapshotStore] = None,
     ) -> None:
         self.database = resolve_database(database)
         self.gate = EpochGate(self.database)
         #: Epoch-keyed snapshot engine: advise-class reads run on
         #: read-only snapshots over its shared decoded collections.
-        #: Shareable (the online daemon / cluster tuner pass one in).
-        self.snapshots = snapshot_store or SnapshotStore()
+        self.snapshots = SnapshotStore()
         self.admission = AdmissionController(tenants, default_policy)
         self.mode = mode
         self.strategies = tuple(strategies)
@@ -198,8 +196,8 @@ class AdvisorServer:
         A refused or torn read used to spin straight back into the gate
         (one bare yield per attempt), so under write pressure readers
         burned their retry budget re-colliding with the same writer --
-        BENCH_PR9 measured 32 torn + 54 refused against only 40
-        validated reads.  Now each retry waits exponentially longer
+        a contended replay recorded 32 torn + 54 refused against only
+        40 validated reads.  Now each retry waits exponentially longer
         (capped): under the seeded scheduler the wait is a deterministic
         ladder of extra yield points (still a pure function of the
         seed), otherwise a short real sleep.  Every wait is counted on

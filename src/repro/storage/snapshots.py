@@ -280,25 +280,6 @@ def canonical_dumps(obj: object) -> bytes:
     return buffer.getvalue()
 
 
-@dataclass
-class SnapshotDelta:
-    """The difference between two snapshot states of one database:
-    the current shell plus blobs for every collection whose key moved
-    (and the names that disappeared).  Applying a delta on top of *any*
-    state at or after the base state yields the current state -- it is a
-    state sync over the diverged subset, not an op log."""
-
-    version: int
-    shell: bytes
-    collections: Dict[str, bytes]
-    removed: Tuple[str, ...] = ()
-
-    def payload_bytes(self) -> int:
-        return len(self.shell) + sum(
-            len(blob) for blob in self.collections.values()
-        )
-
-
 def _statistics_stamp(statistics) -> Optional[int]:
     """The stamp component of a blob key (``None``: no statistics)."""
     return None if statistics is None else statistics.mutation_stamp

@@ -9,10 +9,9 @@ clustering pools the rest -- so the generator here produces it
 deterministically: a seeded mix of TPoX and XMark query templates (plus
 a small update mix) at any requested length.
 
-Used by the BENCH_PR7 10k-statement benchmark (``record_bench.py
---ilp-sweep``) and the compression tests.  :func:`drifting_stream`
-produces the phase-shifted variant the online daemon's drift-replay
-benchmark (``--serve-sweep``, BENCH_PR8) and ``repro serve`` replay;
+Used by the ``advise_stream`` benchmark workload and the compression
+tests.  :func:`drifting_stream` produces the phase-shifted variant the
+``online_drift`` benchmark workload and ``repro serve`` replay;
 :func:`~repro.workloads.drift.drift_texts` turns any recorded stream
 into its sibling/literal-drifted replica.
 """

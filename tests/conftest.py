@@ -9,6 +9,7 @@ import pytest
 
 from repro import Database, IndexAdvisor, Workload
 from repro.workloads import synthetic, tpox, xmark
+from repro.xmlmodel.serializer import serialize
 
 
 @pytest.fixture(autouse=True)
@@ -61,6 +62,23 @@ def xmark_db() -> Database:
     return xmark.build_database(
         num_items=80, num_persons=80, num_auctions=80, seed=7
     )
+
+
+@pytest.fixture(scope="session")
+def mixed_db() -> Database:
+    """TPoX and XMark collections in one database (read-only!) -- the
+    setting where one index configuration has to compromise."""
+    database = tpox.build_database(
+        num_securities=60, num_orders=60, num_customers=30, seed=42
+    )
+    others = xmark.build_database(
+        num_items=50, num_persons=50, num_auctions=50, seed=7
+    )
+    for name, collection in others.collections.items():
+        database.create_collection(name)
+        for document in collection:
+            database.insert_document(name, serialize(document.root))
+    return database
 
 
 @pytest.fixture()

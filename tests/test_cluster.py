@@ -3,6 +3,7 @@ parsing, workload partitioning, routing, and divergent tuning."""
 
 import pytest
 
+from repro import IndexAdvisor
 from repro.cluster import (
     Cluster,
     Router,
@@ -19,7 +20,7 @@ from repro.cluster import (
 from repro.query.workload import Workload
 from repro.robustness.errors import AdvisorError, ConfigError
 from repro.storage.database import Database, StorageTarget, resolve_database
-from repro.workloads import tpox
+from repro.workloads import tpox, xmark
 
 DOC = "<Security><Symbol>A{i}</Symbol><Yield>{i}.5</Yield></Security>"
 
@@ -368,3 +369,37 @@ class TestTuning:
         )
         for __, __, database in cluster.all_databases():
             assert not database.indexes
+
+    def test_divergent_routes_cheaper_than_uniform_on_mixed_workload(
+        self, mixed_db
+    ):
+        """Same topology, same per-replica budget (too tight for one
+        configuration to cover both benchmarks): the statements routed
+        over divergently tuned replicas cost no more, by the optimizer's
+        estimate, than over uniformly tuned ones."""
+        workload = Workload(
+            list(tpox.tpox_workload(num_securities=60, seed=42).entries)
+            + list(xmark.xmark_workload(seed=7).entries)
+        )
+        advisor = IndexAdvisor(mixed_db, workload)
+        try:
+            basics = advisor.candidates.basics()
+        finally:
+            advisor.session.close()
+        budget = int(0.3 * sum(c.size_bytes for c in basics))
+
+        def routed_cost(divergent):
+            cluster = Cluster.from_database(mixed_db, shards=1, replicas=3)
+            tune_cluster(cluster, workload, budget, divergent=divergent)
+            router = cluster.router
+            return sum(
+                router.replica_cost(
+                    entry.statement,
+                    0,
+                    router.route(entry.statement, 0, entry.frequency),
+                )
+                * entry.frequency
+                for entry in workload
+            )
+
+        assert routed_cost(divergent=True) <= routed_cost(divergent=False)

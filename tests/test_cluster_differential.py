@@ -26,10 +26,11 @@ BUDGET = 250_000
 #: Fields that legitimately differ between runs: wall-clock timing, the
 #: per-worker scheduling block, the storage-engine counters (resharding
 #: re-inserts every document, so delta/rescan counts differ from the
-#: original build), and the cluster's own counters block (absent on a
+#: original build -- as do the blob sizes in the snapshot-store block a
+#: process pool adds), and the cluster's own counters block (absent on a
 #: plain database by definition).
 TIMING_KEYS = ("elapsed_seconds",)
-SESSION_TIMING_KEYS = ("phase_seconds", "workers", "storage")
+SESSION_TIMING_KEYS = ("phase_seconds", "workers", "storage", "snapshots")
 TARGET_KEYS = ("cluster",)
 
 

@@ -83,15 +83,11 @@ def test_synopsis_executor_is_bit_identical(bench_name):
     assert synopsis == walking
 
 
-def test_env_toggle_disables_fast_path(monkeypatch):
-    monkeypatch.setenv("REPRO_SYNOPSIS_EXEC", "0")
+def test_fast_path_is_the_default():
     db = tpox.build_database(
         num_securities=5, num_orders=5, num_customers=3, seed=3
     )
-    assert Executor(db).use_synopsis is False
-    monkeypatch.setenv("REPRO_SYNOPSIS_EXEC", "1")
     assert Executor(db).use_synopsis is True
-    # An explicit argument always wins over the environment.
     assert Executor(db, use_synopsis=False).use_synopsis is False
 
 

@@ -330,7 +330,7 @@ class TestReserializationAccounting:
         after = store.stats()
         assert after["serializations"] == before["serializations"] + 1
 
-    def test_delta_ships_only_moved_keys(self):
+    def test_delta_carries_only_moved_keys(self):
         """The parallel engine's delta payload after single-collection
         DML carries exactly the touched collection."""
         database = build_database()
@@ -668,16 +668,11 @@ def _advise_twice_with_dml(session_factory):
 
 
 class TestParallelConsumer:
-    def test_process_workers_delta_ship_bit_identical(self):
+    def test_process_workers_delta_sync_bit_identical(self):
         serial = _advise_twice_with_dml(WhatIfSession)[:2]
-        store = SnapshotStore()
         first, second, session = _advise_twice_with_dml(
             lambda db: ParallelWhatIfSession(
-                db,
-                workers=2,
-                executor="process",
-                min_batch=1,
-                snapshot_store=store,
+                db, workers=2, executor="process", min_batch=1
             )
         )
         assert (first, second) == serial
@@ -686,25 +681,8 @@ class TestParallelConsumer:
         assert shipping["base_ships"] == 1  # the pool was never rebuilt
         assert shipping["delta_syncs"] >= 1
         assert shipping["rebases"] == 0
-        assert shipping["legacy_ships"] == 0
         # the whole point: the delta cost a fraction of a re-ship
         assert shipping["delta_bytes"] < shipping["base_bytes"] / 3
-
-    def test_legacy_full_payload_escape_hatch_bit_identical(self):
-        serial = _advise_twice_with_dml(WhatIfSession)[:2]
-        first, second, session = _advise_twice_with_dml(
-            lambda db: ParallelWhatIfSession(
-                db,
-                workers=2,
-                executor="process",
-                min_batch=1,
-                delta_ship=False,
-            )
-        )
-        assert (first, second) == serial
-        shipping = session.stats()["workers"]["shipping"]
-        assert shipping["legacy_ships"] >= 2  # DML re-shipped the world
-        assert shipping["base_ships"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +755,7 @@ class TestServeConsumer:
     @staticmethod
     def _contended_schedule(rounds: int = 3):
         """Reads racing writes: one DML per query in round 0, then
-        write-free read rounds (the BENCH_PR9 traffic shape)."""
+        write-free read rounds."""
         schedule = []
         for round_index in range(rounds):
             for index, text in enumerate(QUERY_TEXTS):
@@ -835,10 +813,10 @@ class TestServeConsumer:
         assert legacy["reads_validated"] == reads
 
     def test_backoff_makes_validated_reads_dominate_free_running(self):
-        """Satellite 1, the BENCH_PR9-shaped half: under free-running
-        concurrent clients the old loop wasted more attempts than it
-        validated (32 torn + 54 refused vs 40 validated); with backoff
-        validated reads must dominate torn + refused."""
+        """Under free-running concurrent clients the old loop wasted
+        more attempts than it validated (32 torn + 54 refused vs 40
+        validated); with backoff validated reads must dominate torn +
+        refused."""
         schedule = self._contended_schedule(rounds=4)
 
         async def scenario():

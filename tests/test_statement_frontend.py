@@ -529,14 +529,15 @@ class TestStatementIdentity:
 # Per-workload parse sharing
 # ---------------------------------------------------------------------------
 def _comparable(recommendation) -> dict:
-    """``to_dict()`` minus wall-clock fields; DDL names come from the
+    """``to_dict()`` minus wall-clock fields and the blocks a worker
+    pool adds (scheduling, shipped bytes); DDL names come from the
     shared database's catalog counter, so they are renumbered."""
     data = recommendation.to_dict()
     data.pop("elapsed_seconds")
     data["session"] = {
         key: value
         for key, value in data["session"].items()
-        if key != "phase_seconds"
+        if key not in ("phase_seconds", "workers", "snapshots")
     }
     data["ddl"] = [re.sub(r"xmlidx_\d+", "xmlidx_N", line) for line in data["ddl"]]
     return data

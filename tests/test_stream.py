@@ -1,9 +1,9 @@
 """Tests for the synthetic statement-stream generator (PR 7).
 
-The BENCH_PR7 benchmark leans on three properties of
+The stream benchmarks lean on three properties of
 ``synthetic_stream``: determinism in the seed, a bounded distinct-text
 vocabulary (finite literal pools), and a parseable update mix.  Pin
-them here so the benchmark's stream can't silently drift.
+them here so the benchmarks' streams can't silently drift.
 """
 
 import pytest
@@ -69,7 +69,7 @@ class TestSyntheticStream:
 
 class TestDriftingStream:
     """The phase-shifted replay stream behind ``repro serve`` and the
-    BENCH_PR8 drift-replay sweep."""
+    drift-replay benchmark."""
 
     def test_boundaries_split_the_stream_evenly(self):
         from repro.workloads.stream import drifting_stream
