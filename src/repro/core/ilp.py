@@ -23,9 +23,10 @@ Atoms are built in two batched fan-outs through the session (singletons
 for every affected statement x candidate pair -- warm after candidate
 ranking -- then pairs of the per-statement top singletons, kept only
 when the optimizer actually combines them for a strict improvement).
-The relaxation is solved with a dense primal simplex (pure python, no
-dependencies), integrality restored by best-first branch and bound on
-the ``y`` variables, both under the PR 3 :class:`SearchBudget` -- an
+The relaxation is solved with a primal simplex that pivots over the
+tableau's non-zeros only (pure python, no dependencies), integrality
+restored by best-first branch and bound on the ``y`` variables, both
+under the PR 3 :class:`SearchBudget` -- an
 expiring deadline or call budget abandons the program and falls back to
 :func:`~repro.core.search.greedy_search_with_heuristics`, preserving
 anytime semantics.  The chosen configuration's *true* benefit is then
@@ -39,7 +40,17 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from itertools import compress
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.benefit import ConfigurationEvaluator
 from repro.core.candidates import CandidateIndex, CandidateSet
@@ -179,7 +190,7 @@ def build_atom_matrix(
 
 
 # ---------------------------------------------------------------------------
-# Dense primal simplex (pure python)
+# Sparse-pivot primal simplex (pure python)
 # ---------------------------------------------------------------------------
 
 def solve_lp(
@@ -192,51 +203,69 @@ def solve_lp(
     ``rows`` holds each constraint as sparse ``(column, coefficient)``
     pairs; every bound must be non-negative, so the slack basis is
     feasible and a single-phase primal simplex suffices.  Dantzig
-    pricing with a switch to Bland's rule (which cannot cycle) once the
-    pivot count passes twice the tableau size; returns ``None`` if the
-    iteration limit is still exceeded.
+    pricing (first most-negative reduced cost) with a switch to Bland's
+    rule (which cannot cycle) once the pivot count passes twice the
+    tableau size; returns ``None`` if the iteration limit is still
+    exceeded.
+
+    The atom program's tableaus are almost empty (about two non-zeros
+    per constraint row), so a pivot updates only the pivot row's
+    non-zero columns, and only in rows whose entering-column entry is
+    non-zero.  Every skipped update is ``x - f * 0.0``, which is ``x``
+    for finite ``f``: the result equals the full-width tableau
+    method's float for float (``tests/test_ilp.py`` keeps that method as
+    the oracle).
     """
     n = len(objective)
     m = len(rows)
-    width = n + m + 1
-    tableau = [[0.0] * width for _ in range(m + 1)]
+    width = n + m
+    # One list per constraint over structural + slack columns; the
+    # right-hand sides, the cost row and its corner (the objective
+    # value) live apart so pricing is one ``min`` over the cost row.
+    body: List[List[float]] = []
     for i, row in enumerate(rows):
-        line = tableau[i]
+        line = [0.0] * width
         for column, coefficient in row:
             line[column] = coefficient
         line[n + i] = 1.0
-        line[width - 1] = bounds[i]
-    cost_row = tableau[m]
-    for column, coefficient in enumerate(objective):
-        cost_row[column] = -coefficient
-    basis = [n + i for i in range(m)]
+        body.append(line)
+    rhs = list(bounds)
+    cost = [-coefficient for coefficient in objective]
+    cost.extend([0.0] * m)
+    value = 0.0
+    basis = list(range(n, width))
+    columns = range(width)
 
     bland_after = 2 * (m + n)
     for iteration in range(SIMPLEX_ITERATION_LIMIT):
         entering = -1
         if iteration < bland_after:
-            most_negative = -1e-9
-            for column in range(width - 1):
-                if cost_row[column] < most_negative:
-                    most_negative = cost_row[column]
-                    entering = column
+            most_negative = min(cost) if cost else 0.0
+            if most_negative < -1e-9:
+                entering = cost.index(most_negative)
         else:
-            for column in range(width - 1):
-                if cost_row[column] < -1e-9:
+            for column, reduced in enumerate(cost):
+                if reduced < -1e-9:
                     entering = column
                     break
         if entering < 0:
             values = [0.0] * n
             for i, variable in enumerate(basis):
                 if variable < n:
-                    values[variable] = tableau[i][width - 1]
-            return tableau[m][width - 1], values
+                    values[variable] = rhs[i]
+            return value, values
+        # Rows with a non-zero in the entering column, in row order (the
+        # ratio test's tie-break depends on that order).
+        touched = [
+            (i, line, line[entering])
+            for i, line in enumerate(body)
+            if line[entering]
+        ]
         leaving = -1
         best_ratio = float("inf")
-        for i in range(m):
-            coefficient = tableau[i][entering]
+        for i, _, coefficient in touched:
             if coefficient > 1e-9:
-                ratio = tableau[i][width - 1] / coefficient
+                ratio = rhs[i] / coefficient
                 if ratio < best_ratio - 1e-12 or (
                     abs(ratio - best_ratio) <= 1e-12
                     and (leaving < 0 or basis[i] < basis[leaving])
@@ -245,20 +274,24 @@ def solve_lp(
                     leaving = i
         if leaving < 0:
             return None  # unbounded: malformed program
-        pivot_row = tableau[leaving]
-        pivot = pivot_row[entering]
-        inverse = 1.0 / pivot
-        for column in range(width):
-            pivot_row[column] *= inverse
-        for i in range(m + 1):
-            if i == leaving:
-                continue
-            factor = tableau[i][entering]
-            if factor == 0.0:
-                continue
-            line = tableau[i]
-            for column in range(width):
-                line[column] -= factor * pivot_row[column]
+        pivot_row = body[leaving]
+        inverse = 1.0 / pivot_row[entering]
+        pivot_entries = [
+            (column, pivot_row[column] * inverse)
+            for column in compress(columns, pivot_row)
+        ]
+        for column, scaled in pivot_entries:
+            pivot_row[column] = scaled
+        pivot_rhs = rhs[leaving] = rhs[leaving] * inverse
+        for i, line, factor in touched:
+            if i != leaving:
+                for column, scaled in pivot_entries:
+                    line[column] -= factor * scaled
+                rhs[i] -= factor * pivot_rhs
+        factor = cost[entering]
+        for column, scaled in pivot_entries:
+            cost[column] -= factor * scaled
+        value -= factor * pivot_rhs
         basis[leaving] = entering
     return None
 
@@ -267,8 +300,27 @@ def solve_lp(
 # Branch and bound over the y (candidate) variables
 # ---------------------------------------------------------------------------
 
+#: A node's relaxation: (LP bound, fractional y value per free candidate).
+_Relaxation = Tuple[float, Dict[int, float]]
+
+
+def _mask(candidates: Iterable[int]) -> int:
+    """Bit mask of a set of candidate (pool) indices."""
+    mask = 0
+    for j in candidates:
+        mask |= 1 << j
+    return mask
+
+
 class _Program:
-    """The cost-atom program for one pool, shared by every node."""
+    """The cost-atom program for one pool, compiled once per search.
+
+    Everything a node's relaxation needs that does not depend on the
+    node -- per-atom savings, members and member bit masks, the atoms
+    of each statement row in row order -- is laid out here;
+    :meth:`relax` derives a node's LP from it by masking out the atoms
+    and candidates the node fixes.
+    """
 
     def __init__(
         self,
@@ -285,6 +337,13 @@ class _Program:
         self.by_statement: Dict[int, List[int]] = {}
         for index, atom in enumerate(self.atoms):
             self.by_statement.setdefault(atom.statement, []).append(index)
+        self._savings = [atom.saving for atom in self.atoms]
+        self._members = [atom.members for atom in self.atoms]
+        self._member_masks = [_mask(atom.members) for atom in self.atoms]
+        self._statement_rows = [
+            self.by_statement[statement]
+            for statement in sorted(self.by_statement)
+        ]
 
     def objective(self, chosen: Set[int]) -> float:
         """Model objective of an integral candidate set."""
@@ -306,50 +365,63 @@ class _Program:
     # -- one node's LP relaxation ------------------------------------
     def relax(
         self, fixed_zero: FrozenSet[int], fixed_one: FrozenSet[int]
-    ) -> Optional[Tuple[float, Dict[int, float]]]:
+    ) -> Optional[_Relaxation]:
         """LP bound of the node where ``fixed_one`` candidates are
         forced in and ``fixed_zero`` out.  Returns ``(bound, fractional
         y values for the free candidates)``, or ``None`` when the node
         is infeasible (forced sizes already bust the budget) or the
-        simplex gave up (callers prune conservatively)."""
+        simplex gave up.  Callers prune a ``None`` node; after a
+        give-up that can discard the subtree holding the program's
+        optimum, which costs quality, not correctness: the incumbent
+        stays feasible and :func:`ilp_search` never returns less than
+        the greedy configuration's true benefit.
+
+        Columns are the usable atoms in atom order, then the free
+        candidates in index order; rows are the statement rows in
+        statement order, each usable atom's link rows, the budget row
+        and the unit bounds -- the order the pivot sequence depends on.
+        """
         remaining = self.budget_bytes - sum(
             self.sizes[j] for j in fixed_one
         )
         if remaining < 0:
             return None
         constant = -sum(self.maintenance[j] for j in fixed_one)
-        usable: List[Tuple[Atom, Tuple[int, ...]]] = []
-        free_candidates: Set[int] = set()
-        for atom in self.atoms:
-            if any(j in fixed_zero for j in atom.members):
-                continue
-            free_members = tuple(
-                j for j in atom.members if j not in fixed_one
-            )
-            usable.append((atom, free_members))
-            free_candidates.update(free_members)
+        zero_mask = _mask(fixed_zero)
+        usable = [
+            index
+            for index, mask in enumerate(self._member_masks)
+            if not mask & zero_mask
+        ]
         if not usable:
             return constant, {}
-        y_order = sorted(free_candidates)
+        free_mask = 0
+        for index in usable:
+            free_mask |= self._member_masks[index]
+        free_mask &= ~_mask(fixed_one)
+        y_order = [
+            j for j in range(len(self.pool)) if free_mask >> j & 1
+        ]
+        atom_column = {index: column for column, index in enumerate(usable)}
         y_column = {j: len(usable) + slot for slot, j in enumerate(y_order)}
 
-        objective = [atom.saving for atom, _ in usable] + [
-            -self.maintenance[j] for j in y_order
-        ]
+        objective = [self._savings[index] for index in usable]
+        objective.extend(-self.maintenance[j] for j in y_order)
         rows: List[List[Tuple[int, float]]] = []
-        bounds: List[float] = []
-        per_statement: Dict[int, List[int]] = {}
-        for column, (atom, _) in enumerate(usable):
-            per_statement.setdefault(atom.statement, []).append(column)
-        for statement in sorted(per_statement):
-            rows.append(
-                [(column, 1.0) for column in per_statement[statement]]
-            )
-            bounds.append(1.0)
-        for column, (_, free_members) in enumerate(usable):
-            for j in free_members:
-                rows.append([(column, 1.0), (y_column[j], -1.0)])
-                bounds.append(0.0)
+        for indices in self._statement_rows:
+            row = [
+                (atom_column[index], 1.0)
+                for index in indices
+                if index in atom_column
+            ]
+            if row:
+                rows.append(row)
+        bounds = [1.0] * len(rows)
+        for column, index in enumerate(usable):
+            for j in self._members[index]:
+                if j in y_column:
+                    rows.append([(column, 1.0), (y_column[j], -1.0)])
+        bounds.extend([0.0] * (len(rows) - len(bounds)))
         if y_order:
             rows.append(
                 [(y_column[j], float(self.sizes[j])) for j in y_order]
@@ -357,7 +429,7 @@ class _Program:
             bounds.append(float(remaining))
             for j in y_order:
                 rows.append([(y_column[j], 1.0)])
-                bounds.append(1.0)
+            bounds.extend([1.0] * len(y_order))
         solved = solve_lp(objective, rows, bounds)
         if solved is None:
             return None
@@ -402,22 +474,28 @@ def _branch_and_bound(
         best_set = set()
     best_value = program.objective(best_set)
     counter = 0
-    heap: List[Tuple[float, int, FrozenSet[int], FrozenSet[int]]] = []
+    # A heap entry ends with the node's relaxation when it is already
+    # known -- only the root's, solved here so it is solved once --
+    # or ``None``: children are solved when (and if) they are popped.
     root = program.relax(frozenset(), frozenset())
     if root is None:
         return best_set, best_value
-    bound, fractional = root
-    heapq.heappush(heap, (-bound, counter, frozenset(), frozenset()))
+    heap: List[
+        Tuple[
+            float, int, FrozenSet[int], FrozenSet[int], Optional[_Relaxation]
+        ]
+    ] = [(-root[0], counter, frozenset(), frozenset(), root)]
     explored = 0
     while heap and explored < MAX_NODES:
         reason = _spent(budget)
         if reason is not None:
             raise _BudgetSpent(reason)
-        negative_bound, _, fixed_zero, fixed_one = heapq.heappop(heap)
+        negative_bound, _, fixed_zero, fixed_one, solved = heapq.heappop(heap)
         if -negative_bound <= best_value + EPS:
             continue  # the bound can no longer beat the incumbent
         explored += 1
-        solved = program.relax(fixed_zero, fixed_one)
+        if solved is None:
+            solved = program.relax(fixed_zero, fixed_one)
         if solved is None:
             continue
         bound, fractional = solved
@@ -445,7 +523,13 @@ def _branch_and_bound(
             counter += 1
             heapq.heappush(
                 heap,
-                (-bound, counter, frozenset(child_zero), frozenset(child_one)),
+                (
+                    -bound,
+                    counter,
+                    frozenset(child_zero),
+                    frozenset(child_one),
+                    None,
+                ),
             )
     return best_set, best_value
 
@@ -480,8 +564,11 @@ def ilp_search(
         reason = _spent(budget)
         if reason is not None:
             raise _BudgetSpent(reason)
-        pool = evaluator.ranked_positive_candidates(candidates)[:MAX_POOL]
-        pool = [c for c in pool if c.size_bytes <= budget_bytes]
+        pool = [
+            c
+            for c in evaluator.ranked_positive_candidates(candidates)
+            if c.size_bytes <= budget_bytes
+        ][:MAX_POOL]
         atoms = build_atom_matrix(pool, evaluator, budget)
         maintenance = [
             evaluator.candidate_maintenance(candidate) for candidate in pool
@@ -495,7 +582,8 @@ def ilp_search(
                     index_of = {c.key: j for j, c in enumerate(pool)}
                     seed = {index_of[c.key] for c in resolved}
                     resumed = True
-        chosen, _ = _branch_and_bound(program, budget, seed)
+        with evaluator.session.phase("ilp-solve"):
+            chosen, _ = _branch_and_bound(program, budget, seed)
         ilp_config = IndexConfiguration(
             sorted(
                 (pool[j] for j in chosen),

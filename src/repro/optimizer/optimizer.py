@@ -57,6 +57,9 @@ from repro.xpath.patterns import parse_pattern
 
 #: Patterns of the virtual universal indexes created in ENUMERATE mode.
 UNIVERSAL_PATTERNS = ("//*", "//@*")
+#: Parsed once at import: ENUMERATE mode runs once per statement and the
+#: patterns are immutable.
+_UNIVERSAL_PARSED = tuple(parse_pattern(text) for text in UNIVERSAL_PATTERNS)
 
 
 @dataclass
@@ -240,11 +243,11 @@ class Optimizer:
             IndexDefinition(
                 name=f"__universal_{value_type.name.lower()}_{i}",
                 collection=collection,
-                pattern=parse_pattern(pattern_text),
+                pattern=pattern,
                 value_type=value_type,
                 virtual=True,
             )
-            for i, pattern_text in enumerate(UNIVERSAL_PATTERNS)
+            for i, pattern in enumerate(_UNIVERSAL_PARSED)
             for value_type in IndexValueType
         ]
         candidates = []

@@ -5,15 +5,31 @@ The load-bearing contract is the differential: ``ilp`` benefit is >=
 random workloads -- by construction (the searcher returns the better of
 the two true benefits), so these tests pin that the construction
 actually holds end to end.
+
+The LP engine has its own differential: ``solve_lp`` pivots over the
+tableau's non-zeros only and must return, float for float, what the
+full-width tableau loop it replaced returns.  That loop and the
+per-node LP builder it was fed by live on here as the oracles
+(``_dense_solve_lp``, ``_reference_lp``).
 """
 
+from types import SimpleNamespace
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import ilp
 
 from repro.core.benefit import ConfigurationEvaluator
 from repro.core.candidates import enumerate_basic_candidates
 from repro.core.generalization import generalize_candidates
 from repro.core.ilp import (
+    SIMPLEX_ITERATION_LIMIT,
     Atom,
+    _branch_and_bound,
+    _Program,
     build_atom_matrix,
     ilp_search,
     solve_lp,
@@ -39,6 +55,210 @@ def _inputs(database, workload):
 @pytest.fixture()
 def tpox_inputs(tpox_db, tpox_wl):
     return _inputs(tpox_db, tpox_wl)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the code the sparse engine replaced, kept as it was
+# ---------------------------------------------------------------------------
+
+def _dense_solve_lp(objective, rows, bounds):
+    """The dense tableau simplex ``solve_lp`` was until PR 15, moved
+    here verbatim: every pivot rescales the full pivot row and rewrites
+    every touched row across its full width."""
+    n = len(objective)
+    m = len(rows)
+    width = n + m + 1
+    tableau = [[0.0] * width for _ in range(m + 1)]
+    for i, row in enumerate(rows):
+        line = tableau[i]
+        for column, coefficient in row:
+            line[column] = coefficient
+        line[n + i] = 1.0
+        line[width - 1] = bounds[i]
+    cost_row = tableau[m]
+    for column, coefficient in enumerate(objective):
+        cost_row[column] = -coefficient
+    basis = [n + i for i in range(m)]
+
+    bland_after = 2 * (m + n)
+    for iteration in range(SIMPLEX_ITERATION_LIMIT):
+        entering = -1
+        if iteration < bland_after:
+            most_negative = -1e-9
+            for column in range(width - 1):
+                if cost_row[column] < most_negative:
+                    most_negative = cost_row[column]
+                    entering = column
+        else:
+            for column in range(width - 1):
+                if cost_row[column] < -1e-9:
+                    entering = column
+                    break
+        if entering < 0:
+            values = [0.0] * n
+            for i, variable in enumerate(basis):
+                if variable < n:
+                    values[variable] = tableau[i][width - 1]
+            return tableau[m][width - 1], values
+        leaving = -1
+        best_ratio = float("inf")
+        for i in range(m):
+            coefficient = tableau[i][entering]
+            if coefficient > 1e-9:
+                ratio = tableau[i][width - 1] / coefficient
+                if ratio < best_ratio - 1e-12 or (
+                    abs(ratio - best_ratio) <= 1e-12
+                    and (leaving < 0 or basis[i] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = i
+        if leaving < 0:
+            return None  # unbounded: malformed program
+        pivot_row = tableau[leaving]
+        pivot = pivot_row[entering]
+        inverse = 1.0 / pivot
+        for column in range(width):
+            pivot_row[column] *= inverse
+        for i in range(m + 1):
+            if i == leaving:
+                continue
+            factor = tableau[i][entering]
+            if factor == 0.0:
+                continue
+            line = tableau[i]
+            for column in range(width):
+                line[column] -= factor * pivot_row[column]
+        basis[leaving] = entering
+    return None
+
+
+def _reference_lp(program, fixed_zero, fixed_one):
+    """``(objective, rows, bounds)`` of a node, built the way
+    ``_Program.relax`` built it until PR 15: one walk over the ``Atom``
+    objects per node.  The row and column order is the contract -- the
+    pivot sequence depends on it."""
+    remaining = program.budget_bytes - sum(
+        program.sizes[j] for j in fixed_one
+    )
+    usable = []
+    free_candidates = set()
+    for atom in program.atoms:
+        if any(j in fixed_zero for j in atom.members):
+            continue
+        free_members = tuple(j for j in atom.members if j not in fixed_one)
+        usable.append((atom, free_members))
+        free_candidates.update(free_members)
+    y_order = sorted(free_candidates)
+    y_column = {j: len(usable) + slot for slot, j in enumerate(y_order)}
+    objective = [atom.saving for atom, _ in usable] + [
+        -program.maintenance[j] for j in y_order
+    ]
+    rows = []
+    bounds = []
+    per_statement = {}
+    for column, (atom, _) in enumerate(usable):
+        per_statement.setdefault(atom.statement, []).append(column)
+    for statement in sorted(per_statement):
+        rows.append([(column, 1.0) for column in per_statement[statement]])
+        bounds.append(1.0)
+    for column, (_, free_members) in enumerate(usable):
+        for j in free_members:
+            rows.append([(column, 1.0), (y_column[j], -1.0)])
+            bounds.append(0.0)
+    if y_order:
+        rows.append([(y_column[j], float(program.sizes[j])) for j in y_order])
+        bounds.append(float(remaining))
+        for j in y_order:
+            rows.append([(y_column[j], 1.0)])
+            bounds.append(1.0)
+    return objective, rows, bounds
+
+
+def _program(sizes, atoms, maintenance, budget_bytes):
+    """A ``_Program`` over stand-in candidates (only sizes matter)."""
+    pool = [SimpleNamespace(size_bytes=size) for size in sizes]
+    return _Program(pool, atoms, maintenance, budget_bytes)
+
+
+class _SolverSpy:
+    """Stands in for ``ilp.solve_lp``: records every LP, solves it with
+    the real engine and checks the answer against the dense oracle."""
+
+    def __init__(self):
+        self.lps = []
+
+    def __call__(self, objective, rows, bounds):
+        self.lps.append((objective, rows, bounds))
+        solved = solve_lp(objective, rows, bounds)
+        assert solved == _dense_solve_lp(objective, rows, bounds)
+        return solved
+
+
+#: Few distinct values, so equal reduced costs and equal ratios -- the
+#: degenerate ties the pricing and leaving rules must break alike --
+#: are the common case rather than the rare one.
+_SAVINGS = st.sampled_from([0.5, 1.0, 1.0, 2.5, 7.25, 40.0 / 3.0])
+_CHARGES = st.sampled_from([0.0, 0.0, 0.125, 1.0, 3.5])
+
+
+@st.composite
+def _atom_programs(draw):
+    """A random cost-atom program plus one node's fixings."""
+    candidates = draw(st.integers(1, 7))
+    sizes = draw(
+        st.lists(st.integers(1, 60), min_size=candidates, max_size=candidates)
+    )
+    maintenance = draw(
+        st.lists(_CHARGES, min_size=candidates, max_size=candidates)
+    )
+    members = st.lists(
+        st.integers(0, candidates - 1), min_size=1, max_size=2, unique=True
+    ).map(lambda chosen: tuple(sorted(chosen)))
+    atoms = draw(
+        st.lists(
+            st.builds(Atom, st.integers(0, 4), members, _SAVINGS),
+            min_size=1,
+            max_size=14,
+        )
+    )
+    budget_bytes = draw(st.integers(0, sum(sizes)))
+    fixed = draw(
+        st.lists(
+            st.tuples(st.integers(0, candidates - 1), st.booleans()),
+            max_size=3,
+            unique_by=lambda pair: pair[0],
+        )
+    )
+    fixed_zero = frozenset(j for j, forced_in in fixed if not forced_in)
+    fixed_one = frozenset(j for j, forced_in in fixed if forced_in)
+    program = _program(sizes, atoms, maintenance, budget_bytes)
+    return program, fixed_zero, fixed_one
+
+
+_COEFFICIENTS = st.sampled_from([-3.0, -1.0, -0.5, 0.0, 1.0, 1.0, 2.0, 7.0 / 3.0])
+
+
+@st.composite
+def _small_lps(draw):
+    """Unstructured LPs: mixed-sign coefficients, zero and positive
+    right-hand sides, possibly unbounded."""
+    n = draw(st.integers(0, 6))
+    m = draw(st.integers(0, 8))
+    objective = draw(st.lists(_COEFFICIENTS, min_size=n, max_size=n))
+    entry = st.tuples(st.integers(0, max(n - 1, 0)), _COEFFICIENTS)
+    rows = draw(
+        st.lists(
+            st.lists(entry, max_size=4) if n else st.just([]),
+            min_size=m,
+            max_size=m,
+        )
+    )
+    bounds = draw(
+        st.lists(
+            st.sampled_from([0.0, 0.0, 1.0, 2.5, 10.0]), min_size=m, max_size=m
+        )
+    )
+    return objective, rows, bounds
 
 
 class TestSolveLp:
@@ -74,6 +294,176 @@ class TestSolveLp:
         value, values = solved
         assert value == pytest.approx(1.0)
         assert sum(values) == pytest.approx(1.0)
+
+    def test_empty_program(self):
+        assert solve_lp([], [], []) == (0.0, [])
+        assert solve_lp([], [[]], [1.0]) == (0.0, [])
+
+    def test_klee_minty_cube_finishes_under_blands_rule(self, monkeypatch):
+        # max sum 2^(n-j) x_j  s.t.  sum_{j<i} 2^(i-j+1) x_j + x_i <= 5^i.
+        # Dantzig pricing alone walks all 2^6 - 1 = 63 vertices; the
+        # solver switches to Bland's rule after 2 * (m + n) = 24 pivots
+        # and arrives after 47 (plus the iteration that finds no
+        # entering column), so 23 pivots run in the Bland branch.
+        n = 6
+        objective = [float(2 ** (n - 1 - j)) for j in range(n)]
+        rows = [
+            [(j, float(2 ** (i - j + 1))) for j in range(i)] + [(i, 1.0)]
+            for i in range(n)
+        ]
+        bounds = [float(5 ** (i + 1)) for i in range(n)]
+        optimum = (float(5 ** n), [0.0] * (n - 1) + [float(5 ** n)])
+        assert solve_lp(objective, rows, bounds) == optimum
+        assert _dense_solve_lp(objective, rows, bounds) == optimum
+        monkeypatch.setattr(ilp, "SIMPLEX_ITERATION_LIMIT", 48)
+        assert solve_lp(objective, rows, bounds) == optimum
+        monkeypatch.setattr(ilp, "SIMPLEX_ITERATION_LIMIT", 47)
+        assert solve_lp(objective, rows, bounds) is None
+
+
+class TestSolveLpDifferential:
+    """The sparse engine against the dense loop it replaced: ``==`` on
+    the returned tuple, never a tolerance."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_atom_programs())
+    def test_atom_program_nodes(self, drawn):
+        program, fixed_zero, fixed_one = drawn
+        spy = _SolverSpy()
+        with mock.patch.object(ilp, "solve_lp", spy):
+            solved = program.relax(fixed_zero, fixed_one)
+        forced = sum(program.sizes[j] for j in fixed_one)
+        if forced > program.budget_bytes:
+            assert solved is None and not spy.lps
+            return
+        objective, rows, bounds = _reference_lp(program, fixed_zero, fixed_one)
+        if not objective:
+            assert not spy.lps  # every atom masked out: nothing to solve
+            assert solved == (
+                -sum(program.maintenance[j] for j in fixed_one),
+                {},
+            )
+            return
+        assert spy.lps == [(objective, rows, bounds)]
+        assert solved is not None
+
+    @settings(max_examples=300, deadline=None)
+    @given(_small_lps())
+    def test_unstructured_lps(self, lp):
+        assert solve_lp(*lp) == _dense_solve_lp(*lp)
+
+    def test_every_lp_of_the_suite_searches(self, tpox_inputs, xmark_db):
+        """The LPs branch and bound really builds -- the shape the
+        benchmark's ``advise_sweep`` block replays a few hundred of."""
+        spy = _SolverSpy()
+        with mock.patch.object(ilp, "solve_lp", spy):
+            for candidates, evaluator, all_size in (
+                tpox_inputs,
+                _inputs(xmark_db, xmark.xmark_workload(seed=7)),
+            ):
+                for fraction in (0.1, 0.2, 0.35, 0.5, 1.0):
+                    ilp_search(candidates, evaluator, int(all_size * fraction))
+        assert len(spy.lps) > 100
+        assert max(len(rows) for _, rows, _ in spy.lps) > 50
+
+
+class TestBranchAndBound:
+    def test_integral_root_is_solved_exactly_once(self):
+        # Everything fits: the root relaxation is integral, so the tree
+        # is the root -- and the root must not be solved again when it
+        # is popped.
+        atoms = [
+            Atom(0, (0,), 5.0),
+            Atom(0, (0, 1), 9.0),
+            Atom(1, (1,), 4.0),
+            Atom(2, (2,), 3.0),
+        ]
+        program = _program([10, 10, 10], atoms, [0.5, 0.5, 0.5], 100)
+        spy = _SolverSpy()
+        with mock.patch.object(ilp, "solve_lp", spy):
+            chosen, value = _branch_and_bound(program, None)
+        assert len(spy.lps) == 1
+        assert chosen == {0, 1, 2}
+        assert value == pytest.approx(9.0 + 4.0 + 3.0 - 1.5)
+
+    def test_fractional_root_branches(self):
+        # Two 6-byte candidates under a 10-byte budget: the root takes
+        # one whole and 2/3 of the other, branching closes the gap.
+        atoms = [Atom(0, (0,), 6.0), Atom(1, (1,), 5.0)]
+        program = _program([6, 6], atoms, [0.0, 0.0], 10)
+        spy = _SolverSpy()
+        with mock.patch.object(ilp, "solve_lp", spy):
+            chosen, value = _branch_and_bound(program, None)
+        assert len(spy.lps) > 1
+        assert chosen == {0}
+        assert value == pytest.approx(6.0)
+
+    # Chosen keys and model objective of ``_branch_and_bound`` recorded
+    # at the parent of PR 15 (identical under PYTHONHASHSEED 0, 12345
+    # and 77): the engine swap must not move the search.
+    PINS = {
+        ("tpox", 0.2): (
+            [
+                "/Customer/Nationality:string",
+                "/Security/Price/Ask:numerical",
+                "/Security/Symbol:string",
+            ],
+            241.76215,
+        ),
+        ("tpox", 0.5): (
+            [
+                "/Customer/@id:string",
+                "/Customer/Nationality:string",
+                "/FIXML/Order/@Acct:string",
+                "/FIXML/Order/@ID:string",
+                "/FIXML/Order/Instrmt/@Sym:string",
+                "/Security/Price/Ask:numerical",
+                "/Security/Symbol:string",
+            ],
+            420.9355333333333,
+        ),
+        ("xmark", 0.2): (
+            ["/open_auction/itemref/@item:string", "/person/@id:string"],
+            67.65375319148936,
+        ),
+        ("xmark", 0.5): (
+            [
+                "/item/description//text:string",
+                "/item/location:string",
+                "/open_auction/itemref/@item:string",
+                "/person/*/city:string",
+                "/person/@id:string",
+            ],
+            156.78522819148935,
+        ),
+    }
+
+    @pytest.mark.parametrize("suite", ["tpox", "xmark"])
+    def test_chosen_set_and_objective_pinned(self, suite, tpox_inputs, xmark_db):
+        candidates, evaluator, all_size = (
+            tpox_inputs
+            if suite == "tpox"
+            else _inputs(xmark_db, xmark.xmark_workload(seed=7))
+        )
+        for fraction in (0.2, 0.5):
+            budget_bytes = int(all_size * fraction)
+            pool = [
+                c
+                for c in evaluator.ranked_positive_candidates(candidates)
+                if c.size_bytes <= budget_bytes
+            ]
+            program = _Program(
+                pool,
+                build_atom_matrix(pool, evaluator),
+                [evaluator.candidate_maintenance(c) for c in pool],
+                budget_bytes,
+            )
+            chosen, value = _branch_and_bound(program, None)
+            keys, objective = self.PINS[(suite, fraction)]
+            assert sorted(
+                f"{pool[j].pattern}:{pool[j].value_type.value}" for j in chosen
+            ) == keys
+            assert value == objective
 
 
 class TestAtomMatrix:
@@ -148,6 +538,40 @@ class TestIlpSearch:
                 ([c.key for c in result.configuration], result.benefit)
             )
         assert results[0] == results[1]
+
+    def test_pool_is_filtered_before_it_is_capped(self, tpox_db):
+        # 88 positive candidates; at 5,000 bytes a handful of the 64
+        # densest are oversize.  They must be replaced by rank 65+, not
+        # shrink the pool.
+        workload = synthetic.synthetic_workload(
+            tpox_db, "SDOC", count=120, seed=0
+        )
+        candidates, evaluator, _ = _inputs(tpox_db, workload)
+        ranked = evaluator.ranked_positive_candidates(candidates)
+        budget_bytes = 5000
+        assert len(ranked) > ilp.MAX_POOL
+        assert any(c.size_bytes > budget_bytes for c in ranked[: ilp.MAX_POOL])
+        pools = []
+
+        def recording(pool, *args, **kwargs):
+            pools.append(list(pool))
+            return build_atom_matrix(pool, *args, **kwargs)
+
+        with mock.patch.object(ilp, "build_atom_matrix", recording):
+            result = ilp_search(candidates, evaluator, budget_bytes)
+        (pool,) = pools
+        fitting = [c for c in ranked if c.size_bytes <= budget_bytes]
+        assert pool == fitting[: ilp.MAX_POOL]
+        assert len(pool) == ilp.MAX_POOL
+        assert ranked.index(pool[-1]) >= ilp.MAX_POOL
+        assert result.size_bytes <= budget_bytes
+
+    def test_solver_time_is_its_own_phase(self, tpox_inputs):
+        candidates, evaluator, all_size = tpox_inputs
+        ilp_search(candidates, evaluator, all_size // 2)
+        phases = evaluator.session.stats()["phase_seconds"]
+        assert phases["ilp-atoms"] >= 0.0
+        assert phases["ilp-solve"] > 0.0
 
     def test_deadline_falls_back_to_greedy_truncated(self, tpox_inputs):
         candidates, evaluator, all_size = tpox_inputs

@@ -96,6 +96,23 @@ class TestEnumerateMode:
         )
         assert optimizer.calls == before + 1
 
+    def test_universal_patterns_are_not_reparsed(self, security_db, monkeypatch):
+        import repro.optimizer.optimizer as module
+
+        statement = parse_statement(
+            """for $s in X('SDOC')/Security[Yield>1] where $s/@id = "s1" return $s"""
+        )
+
+        def reparsed(text):
+            raise AssertionError(f"ENUMERATE re-parsed {text!r}")
+
+        monkeypatch.setattr(module, "parse_pattern", reparsed)
+        result = Optimizer(security_db).optimize(statement, OptimizerMode.ENUMERATE)
+        assert {str(c.pattern) for c in result.candidates} == {
+            "/Security/Yield",
+            "/Security/@id",
+        }
+
 
 class TestNormalMode:
     def query(self):
