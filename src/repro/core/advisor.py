@@ -206,7 +206,7 @@ class Recommendation:
                 f"{snapshots.get('serializations', 0)} serializations "
                 f"({snapshots.get('bytes_serialized', 0)} bytes), "
                 f"{snapshots.get('compositions', 0)} compositions, "
-                f"{snapshots.get('decodes', 0)} decodes "
+                f"{snapshots.get('clones', 0)} clones "
                 f"({snapshots.get('parts_held', 0)} parts held, "
                 f"{snapshots.get('parts_discarded', 0)} discarded), "
                 f"{snapshots.get('evictions', 0)} evictions, "

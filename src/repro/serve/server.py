@@ -18,10 +18,11 @@ Concurrency model (docs/serving.md):
 * **Advise-class reads** (``whatif``, ``recommend``) run against an
   epoch-consistent *snapshot* taken atomically under the gate by the
   :class:`~repro.storage.snapshots.SnapshotStore` -- a private shell
-  over the store's shared, read-only decoded collections, so a request
-  at unchanged epochs neither serializes nor unpickles anything and a
-  multi-second portfolio search never races live DML (reproducible at
-  its epoch token).  storage/snapshots.py states the sharing contract.
+  over the store's shared, read-only cloned collections, so a request
+  at unchanged epochs copies nothing, one after a write re-clones the
+  written collection's lists (never pickles it) and a multi-second
+  portfolio search never races live DML (reproducible at its epoch
+  token).  storage/snapshots.py states the sharing contract.
 
 Execution modes: *inline* (``lanes=0``, default) runs engine steps on
 the event loop with cooperative yield points -- combined with a
@@ -115,7 +116,7 @@ class AdvisorServer:
         self.database = resolve_database(database)
         self.gate = EpochGate(self.database)
         #: Epoch-keyed snapshot engine: advise-class reads run on
-        #: read-only snapshots over its shared decoded collections.
+        #: read-only snapshots over its shared cloned collections.
         self.snapshots = SnapshotStore()
         self.admission = AdmissionController(tenants, default_policy)
         self.mode = mode
@@ -472,8 +473,10 @@ class AdvisorServer:
 
     def _apply_dml(self, statement, collection: str):
         result = Executor(self.database).execute(statement)
-        # Rebuild any summaries the delta left dirty *inside* the writer
-        # critical section, so later lock-free reads never repair state.
+        # Rebuild any summaries the delta left dirty (paths at a cap;
+        # below it a write retracts exactly and this is a no-op) *inside*
+        # the writer critical section, so later lock-free reads never
+        # repair state.
         stats = self.database._statistics.get(collection)
         if stats is not None:
             stats.rebuild_dirty_summaries()

@@ -113,6 +113,14 @@ class Collection:
         self._live_count -= 1
         return document
 
+    def clone(self) -> "Collection":
+        """A collection with its own ``documents`` list over the same
+        document objects (documents never change after insert)."""
+        twin = Collection(self.name)
+        twin.documents = list(self.documents)
+        twin._live_count = self._live_count
+        return twin
+
     def get(self, doc_id: int) -> XmlDocument:
         """Return the live document with ``doc_id``."""
         if not 0 <= doc_id < len(self.documents):
@@ -240,7 +248,7 @@ class Database:
             index.insert_document(document)
         stats = self._statistics.get(collection_name)
         if stats is not None and stats.supports_deltas:
-            stats.apply_insert(synopsis)
+            stats.apply_insert(synopsis, doc_id)
             self.stats_delta_applies += 1
         else:
             self.invalidate_statistics(collection_name)
@@ -257,7 +265,7 @@ class Database:
             index.remove_document(document)
         stats = self._statistics.get(collection_name)
         if stats is not None and stats.supports_deltas:
-            stats.apply_delete(synopsis)
+            stats.apply_delete(synopsis, doc_id)
             self.stats_delta_applies += 1
         else:
             self.invalidate_statistics(collection_name)

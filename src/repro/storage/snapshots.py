@@ -2,31 +2,35 @@
 
 Every advise/whatif request on the serve path, every process-pool
 rebuild in the parallel engine, and every per-cycle tuning pass needs a
-consistent copy of the database that live DML cannot touch.  At an
-unchanged collection epoch a collection's serialized form is immutable,
-so the store serializes each collection to its *own* blob keyed by
-``(database, collection, epoch, statistics stamp)`` and keeps exactly
-**one generation** -- the blob plus the :class:`CollectionPart` decoded
-from it -- per ``(database, collection)``:
+consistent copy of the database that live DML cannot touch.  Documents
+never change after insert and index entries are tuples of ids, so such a
+copy does not have to copy the data: the store keeps exactly **one
+generation** per ``(database, collection)``, keyed by ``(database,
+collection, epoch, statistics stamp)`` -- a read-only
+:class:`CollectionPart` built as a *structural clone* of the live
+collection (:func:`clone_part`: own lists and dicts over the same
+document objects) and, only once somebody asks for bytes, its pickle:
 
-* DML on one collection re-serializes (and re-decodes) only that
-  collection; the generation it supersedes is dropped on the spot, so
-  the store holds O(collections) blobs no matter how many writes ran;
-* a no-DML steady state serializes and decodes nothing: a snapshot is
-  the shared decoded parts plus a tiny fresh "shell" (one ~7 kB pickle
-  round-trip), not an unpickle of the database;
-* the parallel engine ships workers the base blobs once and then only
-  the blobs whose key moved (the delta protocol in
+* DML on one collection re-clones only that collection, in time
+  proportional to its list lengths, not its pickled size; the generation
+  it supersedes is dropped on the spot, so the store holds
+  O(collections) generations no matter how many writes ran;
+* a no-DML steady state clones nothing: a snapshot is the shared parts
+  plus a tiny fresh "shell" (one ~7 kB pickle round-trip);
+* nothing is serialized until :meth:`SnapshotStore.collection_blob` /
+  :meth:`~SnapshotStore.blobs` / :meth:`~SnapshotStore.delta` ask: the
+  parallel engine ships process workers the base blobs once and then
+  only the blobs whose key moved (the delta protocol in
   ``parallel/session.py``); workers decode their own private parts
   (:func:`load_parts`).
 
 The cache key
 -------------
 
-A collection blob captures the collection's documents, its built
-indexes, and its cached :class:`~repro.storage.statistics.DataStatistics`
--- everything whose serialized form is pinned by the collection's
-epoch.  Two wrinkles make the key more than ``(collection, epoch)``:
+A generation captures the collection's documents, its built indexes, and
+its cached :class:`~repro.storage.statistics.DataStatistics` --
+everything whose state is pinned by the collection's epoch.  Two
+wrinkles make the key more than ``(collection, epoch)``:
 
 * Statistics can appear (``runstats``), disappear
   (``invalidate_statistics``), and mutate (targeted dirty-summary
@@ -43,14 +47,14 @@ epoch.  Two wrinkles make the key more than ``(collection, epoch)``:
 Epochs and stamps only move forward, so a superseded key is never asked
 for again by the database that moved past it.  Only an *older* composed
 snapshot can still carry it; re-snapshotting one after its generation
-was dropped is a miss that re-serializes from that snapshot -- slower,
-never wrong bytes.  The LRU byte budget is the outer cap: it evicts
-whole generations, blob and decoded part together.
+was dropped is a miss that re-clones from that snapshot -- never wrong
+state.  The LRU byte budget counts materialised blobs; when they exceed
+it, it evicts whole generations, blob and part together.
 
 The sharing contract
 --------------------
 
-Who may mutate what, stated once:
+What is copied, what is shared, and who may write, stated once:
 
 * The **shell** -- catalog, modification/epoch counters, rescan
   counters, the ``collections`` / ``indexes`` / ``_statistics`` dicts
@@ -59,24 +63,35 @@ Who may mutate what, stated once:
   ``_name_counter`` save/restore of the portfolio, virtual-index DDL in
   the catalog and ``runstats`` on a collection without statistics all
   stay inside the snapshot that did them.
-* The **parts** -- ``Collection`` objects and their documents, index
-  entry lists, ``DataStatistics`` -- are shared by every snapshot the
-  store composes at that key, across requests and across portfolio
-  lanes, and are **read-only**.  A store-composed snapshot therefore
-  refuses DML, index DDL and ``invalidate_statistics`` with
+* The **parts** -- a ``Collection`` with its own ``documents`` list, an
+  own entry list per built index, and an own ``DataStatistics`` (every
+  dict, sample and set copied) backed by that cloned collection -- are
+  copied from the live database once per key, so nothing the live
+  database does afterwards (appending a document, tombstoning one,
+  merging or deleting index entries, retracting statistics) reaches
+  them.  They are shared by every snapshot the store composes at that
+  key, across requests and across portfolio lanes, and are
+  **read-only**.  A store-composed snapshot therefore refuses DML, index
+  DDL and ``invalidate_statistics`` with
   :class:`~repro.robustness.errors.ReadOnlySnapshotError`; a
   ``pickle``/``deepcopy`` of it owns its parts and is writable again.
   :func:`compose_database` never writes to a part either: the
   catalog's definition object is linked on the per-snapshot index
   wrapper, not on the part's own index.
-* Three writes do reach shared parts, all invisible to serialization
-  or detected: the per-pattern ``_matching_cache`` / ``_path_ids`` memos
-  of ``DataStatistics`` and the per-document synopsis cache (idempotent,
-  dropped by ``__getstate__``, safe to race), and a lazy
-  ``_clean_summary`` repair fired by a probe *through* a snapshot
-  (serialized by the statistics' own lock; it moves the part's
-  ``mutation_stamp`` off its key's stamp, so the store discards the
-  part and decodes the blob again before handing it to anyone else).
+* The **documents** (``XmlDocument`` trees and their cached synopses)
+  and the immutable ``IndexDefinition`` objects are shared with the
+  *live* database.  Nobody writes to a document after insert; a delete
+  only clears the live collection's slot, and the parts that still list
+  the document keep it alive.
+* Three writes do reach shared objects, all invisible to serialization
+  or detected: the per-pattern ``_matching_cache`` / ``_matched_paths`` /
+  ``_path_ids`` memos of ``DataStatistics`` and the per-document synopsis
+  cache (idempotent, dropped by ``__getstate__``, safe to race), and a
+  lazy ``_clean_summary`` repair fired by a probe *through* a snapshot
+  (serialized by the statistics' own lock; it restreams the part's own
+  documents and moves the part's ``mutation_stamp`` off its key's stamp,
+  so the store discards the part and clones again before handing it to
+  anyone else).
 
 Bit-identity
 ------------
@@ -86,14 +101,15 @@ Capturing the shell fresh is what keeps store-backed snapshots
 round-trip even though parts of it (catalog name counters, rescan
 counters) move without epoch bumps.  "Bit-identical" is pinned in two
 serialized forms: the partitioned canonical form
-(:func:`partitioned_dumps` -- raw equality, exactly the bytes the store
-caches and ships) and the whole-graph form under string-canonical
+(:func:`partitioned_dumps` -- raw equality, the partition the store
+holds and ships) and the whole-graph form under string-canonical
 memoization (:func:`canonical_dumps` -- a plain whole-graph ``dumps``
 additionally encodes which *equal* strings happen to share identity
 across collections, an accident of build history that is invisible to
 every consumer and that per-collection blobs deliberately do not
-reproduce).  The differential suite (``tests/test_snapshot_store.py``)
-and the ``--snapshot-sweep`` bench assert both identities in-run.
+reproduce).  The pickle round-trip is no longer how a part is built; it
+is the oracle the differential suite (``tests/test_snapshot_store.py``)
+holds every clone-built snapshot against, in both forms.
 """
 
 from __future__ import annotations
@@ -186,6 +202,23 @@ def capture_part(database: Database, name: str) -> CollectionPart:
     )
 
 
+def clone_part(part: CollectionPart) -> CollectionPart:
+    """A structural clone of a live part: own ``documents`` list, own
+    index entry lists, own statistics backed by the cloned collection --
+    over the same document objects and entry tuples, which nothing
+    writes to.  Equal to ``pickle.loads(pickle.dumps(part))`` under
+    :func:`canonical_dumps`, in time proportional to the list lengths."""
+    collection = part.collection.clone()
+    indexes = {}
+    for name, index in part.indexes.items():
+        twin = indexes[name] = PathIndex(index.definition)
+        twin.entries = list(index.entries)
+    statistics = part.statistics
+    if statistics is not None:
+        statistics = statistics.clone(collection)
+    return CollectionPart(collection, statistics, indexes)
+
+
 def compose_database(
     shell: DatabaseShell, parts: Dict[str, CollectionPart]
 ) -> Database:
@@ -246,32 +279,42 @@ def partitioned_dumps(database: Database) -> Dict[str, bytes]:
 
 
 def canonical_dumps(obj: object) -> bytes:
-    """A whole-graph pickle insensitive to the two serialization
-    accidents a plain ``pickle.dumps`` encodes:
+    """A whole-graph pickle insensitive to the serialization accidents a
+    plain ``pickle.dumps`` encodes:
 
     * **string identity** -- a whole-database dump memoizes strings by
       identity, so its bytes record which *equal* strings happen to be
       shared across collections, an accident of build history that
       per-collection blobs cannot (and should not) reproduce; equal
       strings are memoized by value here instead;
+    * **tag-path identity** -- the same for tuples of strings: index
+      entries and statistics keys take their rooted tag paths from the
+      document synopses, so whether two *equal* paths are one object
+      records which synopsis each came from (statistics collected
+      through a snapshot read the live documents' cached synopses, a
+      pickled copy builds its own); equal all-string tuples are memoized
+      by value too;
     * **set iteration order** -- a reconstructed set's order depends on
       its insertion history, so it is not stable across pickle
       round-trip *generations* even though the set is unchanged; sets
       are serialized as sorted markers here instead.
 
     Two databases agree under :func:`canonical_dumps` iff their object
-    graphs are identical up to exactly those two accidents.  Test/bench
+    graphs are identical up to exactly those accidents.  Test/bench
     currency only (pure-python pickler) -- production paths ship the
     store's raw blobs."""
-    strings: Dict[str, str] = {}
+    values: Dict[object, object] = {}
     buffer = io.BytesIO()
     pickler = pickle._Pickler(buffer, PROTOCOL)
     original_save = pickler.save
 
     def save(item, save_persistent_id=True):
-        if type(item) is str:
-            item = strings.setdefault(item, item)
-        elif type(item) in (set, frozenset):
+        kind = type(item)
+        if kind is str or (
+            kind is tuple and all(type(part) is str for part in item)
+        ):
+            item = values.setdefault(item, item)
+        elif kind in (set, frozenset):
             item = ("__canonical_set__", sorted(item, key=repr))
         return original_save(item, save_persistent_id)
 
@@ -288,22 +331,22 @@ def _statistics_stamp(statistics) -> Optional[int]:
 @dataclass
 class _Generation:
     """The one generation the store holds for a ``(database token,
-    collection)``: the blob at ``key`` and, once a snapshot asked for
-    it, the part decoded from that blob (shared, read-only)."""
+    collection)`` at ``key``: the shared read-only part once a snapshot
+    asked for it, the blob once a shipper asked for it."""
 
     key: BlobKey
-    blob: bytes
     part: Optional[CollectionPart] = None
+    blob: Optional[bytes] = None
 
 
 class SnapshotStore:
-    """Epoch-keyed cache of per-collection database generations (blob +
-    decoded part); the module docstring states what is shared and who
-    may mutate it.
+    """Epoch-keyed cache of per-collection database generations (cloned
+    part, lazily its blob); the module docstring states what is shared
+    and who may mutate it.
 
     Thread-safe: the serve layer's thread lanes and portfolio lanes take
     snapshots concurrently.  One lock covers lookup, the occasional
-    serialize/decode and the shell round-trip; composing from held parts
+    clone/serialize and the shell round-trip; composing from held parts
     is O(shell), so there is nothing worth overlapping.
     """
 
@@ -323,13 +366,15 @@ class SnapshotStore:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        #: Bytes of materialised blobs held (what the budget bounds).
         self.bytes_cached = 0
-        #: Collection serializations performed (the "re-pickles" the
-        #: acceptance gates pin at zero for unchanged epochs).
+        #: Collection serializations performed: only a blob request
+        #: (process shipping) makes one, a snapshot never does.
         self.serializations = 0
         self.bytes_serialized = 0
-        #: Blobs unpickled into parts (zero for snapshots at held keys).
-        self.decodes = 0
+        #: Parts built by cloning the live collection (zero for
+        #: snapshots at held keys, one per written collection after).
+        self.clones = 0
         #: Held parts thrown away because a lazy summary repair through
         #: a snapshot moved their statistics stamp off the key's.
         self.parts_discarded = 0
@@ -372,9 +417,8 @@ class SnapshotStore:
     # ------------------------------------------------------------------
     def _generation(self, database: Database, name: str) -> _Generation:
         """The generation at the collection's current key: the held one
-        on a hit; on a miss a fresh serialization that supersedes (and
-        drops) whatever was held for that collection.  Caller holds the
-        lock."""
+        on a hit; on a miss an empty one that supersedes (and drops)
+        whatever was held for that collection.  Caller holds the lock."""
         key = self.collection_key(database, name)
         slot = key[:2]
         held = self._generations.get(slot)
@@ -383,46 +427,52 @@ class SnapshotStore:
             self._generations.move_to_end(slot)
             return held
         self.misses += 1
-        blob = pickle.dumps(capture_part(database, name), PROTOCOL)
-        self.serializations += 1
-        self.bytes_serialized += len(blob)
         if held is not None:
             self._drop(slot)
-        generation = self._generations[slot] = _Generation(key, blob)
-        self.bytes_cached += len(blob)
-        while (
-            self.bytes_cached > self.budget_bytes
-            and len(self._generations) > 1
-        ):
-            self._drop(next(iter(self._generations)))
-            self.evictions += 1
+        generation = self._generations[slot] = _Generation(key)
         return generation
 
     def _drop(self, slot: Tuple[int, str]) -> None:
-        self.bytes_cached -= len(self._generations.pop(slot).blob)
+        self.bytes_cached -= len(self._generations.pop(slot).blob or b"")
 
     def _part(self, database: Database, name: str) -> CollectionPart:
-        """The shared decoded part at the collection's current key,
-        decoded at most once per generation.  Caller holds the lock."""
+        """The shared read-only part at the collection's current key,
+        cloned from ``database`` at most once per generation.  Caller
+        holds the lock."""
         generation = self._generation(database, name)
         part = generation.part
         if part is not None and (
             _statistics_stamp(part.statistics) != generation.key[3]
         ):
             # A lazy summary repair fired through some snapshot: the
-            # part no longer equals its blob.
+            # part is no longer the state its key names.
             self.parts_discarded += 1
             part = None
         if part is None:
-            part = generation.part = pickle.loads(generation.blob)
-            self.decodes += 1
+            part = generation.part = clone_part(capture_part(database, name))
+            self.clones += 1
         return part
 
     def collection_blob(self, database: Database, name: str) -> bytes:
         """The serialized :class:`CollectionPart` for one collection,
         from cache when its key is unchanged."""
         with self._lock:
-            return self._generation(database, name).blob
+            generation = self._generation(database, name)
+            blob = generation.blob
+            if blob is None:
+                blob = generation.blob = pickle.dumps(
+                    capture_part(database, name), PROTOCOL
+                )
+                self.serializations += 1
+                self.bytes_serialized += len(blob)
+                self.bytes_cached += len(blob)
+                while (
+                    self.bytes_cached > self.budget_bytes
+                    and len(self._generations) > 1
+                ):
+                    self._drop(next(iter(self._generations)))
+                    self.evictions += 1
+            return blob
 
     def shell_blob(self, database: Database) -> bytes:
         """The serialized shell, captured fresh (never cached: catalog
@@ -448,7 +498,7 @@ class SnapshotStore:
 
     def snapshot(self, database: Database) -> Database:
         """An epoch-consistent snapshot of ``database``: a private shell
-        over the store's shared decoded parts -- bit-identical to
+        over the store's shared cloned parts -- bit-identical to
         ``pickle.loads(pickle.dumps(database))``, at the cost of one
         shell round-trip while no key moved.  Read-only: mutating it
         raises :class:`~repro.robustness.errors.ReadOnlySnapshotError`
@@ -496,9 +546,13 @@ class SnapshotStore:
                 "serializations": self.serializations,
                 "bytes_serialized": self.bytes_serialized,
                 "bytes_cached": self.bytes_cached,
-                "cached_blobs": len(self._generations),
+                "cached_blobs": sum(
+                    generation.blob is not None
+                    for generation in self._generations.values()
+                ),
                 "evictions": self.evictions,
-                "decodes": self.decodes,
+                "generations": len(self._generations),
+                "clones": self.clones,
                 "parts_held": sum(
                     generation.part is not None
                     for generation in self._generations.values()

@@ -19,17 +19,33 @@ Since the incremental storage engine (docs/performance.md), statistics are
 *merged* from per-document :class:`~repro.storage.synopsis.DocumentSynopsis`
 objects and maintained under DML by exact +/- deltas
 (:meth:`DataStatistics.apply_insert` / :meth:`DataStatistics.apply_delete`)
-instead of being dropped and rescanned.  The equivalence contract:
+instead of being dropped and rescanned.  A write costs what its document
+touches.  The equivalence contract, against a from-scratch rescan of the
+live documents:
 
 * Exact quantities (counts, doc counts, numeric counts, string bytes) are
-  always identical to a from-scratch rescan.
-* Bounded structures (value samples, distinct sets, string frequencies,
-  min/max) are maintained exactly while provably rescan-identical; once a
-  delete retracts values or a sample hits its cap they mark themselves
-  ``dirty`` and are rebuilt -- targeted, per path, from the live synopses
-  -- the next time a probe touches them.  A rebuild restreams that path's
-  values in document order, which is exactly the rescan stream, so the
-  cleaned summary equals the rescan summary field for field.
+  always identical, and the path dictionaries keep the rescan's key order
+  (first seen over the live documents).  A delete decrements in place;
+  only the deletion of a path's *first holder* -- which includes its only
+  holder -- can move or drop a key, and only then is the order recomputed
+  (a counts-only pass, :meth:`DataStatistics._canonicalize`).
+* Bounded structures (value samples, distinct set, string frequencies,
+  min/max) are a pure function of the path's value multiset for as long
+  as none of them has reached its cap (``MAX_SAMPLE``,
+  ``MAX_STRING_FREQ``): inserts bisect values in
+  (:meth:`PathValueSummary.extend`), deletes bisect them out again
+  (:meth:`PathValueSummary.retract`), and the summary equals the rescan
+  summary field for field with no repair.  "Equal" is ``==`` per field:
+  the insertion order of ``string_freq`` keys and of the ``_distinct``
+  set follows the DML history, and a rescan's follows document order.
+* A summary at or over a cap cannot be replayed (the systematic stride
+  sample works on the unsorted build-time stream; a capped frequency
+  table has forgotten multiplicities).  It marks itself ``dirty`` -- that
+  path only, recorded in ``DataStatistics._dirty_paths`` -- and is
+  rebuilt from the live synopses the next time a probe touches it
+  (``summaries[path]``) or :meth:`DataStatistics.rebuild_dirty_summaries`
+  runs.  A rebuild restreams that path's values in document order, which
+  is exactly the rescan stream.
 
 :func:`collect_statistics_rescan` keeps the original node-by-node scan as
 the differential reference.
@@ -166,13 +182,74 @@ class PathValueSummary:
             if len(self.string_freq) < MAX_STRING_FREQ or text in self.string_freq:
                 self.string_freq[text] += 1
 
-    def retract(self, count: int, numeric_count: int, string_bytes: int) -> None:
-        """Subtract a deleted document's exact delta.  Values cannot be
-        un-sampled, so the bounded structures go dirty."""
-        self.count -= count
+    def retract(
+        self, values: List[str], numeric_count: int, string_bytes: int
+    ) -> None:
+        """Remove one deleted document's values -- the mirror image of
+        :meth:`extend`.
+
+        Exact aggregates are subtracted.  While no bounded structure has
+        reached its cap each one is a pure function of the path's value
+        multiset: the samples are its sorted numeric / string halves,
+        ``string_freq`` holds every multiplicity, ``_distinct`` its keys,
+        and min/max sit at the numeric sample's ends -- so the values are
+        bisected out and what remains is what a rescan of the remaining
+        documents builds.  At or over a cap (and for a value the samples
+        cannot locate, ``nan``) the summary goes ``dirty`` instead.
+        """
+        self.count -= len(values)
         self.numeric_count -= numeric_count
         self.total_string_bytes -= string_bytes
-        self.dirty = True
+        if self.dirty:
+            return
+        if (
+            self._sample_stride_state
+            or len(self.string_freq) >= MAX_STRING_FREQ
+            or len(self._distinct) >= MAX_SAMPLE
+        ):
+            self.dirty = True
+            return
+        freq = self.string_freq
+        for text in values:
+            try:
+                value: object = float(text.strip())
+                sample: List[object] = self.numeric_sample
+            except ValueError:
+                value, sample = text, self.string_sample
+            position = bisect.bisect_left(sample, value)
+            left = freq.get(text, 0) - 1
+            if (
+                left < 0
+                or position == len(sample)
+                or sample[position] != value
+            ):
+                self.dirty = True
+                return
+            del sample[position]
+            if left:
+                freq[text] = left
+            else:
+                del freq[text]
+                self._distinct.discard(text)
+        numeric = self.numeric_sample
+        self.numeric_min = numeric[0] if numeric else None
+        self.numeric_max = numeric[-1] if numeric else None
+
+    def clone(self) -> "PathValueSummary":
+        """An independent copy (own containers, same values)."""
+        return PathValueSummary(
+            count=self.count,
+            numeric_count=self.numeric_count,
+            numeric_min=self.numeric_min,
+            numeric_max=self.numeric_max,
+            total_string_bytes=self.total_string_bytes,
+            numeric_sample=list(self.numeric_sample),
+            string_sample=list(self.string_sample),
+            string_freq=Counter(self.string_freq),
+            _distinct=set(self._distinct),
+            _sample_stride_state=self._sample_stride_state,
+            dirty=self.dirty,
+        )
 
     @property
     def distinct(self) -> int:
@@ -243,10 +320,22 @@ class DataStatistics:
         #: distinct documents containing each path at least once
         self.path_doc_counts: Dict[Tuple[str, ...], int] = {}
         self.summaries: Dict[Tuple[str, ...], PathValueSummary] = _SummaryMap(self)
+        #: pattern text -> its ``matching_paths`` answer at the current
+        #: counts; dropped by every delta.
         self._matching_cache: Dict[str, List[Tuple[Tuple[str, ...], int]]] = {}
+        #: pattern text -> the paths it matches, in ``path_counts`` order;
+        #: outlives deltas that add, drop and move no path.
+        self._matched_paths: Dict[str, List[Tuple[str, ...]]] = {}
         #: (interned id, path) pairs mirroring ``path_counts``; rebuilt
-        #: lazily whenever paths were added since the last pattern probe.
+        #: lazily after a delta that added, dropped or moved a path.  The
+        #: list is replaced, never modified: clones share it.
         self._path_ids: List[Tuple[int, Tuple[str, ...]]] = []
+        #: path -> id of the first live document holding it (the document
+        #: that fixes the path's place in rescan key order).
+        self._first_holders: Dict[Tuple[str, ...], int] = {}
+        #: Paths whose summary is ``dirty`` (at or over a cap when a delta
+        #: reached it), so repair is O(dirty paths).
+        self._dirty_paths: set = set()
         #: Backing collection when built through the synopsis engine;
         #: required for delta maintenance and targeted rebuilds.
         self._collection = None
@@ -264,12 +353,13 @@ class DataStatistics:
         # ``_path_ids`` holds ids interned in *this* process's
         # GLOBAL_TABLE; in another process (a spawned what-if worker)
         # those ids would silently mismatch its table and corrupt
-        # pattern matching.  ``_matching_cache`` entries were computed
-        # through those ids, so both are dropped and rebuilt lazily on
-        # the receiving side.  The lock is process-local.
+        # pattern matching.  The two pattern memos were computed through
+        # those ids, so all three are dropped and rebuilt lazily on the
+        # receiving side.  The lock is process-local.
         state = self.__dict__.copy()
         state["_path_ids"] = []
         state["_matching_cache"] = {}
+        state["_matched_paths"] = {}
         state.pop("_lock", None)
         return state
 
@@ -286,7 +376,31 @@ class DataStatistics:
         synopsis engine, with the backing collection attached)."""
         return self._collection is not None
 
-    def apply_insert(self, synopsis: DocumentSynopsis) -> None:
+    def clone(self, collection) -> "DataStatistics":
+        """An independent copy of these statistics backed by
+        ``collection`` (a clone of the backing collection; the snapshot
+        engine builds its read-only generations this way).  Every
+        container is copied, so later deltas on either side never show on
+        the other; the pattern memos come along -- they are valid in this
+        process and at these counts."""
+        twin = DataStatistics.__new__(DataStatistics)
+        with self._lock:
+            twin.__dict__.update(self.__dict__)
+            twin.path_counts = dict(self.path_counts)
+            twin.path_doc_counts = dict(self.path_doc_counts)
+            summaries = _SummaryMap(twin)
+            for tag_path, summary in dict.items(self.summaries):
+                dict.__setitem__(summaries, tag_path, summary.clone())
+            twin.summaries = summaries
+            twin._matching_cache = dict(self._matching_cache)
+            twin._matched_paths = dict(self._matched_paths)
+            twin._first_holders = dict(self._first_holders)
+            twin._dirty_paths = set(self._dirty_paths)
+        twin._collection = collection
+        twin._lock = threading.Lock()
+        return twin
+
+    def apply_insert(self, synopsis: DocumentSynopsis, doc_id: int) -> None:
         """Merge one inserted document's synopsis into live statistics.
 
         New paths append to ``path_counts`` in the document's first-seen
@@ -299,6 +413,7 @@ class DataStatistics:
             self.total_nodes += synopsis.node_count
             self.total_elements += synopsis.element_count
             summaries = self.summaries
+            appeared = False
             for slot, tag_path in enumerate(synopsis.tag_paths):
                 count = synopsis.deltas[slot][0]
                 self.path_counts[tag_path] = (
@@ -311,35 +426,57 @@ class DataStatistics:
                 if summary is None:
                     summary = PathValueSummary()
                     dict.__setitem__(summaries, tag_path, summary)
+                    self._first_holders[tag_path] = doc_id
+                    appeared = True
                 summary.extend(synopsis.values[slot])
-            self.mutation_stamp += 1
-            self._path_ids = []
-            self._matching_cache.clear()
+                if summary.dirty:
+                    self._dirty_paths.add(tag_path)
+            self._note_delta(appeared)
 
-    def apply_delete(self, synopsis: DocumentSynopsis) -> None:
-        """Retract one deleted document's synopsis from live statistics.
+    def apply_delete(self, synopsis: DocumentSynopsis, doc_id: int) -> None:
+        """Retract one deleted document's synopsis from live statistics
+        (the document must already be gone from the backing collection).
 
-        Exact aggregates are subtracted; the touched summaries go dirty
-        (rebuilt on next probe).  Key order of the path dictionaries is
-        then re-canonicalized to first-seen order over the *remaining*
-        documents -- a counts-only pass over the live synopses, never a
-        value rescan -- because a rescan of the shrunken collection may
-        see surviving paths in a different first-seen order.
+        Each touched summary has the document's values retracted
+        (:meth:`PathValueSummary.retract`) and the path's counts are
+        decremented in place: the key order a rescan would produce does
+        not change unless the document was the first holder of one of its
+        paths -- that path now belongs further back, or nowhere -- and
+        only then are the dictionaries re-canonicalized.
         """
         with self._lock:
             self.doc_count -= 1
             self.total_nodes -= synopsis.node_count
             self.total_elements -= synopsis.element_count
             summaries = self.summaries
+            first_holders = self._first_holders
+            reorder = False
             for slot, tag_path in enumerate(synopsis.tag_paths):
                 count, numeric_count, string_bytes = synopsis.deltas[slot]
-                summary = dict.get(summaries, tag_path)
-                if summary is not None:
-                    summary.retract(count, numeric_count, string_bytes)
-            self._canonicalize()
-            self.mutation_stamp += 1
+                summary = dict.__getitem__(summaries, tag_path)
+                summary.retract(
+                    synopsis.values[slot], numeric_count, string_bytes
+                )
+                if summary.dirty:
+                    self._dirty_paths.add(tag_path)
+                if first_holders[tag_path] == doc_id:
+                    reorder = True
+                else:
+                    self.path_counts[tag_path] -= count
+                    self.path_doc_counts[tag_path] -= 1
+            if reorder:
+                self._canonicalize()
+            self._note_delta(reorder)
+
+    def _note_delta(self, paths_changed: bool) -> None:
+        """Bookkeeping shared by both deltas.  The count-carrying memo is
+        always stale; the path-level memos depend only on the set and
+        order of paths.  Caller holds the lock."""
+        self.mutation_stamp += 1
+        self._matching_cache.clear()
+        if paths_changed:
+            self._matched_paths.clear()
             self._path_ids = []
-            self._matching_cache.clear()
 
     def _canonicalize(self) -> None:
         """Rebuild the path dictionaries in rescan (first-seen over live
@@ -348,22 +485,25 @@ class DataStatistics:
         value streaming.  Caller holds the lock."""
         counts: Dict[Tuple[str, ...], int] = {}
         doc_counts: Dict[Tuple[str, ...], int] = {}
+        first_holders: Dict[Tuple[str, ...], int] = {}
         for document in self._collection:
             synopsis = get_synopsis(document)
             for slot, tag_path in enumerate(synopsis.tag_paths):
+                first_holders.setdefault(tag_path, document.doc_id)
                 counts[tag_path] = (
                     counts.get(tag_path, 0) + synopsis.deltas[slot][0]
                 )
                 doc_counts[tag_path] = doc_counts.get(tag_path, 0) + 1
         summaries = _SummaryMap(self)
         for tag_path in counts:
-            summary = dict.get(self.summaries, tag_path)
-            if summary is None:  # pragma: no cover - defensive
-                summary = PathValueSummary(dirty=True)
-            dict.__setitem__(summaries, tag_path, summary)
+            dict.__setitem__(
+                summaries, tag_path, dict.__getitem__(self.summaries, tag_path)
+            )
         self.path_counts = counts
         self.path_doc_counts = doc_counts
         self.summaries = summaries
+        self._first_holders = first_holders
+        self._dirty_paths.intersection_update(counts)
 
     def _clean_summary(self, tag_path: Tuple[str, ...], summary: PathValueSummary) -> None:
         """Targeted rebuild of one dirty summary: restream that path's
@@ -397,19 +537,21 @@ class DataStatistics:
             self.summary_rebuilds += 1
             self.mutation_stamp += 1
             summary.dirty = False
+            self._dirty_paths.discard(tag_path)
 
     def rebuild_dirty_summaries(self) -> int:
         """Eagerly rebuild every dirty per-path summary (the serve
         layer's write path calls this inside the writer critical section
         so subsequent lock-free reads never repair state -- reads stay
         side-effect free and the ``summary_rebuilds`` counter moves only
-        under the write gate).  Returns the number rebuilt."""
-        rebuilt = 0
-        for tag_path, summary in list(dict.items(self.summaries)):
-            if summary.dirty:
-                self._clean_summary(tag_path, summary)
-                rebuilt += 1
-        return rebuilt
+        under the write gate).  O(dirty paths): a no-op while every
+        touched path is below its caps.  Returns the number rebuilt."""
+        dirty = list(self._dirty_paths)
+        for tag_path in dirty:
+            self._clean_summary(
+                tag_path, dict.__getitem__(self.summaries, tag_path)
+            )
+        return len(dirty)
 
     # ------------------------------------------------------------------
     # Collection-side (used by collect_statistics)
@@ -438,17 +580,21 @@ class DataStatistics:
         key = str(pattern)
         cached = self._matching_cache.get(key)
         if cached is None:
-            if len(self._path_ids) != len(self.path_counts):
-                self._path_ids = [
-                    (GLOBAL_TABLE.intern(path), path) for path in self.path_counts
+            paths = self._matched_paths.get(key)
+            if paths is None:
+                if len(self._path_ids) != len(self.path_counts):
+                    self._path_ids = [
+                        (GLOBAL_TABLE.intern(path), path)
+                        for path in self.path_counts
+                    ]
+                matched = pattern.matcher.matching_ids()
+                paths = self._matched_paths[key] = [
+                    path for path_id, path in self._path_ids if path_id in matched
                 ]
-            matched = pattern.matcher.matching_ids()
-            cached = [
-                (path, self.path_counts[path])
-                for path_id, path in self._path_ids
-                if path_id in matched
+            counts = self.path_counts
+            cached = self._matching_cache[key] = [
+                (path, counts[path]) for path in paths
             ]
-            self._matching_cache[key] = cached
         return cached
 
     def document_frequency(
@@ -688,6 +834,7 @@ def collect_statistics(collection) -> DataStatistics:
             if summary is None:
                 summary = PathValueSummary()
                 dict.__setitem__(summaries, tag_path, summary)
+                stats._first_holders[tag_path] = document.doc_id
             for text in synopsis.values[slot]:
                 summary.observe(text)
     stats._finalize()

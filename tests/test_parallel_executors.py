@@ -216,6 +216,7 @@ def test_statistics_pickle_drops_interning_caches():
     clone = pickle.loads(pickle.dumps(stats))
     assert clone._path_ids == []
     assert clone._matching_cache == {}
+    assert clone._matched_paths == {}
     # Rebuilt caches give identical answers.
     assert sorted(clone.matching_paths(pattern)) == sorted(
         stats.matching_paths(pattern)

@@ -208,8 +208,9 @@ class TestSerialEquivalence:
         assert server.mode == "tournament"
         assert_serially_equivalent(schedule, server, responses)
         snapshots = server.snapshots.stats()
-        assert snapshots["cached_blobs"] == len(server.database.collections)
-        assert snapshots["compositions"] > snapshots["decodes"]
+        assert snapshots["generations"] == len(server.database.collections)
+        assert snapshots["compositions"] > snapshots["clones"]
+        assert snapshots["serializations"] == 0
 
     def test_advise_requests_replay_bit_identical(self):
         schedule = mixed_schedule(writes=2, with_advise=True)

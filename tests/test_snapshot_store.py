@@ -8,16 +8,19 @@ Three layers of pinning:
    equality and whole-graph :func:`canonical_dumps`), under ANY
    interleaving of DML, DDL, runstats, statistics invalidation, lazy
    summary repair, and LRU evictions (hypothesis drives the op stream).
-2. **Re-serialization accounting** -- repeat snapshots at unchanged
-   epochs serialize nothing; DML on one collection re-serializes only
-   that collection (the PR's headline perf claims, pinned as counter
-   equalities, not timings).
-3. **Shared generations** (ISSUE PR 12) -- snapshots at unchanged keys
-   share one decoded part per collection and decode nothing; the store
-   holds one generation per collection however many writes ran;
-   snapshots taken around DML stay isolated; a store-composed snapshot
-   is read-only (typed error) while a pickled copy of it is writable;
-   concurrent lanes reading one shared part leave it unchanged.
+2. **Generation accounting** -- repeat snapshots at unchanged epochs
+   clone and serialize nothing; DML on one collection refreshes only
+   that collection's generation; a snapshot never serializes, only a
+   blob request does (the perf claims, pinned as counter equalities,
+   not timings).
+3. **Shared generations** (ISSUE PR 12, copy-on-write since PR 22) --
+   snapshots at unchanged keys share one cloned part per collection;
+   parts share the live ``XmlDocument`` objects but own every container;
+   the store holds one generation per collection however many writes
+   ran; snapshots taken around DML stay isolated; a store-composed
+   snapshot is read-only (typed error) while a pickled copy of it is
+   writable; concurrent lanes reading one shared part leave it
+   unchanged.
 4. **Consumers** -- the serve layer's request snapshots and the
    parallel engine's delta-shipped process workers produce results
    bit-identical to their store-less baselines, and the EpochGate's
@@ -40,7 +43,7 @@ from repro.parallel import ParallelWhatIfSession
 from repro.query.workload import Workload
 from repro.robustness.errors import ReadOnlySnapshotError
 from repro.serve import AdvisorServer, SeededScheduler
-from repro.storage import IndexDefinition, IndexValueType
+from repro.storage import IndexDefinition, IndexValueType, statistics
 from repro.storage.snapshots import (
     SnapshotStore,
     canonical_dumps,
@@ -131,8 +134,9 @@ class TestStoreBitIdentity:
         assert_bit_identical(second, fresh_round_trip(database))
 
     def test_evictions_do_not_break_identity(self):
-        """A budget too small to hold the blobs forces evictions and
-        re-serializations -- never wrong bytes."""
+        """A budget too small to hold the blobs a shipper asks for forces
+        evictions, re-clones and re-serializations -- never wrong
+        bytes."""
         database = build_database()
         database.runstats("SDOC")
         store = SnapshotStore(budget_bytes=1)
@@ -140,6 +144,7 @@ class TestStoreBitIdentity:
             assert_bit_identical(
                 store.snapshot(database), fresh_round_trip(database)
             )
+            store.blobs(database)
         assert store.stats()["evictions"] > 0
 
 
@@ -278,7 +283,7 @@ def test_whatif_probes_through_snapshots_stay_bit_identical(ops):
 
 
 # ---------------------------------------------------------------------------
-# Re-serialization accounting (the perf claims as counter equalities)
+# Generation accounting (the perf claims as counter equalities)
 # ---------------------------------------------------------------------------
 
 
@@ -294,7 +299,8 @@ class TestReserializationAccounting:
         for _ in range(5):
             store.snapshot(database)
         after = store.stats()
-        assert after["serializations"] == baseline["serializations"]
+        assert after["serializations"] == baseline["serializations"] == 0
+        assert after["clones"] == baseline["clones"]
         assert after["misses"] == baseline["misses"]
         assert (
             after["hits"]
@@ -302,19 +308,54 @@ class TestReserializationAccounting:
         )
 
     def test_dml_reserializes_only_the_touched_collection(self):
-        """Satellite 2's regression: DML on SDOC must not re-serialize
-        ODOC/CDOC (the old ``_snapshot_payload`` re-pickled the world)."""
+        """DML on SDOC refreshes SDOC's generation only: the next
+        snapshot clones that one collection and serializes nothing; the
+        next blob request serializes that one collection (the old
+        ``_snapshot_payload`` re-pickled the world)."""
         database = build_database()
         store = SnapshotStore()
         store.snapshot(database)
+        store.blobs(database)
         before = store.stats()
+        assert before["serializations"] == len(database.collections)
         database.insert_document("SDOC", SECURITY)
         store.snapshot(database)
         after = store.stats()
-        assert after["serializations"] == before["serializations"] + 1
+        assert after["clones"] == before["clones"] + 1
         assert after["misses"] == before["misses"] + 1
         untouched = len(database.collections) - 1
         assert after["hits"] == before["hits"] + untouched
+        assert after["serializations"] == before["serializations"]
+        assert after["bytes_serialized"] == before["bytes_serialized"]
+        assert after["cached_blobs"] == untouched
+        store.blobs(database)
+        shipped = store.stats()
+        assert shipped["serializations"] == before["serializations"] + 1
+        assert shipped["misses"] == after["misses"]
+        assert shipped["clones"] == after["clones"]
+
+    def test_blob_is_serialized_only_on_request(self):
+        """Snapshots, however many and across writes, never pickle a
+        collection; ``collection_blob`` does, once per key, and its
+        bytes decode to the snapshot's part."""
+        database = build_database()
+        database.runstats("SDOC")
+        store = SnapshotStore()
+        for _ in range(3):
+            database.insert_document("SDOC", SECURITY)
+            snapshot = store.snapshot(database)
+        idle = store.stats()
+        assert idle["serializations"] == idle["bytes_serialized"] == 0
+        assert idle["cached_blobs"] == idle["bytes_cached"] == 0
+        blob = store.collection_blob(database, "SDOC")
+        assert store.collection_blob(database, "SDOC") is blob
+        asked = store.stats()
+        assert asked["serializations"] == asked["cached_blobs"] == 1
+        assert asked["bytes_serialized"] == asked["bytes_cached"] == len(blob)
+        assert asked["clones"] == idle["clones"]
+        assert canonical_dumps(pickle.loads(blob)) == canonical_dumps(
+            capture_part(snapshot, "SDOC")
+        )
 
     def test_runstats_moves_only_its_collection_key(self):
         """Statistics transitions (appear/mutate/disappear) re-key only
@@ -328,7 +369,8 @@ class TestReserializationAccounting:
         assert dict(database.collection_epochs) == epochs
         store.snapshot(database)
         after = store.stats()
-        assert after["serializations"] == before["serializations"] + 1
+        assert after["clones"] == before["clones"] + 1
+        assert after["misses"] == before["misses"] + 1
 
     def test_delta_carries_only_moved_keys(self):
         """The parallel engine's delta payload after single-collection
@@ -344,7 +386,7 @@ class TestReserializationAccounting:
 
 
 # ---------------------------------------------------------------------------
-# Shared generations: one decoded part per collection, read-only snapshots
+# Shared generations: one cloned part per collection, read-only snapshots
 # ---------------------------------------------------------------------------
 
 
@@ -364,15 +406,15 @@ def _recommend_on(database):
 
 
 class TestSharedGenerations:
-    def test_unchanged_keys_decode_nothing_and_share_parts(self):
+    def test_unchanged_keys_clone_nothing_and_share_parts(self):
         database = _primed_database()
         names = list(database.collections)
         store = SnapshotStore()
         first = store.snapshot(database)
         warm = store.stats()
-        assert warm["decodes"] == warm["parts_held"] == len(names)
+        assert warm["clones"] == warm["parts_held"] == len(names)
         second = store.snapshot(database)
-        assert store.stats()["decodes"] == warm["decodes"]
+        assert store.stats()["clones"] == warm["clones"]
         for name in names:
             assert second.collections[name] is first.collections[name]
             assert second._statistics[name] is first._statistics[name]
@@ -380,18 +422,55 @@ class TestSharedGenerations:
         assert second.catalog is not first.catalog
         assert second.collection_epochs is not first.collection_epochs
 
-    def test_dml_decodes_only_the_touched_collection(self):
+    def test_dml_clones_only_the_touched_collection(self):
         database = _primed_database()
         store = SnapshotStore()
         before = store.snapshot(database)
-        decodes = store.stats()["decodes"]
+        clones = store.stats()["clones"]
         database.insert_document("SDOC", SECURITY)
         after = store.snapshot(database)
-        assert store.stats()["decodes"] == decodes + 1
+        assert store.stats()["clones"] == clones + 1
         assert after.collections["SDOC"] is not before.collections["SDOC"]
         for name in database.collections:
             if name != "SDOC":
                 assert after.collections[name] is before.collections[name]
+
+    def test_parts_share_documents_and_own_their_containers(self):
+        """Copy-on-write: a part lists the live ``XmlDocument`` objects
+        in containers of its own, so later writes to the live database
+        -- an append, a tombstone, an entry merge, a statistics delta --
+        never show through it."""
+        database = _primed_database()
+        database.create_index(
+            IndexDefinition(
+                "snap_idx",
+                "SDOC",
+                parse_pattern("/Security/Yield"),
+                IndexValueType.NUMERIC,
+            )
+        )
+        live = database.collections["SDOC"]
+        snapshot = SnapshotStore().snapshot(database)
+        part = snapshot.collections["SDOC"]
+        assert part is not live and part.documents is not live.documents
+        assert all(
+            mine is theirs
+            for mine, theirs in zip(part.documents, live.documents)
+        )
+        entries = snapshot.indexes["snap_idx"].entries
+        assert entries is not database.indexes["snap_idx"].entries
+        assert entries == database.indexes["snap_idx"].entries
+        stats = snapshot._statistics["SDOC"]
+        assert stats is not database.runstats("SDOC")
+        assert stats._collection is part
+        frozen = partitioned_dumps(snapshot)
+        documents, doc_zero = list(part.documents), part.documents[0]
+        database.insert_document("SDOC", SECURITY)
+        database.delete_document("SDOC", 0)
+        assert live.documents[0] is None and len(live.documents) == 13
+        assert part.documents == documents and part.documents[0] is doc_zero
+        assert len(part) == 12 and stats.doc_count == 12
+        assert partitioned_dumps(snapshot) == frozen
 
     def test_built_index_shares_entries_not_its_definition_link(self):
         """Each snapshot's built index shares its definition object with
@@ -451,7 +530,9 @@ class TestSharedGenerations:
         database = _primed_database()
         store = SnapshotStore()
         store.snapshot(database)
+        store.blobs(database)
         baseline = store.stats()
+        assert baseline["generations"] == len(database.collections)
         assert baseline["cached_blobs"] == len(database.collections)
         for _ in range(12):
             doc_id = database.insert_document("SDOC", SECURITY)
@@ -459,11 +540,20 @@ class TestSharedGenerations:
             database.delete_document("SDOC", doc_id)
             store.snapshot(database)
         after = store.stats()
-        assert after["cached_blobs"] == len(database.collections)
+        assert after["generations"] == len(database.collections)
         assert after["parts_held"] == len(database.collections)
         assert after["evictions"] == 0
+        assert after["clones"] == baseline["clones"] + 24
+        # SDOC's superseded blob went with its generation, and no
+        # snapshot made a new one: the budget counts materialised blobs
+        assert after["serializations"] == baseline["serializations"]
+        assert after["cached_blobs"] == len(database.collections) - 1
+        assert after["bytes_cached"] < baseline["bytes_cached"]
+        store.blobs(database)
+        shipped = store.stats()
+        assert shipped["cached_blobs"] == len(database.collections)
         # flat up to the tombstone each deleted document id leaves
-        assert after["bytes_cached"] < baseline["bytes_cached"] + 1024
+        assert shipped["bytes_cached"] < baseline["bytes_cached"] + 1024
 
     def test_resnapshot_of_a_superseded_snapshot_is_a_correct_miss(self):
         database = _primed_database()
@@ -480,11 +570,15 @@ class TestSharedGenerations:
             store.snapshot(database), fresh_round_trip(database)
         )
 
-    def test_lazy_repair_through_a_snapshot_discards_the_part(self):
-        """A delete leaves dirty summaries; a probe through a snapshot
-        repairs them in place on the shared statistics, moving their
-        stamp off the key's -- the store must decode the blob again
-        instead of handing the repaired part out."""
+    def test_lazy_repair_through_a_snapshot_discards_the_part(
+        self, monkeypatch
+    ):
+        """A delete on paths at a cap leaves dirty summaries; a probe
+        through a snapshot repairs them in place on the shared
+        statistics, moving their stamp off the key's -- the store must
+        clone the live collection again instead of handing the repaired
+        part out."""
+        monkeypatch.setattr(statistics, "MAX_STRING_FREQ", 4)
         database = _primed_database()
         database.delete_document("SDOC", 0)
         store = SnapshotStore()
@@ -493,23 +587,33 @@ class TestSharedGenerations:
         stamp = stats.mutation_stamp
         assert stats.rebuild_dirty_summaries() > 0
         assert stats.mutation_stamp > stamp
+        clones = store.stats()["clones"]
         fresh = store.snapshot(database)
         assert store.stats()["parts_discarded"] == 1
+        assert store.stats()["clones"] == clones + 1
         assert fresh._statistics["SDOC"] is not stats
+        assert fresh._statistics["SDOC"]._dirty_paths
         assert_bit_identical(fresh, fresh_round_trip(database))
 
     def test_eviction_drops_part_with_blob(self):
+        """The budget bounds materialised blobs: snapshots alone never
+        trip it, a shipper's blobs do, and an evicted generation takes
+        its part along."""
         database = _primed_database()
+        names = len(database.collections)
         store = SnapshotStore(budget_bytes=1)
         for _ in range(3):
             assert_bit_identical(
                 store.snapshot(database), fresh_round_trip(database)
             )
+            held = store.stats()
+            assert held["generations"] == held["parts_held"] == names
+            store.blobs(database)
             stats = store.stats()
-            assert stats["cached_blobs"] == 1
-            assert stats["parts_held"] <= stats["cached_blobs"]
+            assert stats["generations"] == stats["cached_blobs"] == 1
+            assert stats["parts_held"] == 0
         assert stats["evictions"] > 0
-        assert stats["decodes"] == 3 * len(database.collections)
+        assert stats["clones"] == stats["serializations"] == 3 * names
 
 
 MUTATORS = {
@@ -728,9 +832,9 @@ class TestServeConsumer:
 
     def test_served_recommend_composes_four_snapshots_from_held_parts(self):
         """A tournament recommend takes four snapshots (the request's
-        and one per lane); at unchanged epochs none of them decodes a
-        blob, after a write exactly the touched collection is decoded
-        once for all four."""
+        and one per lane); at unchanged epochs none of them clones a
+        collection, after a write exactly the touched collection is
+        cloned once for all four, and nothing is ever serialized."""
 
         async def scenario():
             async with AdvisorServer(build_database()) as server:
@@ -748,9 +852,11 @@ class TestServeConsumer:
 
         warm, steady, written = _run(scenario())
         assert steady["compositions"] == warm["compositions"] + 4
-        assert steady["decodes"] == warm["decodes"]
+        assert steady["clones"] == warm["clones"]
         assert written["compositions"] == steady["compositions"] + 4
-        assert written["decodes"] == steady["decodes"] + 1
+        assert written["clones"] == steady["clones"] + 1
+        assert written["serializations"] == written["bytes_serialized"] == 0
+        assert written["generations"] == 3 and written["cached_blobs"] == 0
 
     @staticmethod
     def _contended_schedule(rounds: int = 3):
