@@ -31,16 +31,20 @@ class CandidateDag:
 
     # ------------------------------------------------------------------
     def _build(self) -> None:
-        # strict coverage: g covers c, and not (c covers g)
-        covers: Dict[CandidateKey, Set[CandidateKey]] = {}
+        # strict coverage: g covers c, and not (c covers g).  Covered keys
+        # are kept in candidate order (a dict, not a set): children order
+        # decides the top down search's configuration order and with it
+        # the float summation order of its benefit, which must not depend
+        # on the string hash seed.
+        covers: Dict[CandidateKey, Dict[CandidateKey, None]] = {}
         by_key = {c.key: c for c in self.candidates}
         for general in self.candidates:
-            covered: Set[CandidateKey] = set()
+            covered: Dict[CandidateKey, None] = {}
             for other in self.candidates:
                 if other.key == general.key:
                     continue
                 if general.covers(other) and not other.covers(general):
-                    covered.add(other.key)
+                    covered[other.key] = None
             covers[general.key] = covered
         # transitive reduction: keep edge g->c only if no d with
         # g covers d and d covers c.

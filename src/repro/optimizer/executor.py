@@ -23,6 +23,7 @@ from repro.optimizer.plans import (
     IndexScan,
     PlanNode,
 )
+from repro.optimizer.rewriter import RangeRequest
 from repro.query.model import (
     DeleteStatement,
     InsertStatement,
@@ -181,9 +182,31 @@ class Executor:
     def _scan_doc_ids(self, scan: IndexScan) -> Set[int]:
         index = self.database.index(scan.definition.name)
         request = scan.request
+        if isinstance(request, RangeRequest) and not self._one_node_per_doc(
+            scan.definition.collection, request.pattern
+        ):
+            # The merged bounds are two existential conditions: with
+            # several nodes on the pattern, a document qualifies when
+            # each bound holds on *some* node, not necessarily the same.
+            lower, upper = (
+                index.request_on_pattern(bound, bound.pattern)
+                for bound in request.bounds()
+            )
+            self._entries_scanned += len(lower) + len(upper)
+            return {doc_id for doc_id, _ in lower} & {doc_id for doc_id, _ in upper}
         entries = index.request_on_pattern(request, request.pattern)
         self._entries_scanned += len(entries)
         return {doc_id for doc_id, _ in entries}
+
+    def _one_node_per_doc(self, collection: str, pattern) -> bool:
+        """Whether the statistics show no document holding two nodes the
+        pattern matches (one matched path, as many nodes as documents) --
+        then a range scan over single nodes is exact."""
+        stats = self.database.runstats(collection)
+        paths = stats.matching_paths(pattern)
+        return len(paths) <= 1 and all(
+            count == stats.path_doc_counts.get(path) for path, count in paths
+        )
 
     # ------------------------------------------------------------------
     # Joins

@@ -16,15 +16,32 @@ indexes.  The two server-side extensions of the paper (Section III) are:
 
 ``Optimizer.calls`` counts invocations so the advisor's efficient benefit
 evaluation (Section VI-C) can be measured.
+
+Planning a query or a delete has a configuration-independent half and a
+cheap configuration-dependent combiner -- INUM's observation, which CoPhy
+builds on.  The first half is a function of the statement's
+:class:`~repro.optimizer.rewriter.RequestSignature`, the cost constants
+and the collection's statistics at one ``mutation_stamp``: the merged
+requests, the result cardinality, the collection-scan cost and, per
+(request, index pattern), the cost model's index access estimate.  It is
+compiled once into an :class:`AccessEntry` of the :class:`AccessTable`
+attached to the statistics object, which every session, portfolio lane
+and snapshot clone planning against those statistics shares.  An
+evaluate picks each request's best access among the visible definitions
+and runs the greedy index-ANDing combiner; the plan tree is built only
+when somebody reads ``OptimizationResult.plan``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import functools
+import weakref
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.optimizer.cost import CostConstants, CostModel, IndexAccessEstimate
+from repro.optimizer.cost import CostConstants, CostModel
 from repro.optimizer.plans import (
     CollectionScan,
     Fetch,
@@ -34,13 +51,11 @@ from repro.optimizer.plans import (
     PlanNode,
 )
 from repro.optimizer.rewriter import (
-    DisjunctiveRequest,
     PathRequest,
-    RangeRequest,
+    RequestSignature,
     extract_all_requests,
-    extract_disjunctive_requests,
-    extract_path_requests,
     merge_range_requests,
+    request_signature,
 )
 from repro.query.model import (
     DeleteStatement,
@@ -52,6 +67,7 @@ from repro.query.model import (
 from repro.storage.catalog import IndexDefinition
 from repro.storage.database import Database
 from repro.storage.index import IndexValueType
+from repro.storage.statistics import DataStatistics
 from repro.xmlmodel.parser import parse_fragment
 from repro.xpath.patterns import parse_pattern
 
@@ -62,20 +78,183 @@ UNIVERSAL_PATTERNS = ("//*", "//@*")
 _UNIVERSAL_PARSED = tuple(parse_pattern(text) for text in UNIVERSAL_PATTERNS)
 
 
-@dataclass
+# ----------------------------------------------------------------------
+# The access table
+# ----------------------------------------------------------------------
+class _AccessSlot:
+    """One request of the access table and its lazily filled map from
+    index pattern to ``(candidate_docs, scan_cost)`` -- or ``False`` when
+    the pattern does not cover the request.  Only indexes of the
+    request's own key type are looked up, so the pattern is the key."""
+
+    __slots__ = ("request", "value_type", "_text", "costs")
+
+    def __init__(self, request: PathRequest) -> None:
+        self.request = request
+        self.value_type = request.value_type
+        self._text: Optional[str] = None
+        self.costs: Dict[object, object] = {}
+
+    @property
+    def text(self) -> str:
+        if self._text is None:
+            self._text = str(self.request)
+        return self._text
+
+
+class AccessEntry:
+    """The configuration-independent half of planning one request
+    signature: merged conjunctive requests, disjunction alternatives,
+    the expected result documents and the collection-scan costs."""
+
+    __slots__ = (
+        "requests",
+        "disjunctions",
+        "result_docs",
+        "doc_count",
+        "scan_cost",
+        "scan_plan_cost",
+        "__weakref__",
+    )
+
+    def __init__(
+        self,
+        requests: Tuple[_AccessSlot, ...],
+        disjunctions: Tuple[Tuple[_AccessSlot, ...], ...],
+        model: CostModel,
+    ) -> None:
+        self.requests = requests
+        self.disjunctions = disjunctions
+        docs = float(model.doc_count)
+        fraction = 1.0
+        for slot in requests:
+            fraction *= min(1.0, model.request_result_docs(slot.request) / docs)
+        for alternatives in disjunctions:
+            miss = 1.0
+            for slot in alternatives:
+                sel = min(1.0, model.request_result_docs(slot.request) / docs)
+                miss *= 1.0 - sel
+            fraction *= 1.0 - miss
+        self.result_docs = docs * fraction
+        self.doc_count = docs
+        self.scan_cost = model.collection_scan_cost()
+        # The scan already navigates everything; Fetch adds only output.
+        self.scan_plan_cost = self.scan_cost + model.output_cost(self.result_docs)
+
+
+class AccessTable:
+    """Compiled planner inputs of one :class:`DataStatistics` object at
+    one ``mutation_stamp`` (``statistics.access_table``).
+
+    Replaced by the first planner that finds the stamp moved, and never
+    pickled.  It references no statistics and no statement: entries are
+    keyed by ``(request signature, cost constants)``, slots by
+    ``(request, cost constants)``, and both hold requests, patterns and
+    floats -- the table's own interned copies, so the entries of
+    statements that differ only in their literals share one pattern
+    object and no entry pins the objects of the statement it was
+    compiled from.  Fills race benignly (two threads store equal
+    values)."""
+
+    __slots__ = ("stamp", "entries", "slots", "interned", "__weakref__")
+
+    def __init__(self, stamp: int) -> None:
+        self.stamp = stamp
+        self.entries: Dict[Tuple, AccessEntry] = {}
+        self.slots: Dict[Tuple, _AccessSlot] = {}
+        self.interned: Dict[object, object] = {}
+
+    def intern(self, request: PathRequest) -> PathRequest:
+        """The table's copy of ``request``, over its copy of the pattern."""
+        found = self.interned.get(request)
+        if found is None:
+            pattern = self.interned.setdefault(request.pattern, request.pattern)
+            if pattern is not request.pattern:
+                request = dataclasses.replace(request, pattern=pattern)
+            found = self.interned[request] = request
+        return found
+
+
+class AccessHandle:
+    """A caller's direct reference to one statement's access entry (a
+    what-if session keeps one per statement id), so a repeated call
+    skips the signature lookup.  ``held`` is a weak reference to the
+    table and one to the entry, replaced as one value: valid while that
+    table is still the statistics' current one (it holds the entry), and
+    never keeping a superseded table or entry alive."""
+
+    __slots__ = ("held",)
+
+    def __init__(self) -> None:
+        self.held: Optional[Tuple[weakref.ref, weakref.ref]] = None
+
+
+def access_table(statistics: DataStatistics) -> Optional[AccessTable]:
+    """The table valid at the statistics' current stamp -- installed on
+    first use after the stamp moved -- or ``None`` while a delta or a
+    summary repair is in progress (then nothing may be stored)."""
+    stamp = statistics.quiescent_stamp()
+    if stamp is None:
+        return None
+    table = statistics.access_table
+    if table is None or table.stamp != stamp:
+        table = statistics.access_table = AccessTable(stamp)
+    return table
+
+
+def _storable(table: Optional[AccessTable], statistics: DataStatistics) -> bool:
+    """Whether a value just computed may enter ``table``: not if the
+    statistics moved (a lazy summary repair, a concurrent delta) while
+    it was computed, nor while they are moving."""
+    return table is not None and statistics.quiescent_stamp() == table.stamp
+
+
+class _Access:
+    """The chosen index for one request: its definition and the access
+    costs the table holds for its pattern."""
+
+    __slots__ = ("definition", "slot", "candidate_docs", "scan_cost")
+
+    def __init__(
+        self,
+        definition: IndexDefinition,
+        slot: _AccessSlot,
+        costs: Tuple[float, float],
+    ) -> None:
+        self.definition = definition
+        self.slot = slot
+        self.candidate_docs, self.scan_cost = costs
+
+    @property
+    def request(self) -> PathRequest:
+        return self.slot.request
+
+
 class _Leg:
     """One access leg of an index plan: a single scan, or an OR-group of
     scans serving a disjunctive predicate."""
 
-    branches: List["IndexAccessEstimate"]
-    is_or: bool
-    scan_cost: float
-    candidate_docs: float
+    __slots__ = ("branches", "is_or", "scan_cost", "candidate_docs", "_key")
+
+    def __init__(
+        self,
+        branches: List[_Access],
+        is_or: bool,
+        scan_cost: float,
+        candidate_docs: float,
+    ) -> None:
+        self.branches = branches
+        self.is_or = is_or
+        self.scan_cost = scan_cost
+        self.candidate_docs = candidate_docs
+        self._key = None
 
     def key(self) -> Tuple:
-        return tuple(
-            (b.definition.name, str(b.request)) for b in self.branches
-        )
+        if self._key is None:
+            self._key = tuple(
+                (b.definition.name, b.slot.text) for b in self.branches
+            )
+        return self._key
 
     def to_plan_node(self) -> PlanNode:
         scans = []
@@ -90,6 +269,61 @@ class _Leg:
         group.estimated_cost = self.scan_cost
         group.estimated_docs = self.candidate_docs
         return group
+
+
+def _scan_plan(
+    collection: str,
+    scan_cost: float,
+    doc_count: float,
+    total_cost: float,
+    result_docs: float,
+) -> PlanNode:
+    scan = CollectionScan(collection)
+    scan.estimated_cost = scan_cost
+    scan.estimated_docs = doc_count
+    plan = Fetch(scan, collection)
+    plan.estimated_cost = total_cost
+    plan.estimated_docs = result_docs
+    return plan
+
+
+def _index_plan(
+    legs: List[_Leg], anded_docs: float, result_docs: float, total_cost: float
+) -> PlanNode:
+    nodes: List[PlanNode] = [leg.to_plan_node() for leg in legs]
+    source: PlanNode
+    if len(nodes) == 1:
+        source = nodes[0]
+    else:
+        source = IndexAnding(nodes)
+        source.estimated_cost = sum(n.estimated_cost for n in nodes)
+        source.estimated_docs = anded_docs
+    collection = legs[0].branches[0].definition.collection
+    plan = Fetch(source, collection)
+    plan.estimated_cost = total_cost
+    plan.estimated_docs = result_docs
+    return plan
+
+
+class _DeferredPlan(functools.partial):
+    """A plan tree not built yet: calling it builds the tree."""
+
+
+class _PlanField:
+    """``OptimizationResult.plan``: a :class:`PlanNode`, or a
+    :class:`_DeferredPlan` the planner handed in, built on first read
+    (what-if callers mostly read only ``estimated_cost``)."""
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            return None  # the field's default
+        plan = result.__dict__["_plan"]
+        if isinstance(plan, _DeferredPlan):
+            plan = result.__dict__["_plan"] = plan()
+        return plan
+
+    def __set__(self, result, plan) -> None:
+        result.__dict__["_plan"] = plan
 
 
 class OptimizerMode(enum.Enum):
@@ -126,7 +360,7 @@ class OptimizationResult:
     statement: Statement
     mode: OptimizerMode
     estimated_cost: float
-    plan: Optional[PlanNode] = None
+    plan: Optional[PlanNode] = _PlanField()
     used_indexes: Tuple[str, ...] = ()
     candidates: List[EnumeratedCandidate] = field(default_factory=list)
     #: True when the optimizer failed past retries and ``estimated_cost``
@@ -168,23 +402,26 @@ class Optimizer:
         statement: Statement,
         mode: OptimizerMode = OptimizerMode.NORMAL,
         virtual_definitions: Sequence[IndexDefinition] = (),
+        handle: Optional[AccessHandle] = None,
     ) -> OptimizationResult:
         """Optimize ``statement`` under ``mode``.
 
-        ``virtual_definitions`` is only consulted in EVALUATE mode.
+        ``virtual_definitions`` is only consulted in EVALUATE mode.  A
+        caller that plans the same query or delete repeatedly may pass
+        the statement's :class:`AccessHandle`.
         """
         self.calls += 1
         if mode is OptimizerMode.ENUMERATE:
             return self._enumerate(statement)
         if isinstance(statement, JoinQuery):
             return self._optimize_join(statement, mode, virtual_definitions)
-        definitions = self._visible_definitions(statement, mode, virtual_definitions)
-        if isinstance(statement, Query):
-            return self._optimize_query(statement, mode, definitions)
         if isinstance(statement, InsertStatement):
             return self._optimize_insert(statement, mode)
+        definitions = self._visible_definitions(statement, mode, virtual_definitions)
+        if isinstance(statement, Query):
+            return self._optimize_query(statement, mode, definitions, handle)
         if isinstance(statement, DeleteStatement):
-            return self._optimize_delete(statement, mode, definitions)
+            return self._optimize_delete(statement, mode, definitions, handle)
         raise TypeError(f"unknown statement type {type(statement)!r}")
 
     # ------------------------------------------------------------------
@@ -197,13 +434,14 @@ class Optimizer:
         virtual_definitions: Sequence[IndexDefinition],
     ) -> List[IndexDefinition]:
         collection = statement.collection
+        built = self.database.indexes
         real = [
             d
             for d in self.database.catalog.definitions_for(
                 collection, include_virtual=False
             )
-            if d.name in self.database.indexes
-        ]
+            if d.name in built
+        ] if built else []
         if mode is OptimizerMode.EVALUATE:
             extras = [
                 d
@@ -239,21 +477,13 @@ class Optimizer:
                 candidates=candidates,
             )
         collection = statement.collection
-        universals = [
-            IndexDefinition(
-                name=f"__universal_{value_type.name.lower()}_{i}",
-                collection=collection,
-                pattern=pattern,
-                value_type=value_type,
-                virtual=True,
-            )
-            for i, pattern in enumerate(_UNIVERSAL_PARSED)
-            for value_type in IndexValueType
+        # The universal indexes come in every key type, so a request
+        # matches one of them exactly when a universal pattern covers it.
+        candidates = [
+            EnumeratedCandidate(request, collection)
+            for request in extract_all_requests(statement)
+            if any(pattern.covers(request.pattern) for pattern in _UNIVERSAL_PARSED)
         ]
-        candidates = []
-        for request in extract_all_requests(statement):
-            if any(index_matches_request(u, request) for u in universals):
-                candidates.append(EnumeratedCandidate(request, collection))
         # Optimization terminates after index matching in this mode.
         return OptimizationResult(
             statement=statement,
@@ -263,177 +493,204 @@ class Optimizer:
         )
 
     # ------------------------------------------------------------------
-    # Query planning
+    # Access entries (the configuration-independent half)
+    # ------------------------------------------------------------------
+    def _access_entry(
+        self,
+        model: CostModel,
+        statement: Statement,
+        handle: Optional[AccessHandle] = None,
+    ) -> Tuple[AccessEntry, Optional[AccessTable]]:
+        """The statement's entry in the table of ``model``'s statistics
+        (compiled on a miss), and that table -- ``None`` while the
+        statistics are moving, when the entry is a private one."""
+        statistics = model.stats
+        table = access_table(statistics)
+        if table is None:
+            return self._compile(model, request_signature(statement), None), None
+        held = handle.held if handle is not None else None
+        if held is not None and held[0]() is table:
+            entry = held[1]()
+            if entry is not None:  # else a racing fill replaced it
+                return entry, table
+        signature = request_signature(statement)
+        entry = table.entries.get((signature, self.constants))
+        if entry is None:
+            entry = self._compile(model, signature, table)
+            if not _storable(table, statistics):
+                return entry, table
+            table.entries[(signature.map(table.intern), self.constants)] = entry
+        if handle is not None:
+            handle.held = (weakref.ref(table), weakref.ref(entry))
+        return entry, table
+
+    def _compile(
+        self,
+        model: CostModel,
+        signature: RequestSignature,
+        table: Optional[AccessTable],
+    ) -> AccessEntry:
+        return AccessEntry(
+            tuple(
+                self._slot(table, request)
+                for request in merge_range_requests(list(signature.requests))
+            ),
+            tuple(
+                tuple(
+                    self._slot(table, alternative)
+                    for alternative in disjunction.alternatives
+                )
+                for disjunction in signature.disjunctions
+            ),
+            model,
+        )
+
+    def _slot(
+        self, table: Optional[AccessTable], request: PathRequest
+    ) -> _AccessSlot:
+        """The table's slot for ``request`` (shared by every entry whose
+        statement makes the same request)."""
+        if table is None:
+            return _AccessSlot(request)
+        slot = table.slots.get((request, self.constants))
+        if slot is None:
+            request = table.intern(request)
+            slot = table.slots[(request, self.constants)] = _AccessSlot(request)
+        return slot
+
+    def _best_access(
+        self,
+        model: CostModel,
+        slot: _AccessSlot,
+        definitions: Sequence[IndexDefinition],
+        table: Optional[AccessTable],
+    ) -> Optional[_Access]:
+        """The cheapest index for one request: fewest candidate documents,
+        then lowest scan cost; the first definition wins a tie."""
+        best: Optional[Tuple[IndexDefinition, Tuple[float, float]]] = None
+        costs = slot.costs
+        for definition in definitions:
+            if definition.value_type is not slot.value_type:
+                continue
+            found = costs.get(definition.pattern)
+            if found is None:
+                if index_matches_request(definition, slot.request):
+                    estimate = model.index_access(definition, slot.request)
+                    found = (estimate.candidate_docs, estimate.scan_cost)
+                else:
+                    found = False
+                if _storable(table, model.stats):
+                    costs[definition.pattern] = found
+            if found is False:
+                continue
+            if best is None or found < best[1]:
+                best = (definition, found)
+        if best is None:
+            return None
+        return _Access(best[0], slot, best[1])
+
+    # ------------------------------------------------------------------
+    # Query planning (the configuration-dependent combiner)
     # ------------------------------------------------------------------
     def _optimize_query(
         self,
         query: Query,
         mode: OptimizerMode,
         definitions: List[IndexDefinition],
+        handle: Optional[AccessHandle] = None,
     ) -> OptimizationResult:
         model = self._cost_model(query.collection)
-        requests = extract_path_requests(query)
-        disjunctions = extract_disjunctive_requests(query)
-        result_docs = self._conjunctive_result_docs(model, requests, disjunctions)
-
-        scan_plan = self._collection_scan_plan(query.collection, model, result_docs)
-        best_plan: PlanNode = scan_plan
-        index_plan = self._best_index_plan(
-            query.collection, model, requests, disjunctions, definitions, result_docs
-        )
-        if index_plan is not None and index_plan.estimated_cost < best_plan.estimated_cost:
-            best_plan = index_plan
-        from repro.optimizer.plans import used_index_names
-
+        entry, table = self._access_entry(model, query, handle)
+        cost, plan, used = self._plan(query.collection, model, entry, definitions, table)
         return OptimizationResult(
             statement=query,
             mode=mode,
-            estimated_cost=best_plan.estimated_cost,
-            plan=best_plan,
-            used_indexes=used_index_names(best_plan),
+            estimated_cost=cost,
+            plan=plan,
+            used_indexes=used,
         )
 
-    def _collection_scan_plan(
-        self, collection: str, model: CostModel, result_docs: float
-    ) -> PlanNode:
-        scan = CollectionScan(collection)
-        scan.estimated_cost = model.collection_scan_cost()
-        scan.estimated_docs = float(model.doc_count)
-        plan = Fetch(scan, collection)
-        # The scan already navigates everything; Fetch adds only output.
-        plan.estimated_cost = scan.estimated_cost + model.output_cost(result_docs)
-        plan.estimated_docs = result_docs
-        return plan
-
-    def _best_access(
-        self,
-        model: CostModel,
-        request: PathRequest,
-        definitions: List[IndexDefinition],
-    ) -> Optional[IndexAccessEstimate]:
-        best: Optional[IndexAccessEstimate] = None
-        for definition in definitions:
-            if not index_matches_request(definition, request):
-                continue
-            estimate = model.index_access(definition, request)
-            if best is None or (
-                estimate.candidate_docs,
-                estimate.scan_cost,
-            ) < (best.candidate_docs, best.scan_cost):
-                best = estimate
-        return best
-
-    def _best_index_plan(
+    def _plan(
         self,
         collection: str,
         model: CostModel,
-        requests: List[PathRequest],
-        disjunctions: List[DisjunctiveRequest],
+        entry: AccessEntry,
         definitions: List[IndexDefinition],
-        result_docs: float,
-    ) -> Optional[PlanNode]:
+        table: Optional[AccessTable],
+    ) -> Tuple[float, _DeferredPlan, Tuple[str, ...]]:
+        """``(cost, deferred plan, used index names)`` of the cheaper of
+        the collection scan and the best index plan over ``definitions``."""
+        result_docs = entry.result_docs
         legs: List[_Leg] = []
-        # A lower and an upper bound on the same pattern become one range
-        # scan instead of two ANDed probes of the same index.
-        for request in merge_range_requests(requests):
-            best = self._best_access(model, request, definitions)
+        for slot in entry.requests:
+            best = self._best_access(model, slot, definitions, table)
             if best is not None:
-                legs.append(
-                    _Leg(
-                        branches=[best],
-                        is_or=False,
-                        scan_cost=best.scan_cost,
-                        candidate_docs=best.candidate_docs,
-                    )
+                legs.append(_Leg([best], False, best.scan_cost, best.candidate_docs))
+        for alternatives in entry.disjunctions:
+            branches = []
+            for slot in alternatives:
+                best = self._best_access(model, slot, definitions, table)
+                if best is None:
+                    break  # one uncovered branch defeats index ORing
+                branches.append(best)
+            else:
+                scan_cost = sum(branch.scan_cost for branch in branches)
+                candidate_docs = min(
+                    float(model.doc_count),
+                    sum(branch.candidate_docs for branch in branches),
                 )
-        for disjunction in disjunctions:
-            branches = [
-                self._best_access(model, alternative, definitions)
-                for alternative in disjunction.alternatives
-            ]
-            if any(branch is None for branch in branches):
-                continue  # one uncovered branch defeats index ORing
-            scan_cost = sum(branch.scan_cost for branch in branches)
-            candidate_docs = min(
-                float(model.doc_count),
-                sum(branch.candidate_docs for branch in branches),
-            )
-            legs.append(
-                _Leg(
-                    branches=branches,
-                    is_or=True,
-                    scan_cost=scan_cost,
-                    candidate_docs=candidate_docs,
+                legs.append(_Leg(branches, True, scan_cost, candidate_docs))
+        if legs:
+            # Greedy leg selection: most selective leg first; add further
+            # legs only while the intersection keeps lowering total cost.
+            legs.sort(key=lambda leg: (leg.candidate_docs, leg.scan_cost))
+            chosen: List[_Leg] = [legs[0]]
+            best_cost = self._index_plan_cost(model, chosen, result_docs)
+            for leg in legs[1:]:
+                if any(existing.key() == leg.key() for existing in chosen):
+                    continue
+                trial = chosen + [leg]
+                trial_cost = self._index_plan_cost(model, trial, result_docs)
+                if trial_cost < best_cost:
+                    chosen = trial
+                    best_cost = trial_cost
+            if best_cost < entry.scan_plan_cost:
+                anded = (
+                    model.anded_docs([leg.candidate_docs for leg in chosen])
+                    if len(chosen) > 1
+                    else 0.0
                 )
-            )
-        if not legs:
-            return None
-
-        # Greedy leg selection: most selective leg first; add further legs
-        # only while the intersection keeps lowering total cost.
-        legs.sort(key=lambda leg: (leg.candidate_docs, leg.scan_cost))
-        chosen: List[_Leg] = [legs[0]]
-        best_cost = self._index_plan_cost(model, chosen, result_docs)
-        for leg in legs[1:]:
-            if any(existing.key() == leg.key() for existing in chosen):
-                continue
-            trial = chosen + [leg]
-            trial_cost = self._index_plan_cost(model, trial, result_docs)
-            if trial_cost < best_cost:
-                chosen = trial
-                best_cost = trial_cost
-        return self._build_index_plan(model, chosen, result_docs, best_cost)
+                return (
+                    best_cost,
+                    _DeferredPlan(_index_plan, chosen, anded, result_docs, best_cost),
+                    tuple(
+                        branch.definition.name
+                        for leg in chosen
+                        for branch in leg.branches
+                    ),
+                )
+        return (
+            entry.scan_plan_cost,
+            _DeferredPlan(
+                _scan_plan,
+                collection,
+                entry.scan_cost,
+                entry.doc_count,
+                entry.scan_plan_cost,
+                result_docs,
+            ),
+            (),
+        )
 
     def _index_plan_cost(
         self,
         model: CostModel,
-        legs: List["_Leg"],
+        legs: List[_Leg],
         result_docs: float,
     ) -> float:
         scans = sum(leg.scan_cost for leg in legs)
         docs = model.anded_docs([leg.candidate_docs for leg in legs])
         return scans + model.fetch_cost(docs) + model.output_cost(result_docs)
-
-    def _build_index_plan(
-        self,
-        model: CostModel,
-        legs: List["_Leg"],
-        result_docs: float,
-        total_cost: float,
-    ) -> PlanNode:
-        nodes: List[PlanNode] = [leg.to_plan_node() for leg in legs]
-        source: PlanNode
-        if len(nodes) == 1:
-            source = nodes[0]
-        else:
-            source = IndexAnding(nodes)
-            source.estimated_cost = sum(n.estimated_cost for n in nodes)
-            source.estimated_docs = model.anded_docs(
-                [n.estimated_docs for n in nodes]
-            )
-        collection = legs[0].branches[0].definition.collection
-        plan = Fetch(source, collection)
-        plan.estimated_cost = total_cost
-        plan.estimated_docs = result_docs
-        return plan
-
-    def _conjunctive_result_docs(
-        self,
-        model: CostModel,
-        requests: List[PathRequest],
-        disjunctions: List[DisjunctiveRequest] = (),
-    ) -> float:
-        docs = float(model.doc_count)
-        fraction = 1.0
-        for request in merge_range_requests(requests):
-            fraction *= min(1.0, model.request_result_docs(request) / docs)
-        for disjunction in disjunctions:
-            miss = 1.0
-            for alternative in disjunction.alternatives:
-                sel = min(1.0, model.request_result_docs(alternative) / docs)
-                miss *= 1.0 - sel
-            fraction *= 1.0 - miss
-        return docs * fraction
 
     # ------------------------------------------------------------------
     # Joins
@@ -499,7 +756,13 @@ class Optimizer:
         )
         # Option B: index nested-loop -- per outer row, descend the join-key
         # index and fetch the matching inner documents.
-        probe_definition = self._best_access(inner_model, inner_request, inner_defs)
+        inner_entry, inner_table = self._access_entry(inner_model, variant.right)
+        probe_definition = self._best_access(
+            inner_model,
+            self._slot(inner_table, inner_request),
+            inner_defs,
+            inner_table,
+        )
         nlj_cost = float("inf")
         if probe_definition is not None:
             per_probe = (
@@ -510,11 +773,7 @@ class Optimizer:
             )
             nlj_cost = outer_rows * per_probe
 
-        inner_selectivity = self._conjunctive_result_docs(
-            inner_model,
-            extract_path_requests(variant.right),
-            extract_disjunctive_requests(variant.right),
-        ) / max(1, inner_model.doc_count)
+        inner_selectivity = inner_entry.result_docs / max(1, inner_model.doc_count)
         result_rows = outer_rows * max(matches_per_key, 0.0) * inner_selectivity
 
         if nlj_cost < hash_cost:
@@ -556,14 +815,10 @@ class Optimizer:
         self, statement: InsertStatement, mode: OptimizerMode
     ) -> OptimizationResult:
         model = self._cost_model(statement.collection)
-        if statement.document_text:
-            try:
-                nodes = float(_count_nodes(statement.document_text))
-            except Exception:
-                nodes = model.avg_nodes_per_doc
-        else:
-            nodes = model.avg_nodes_per_doc
-        cost = model.insert_cost(nodes)
+        nodes = _document_nodes(statement)
+        cost = model.insert_cost(
+            model.avg_nodes_per_doc if nodes is None else float(nodes)
+        )
         return OptimizationResult(
             statement=statement, mode=mode, estimated_cost=cost
         )
@@ -573,32 +828,42 @@ class Optimizer:
         statement: DeleteStatement,
         mode: OptimizerMode,
         definitions: List[IndexDefinition],
+        handle: Optional[AccessHandle] = None,
     ) -> OptimizationResult:
         model = self._cost_model(statement.collection)
-        requests = extract_path_requests(statement)
-        disjunctions = extract_disjunctive_requests(statement)
-        victim_docs = self._conjunctive_result_docs(model, requests, disjunctions)
-        scan_plan = self._collection_scan_plan(statement.collection, model, victim_docs)
-        best_plan: PlanNode = scan_plan
-        index_plan = self._best_index_plan(
-            statement.collection, model, requests, disjunctions, definitions, victim_docs
+        entry, table = self._access_entry(model, statement, handle)
+        cost, plan, used = self._plan(
+            statement.collection, model, entry, definitions, table
         )
-        if index_plan is not None and index_plan.estimated_cost < best_plan.estimated_cost:
-            best_plan = index_plan
-        from repro.optimizer.plans import used_index_names
-
-        total = best_plan.estimated_cost + model.delete_docs_cost(victim_docs)
         return OptimizationResult(
             statement=statement,
             mode=mode,
-            estimated_cost=total,
-            plan=best_plan,
-            used_indexes=used_index_names(best_plan),
+            estimated_cost=cost + model.delete_docs_cost(entry.result_docs),
+            plan=plan,
+            used_indexes=used,
         )
 
     # ------------------------------------------------------------------
     def _cost_model(self, collection: str) -> CostModel:
         return CostModel(self.database.runstats(collection), self.constants)
+
+
+def _document_nodes(statement: InsertStatement) -> Optional[int]:
+    """Node count of an insert's document (``None`` without a document
+    or when it does not parse), parsed once and kept on the statement
+    next to the rewriter's extraction memo."""
+    try:
+        return statement._document_nodes
+    except AttributeError:
+        pass
+    nodes = None
+    if statement.document_text:
+        try:
+            nodes = _count_nodes(statement.document_text)
+        except Exception:
+            nodes = None
+    object.__setattr__(statement, "_document_nodes", nodes)
+    return nodes
 
 
 def _count_nodes(document_text: str) -> int:

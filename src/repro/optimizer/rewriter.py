@@ -99,6 +99,13 @@ class RangeRequest:
             return IndexValueType.NUMERIC
         return IndexValueType.STRING
 
+    def bounds(self) -> Tuple[PathRequest, PathRequest]:
+        """The lower- and upper-bound requests this interval merged."""
+        return (
+            PathRequest(self.pattern, ">=" if self.low_inclusive else ">", self.low),
+            PathRequest(self.pattern, "<=" if self.high_inclusive else "<", self.high),
+        )
+
     def __str__(self) -> str:
         left = ">=" if self.low_inclusive else ">"
         right = "<=" if self.high_inclusive else "<"
@@ -191,6 +198,63 @@ def _extraction(
     memo = (conjunctive, tuple(disjunctions), flattened)
     object.__setattr__(statement, "_extraction", memo)
     return memo
+
+
+class RequestSignature:
+    """Everything the configuration-independent half of planning a query
+    or delete reads from the statement: its kind, collection, conjunctive
+    requests and disjunctions.  Statements that differ only in what they
+    return share one signature.  The hash is computed once."""
+
+    __slots__ = ("key", "_hash")
+
+    def __init__(self, key: Tuple) -> None:
+        self.key = key
+        self._hash = hash(key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            type(other) is RequestSignature and self.key == other.key
+        )
+
+    @property
+    def requests(self) -> Tuple[PathRequest, ...]:
+        return self.key[2]
+
+    @property
+    def disjunctions(self) -> Tuple[DisjunctiveRequest, ...]:
+        return self.key[3]
+
+    def map(self, function) -> "RequestSignature":
+        """The same signature over ``function(request)`` of each request."""
+        kind, collection, requests, disjunctions = self.key
+        return RequestSignature((
+            kind,
+            collection,
+            tuple(map(function, requests)),
+            tuple(
+                DisjunctiveRequest(tuple(map(function, d.alternatives)))
+                for d in disjunctions
+            ),
+        ))
+
+
+def request_signature(statement: Statement) -> RequestSignature:
+    """The :class:`RequestSignature` of a query or delete, built once and
+    kept on the statement next to its extraction memo."""
+    try:
+        return statement._signature
+    except AttributeError:
+        pass
+    conjunctive, disjunctions, _ = _extraction(statement)
+    signature = RequestSignature(
+        (statement.kind, statement.collection, conjunctive, disjunctions)
+    )
+    object.__setattr__(statement, "_signature", signature)
+    return signature
 
 
 def extract_path_requests(statement: Statement) -> List[PathRequest]:

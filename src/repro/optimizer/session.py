@@ -52,6 +52,7 @@ from typing import (
 
 from repro.optimizer.cost import CostConstants
 from repro.optimizer.optimizer import (
+    AccessHandle,
     OptimizationResult,
     Optimizer,
     OptimizerMode,
@@ -209,10 +210,19 @@ class WhatIfSession:
         self._statement_ids: Dict[Statement, int] = {}
         self._statement_requests: Dict[int, List[PathRequest]] = {}
         self._statement_collections: Dict[int, FrozenSet[str]] = {}
-        # (statement_id, input key set) -> projected definitions tuple
-        self._projection_cache: Dict[Tuple, Tuple[IndexDefinition, ...]] = {}
+        #: statement_id -> its direct reference into the optimizer's
+        #: access table (see :class:`~repro.optimizer.optimizer.AccessHandle`).
+        self._handles: Dict[int, AccessHandle] = {}
+        # (statement_id, input key set) -> (projected definitions tuple,
+        # their key set)
+        self._projection_cache: Dict[
+            Tuple, Tuple[Tuple[IndexDefinition, ...], FrozenSet[IndexKey]]
+        ] = {}
         self._canonical_names: Dict[IndexKey, str] = {}
         self._canonical_definitions: Dict[IndexKey, IndexDefinition] = {}
+        #: id(canonical definition) -> its index key, computed once (the
+        #: definitions live as long as the session, so ids are stable).
+        self._canonical_keys: Dict[int, IndexKey] = {}
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -277,8 +287,19 @@ class WhatIfSession:
                     virtual=True,
                 )
                 self._canonical_definitions[key] = definition
+                self._canonical_keys[id(definition)] = key
             definitions.append(definition)
         return tuple(definitions)
+
+    def _handle(self, sid: int) -> AccessHandle:
+        handle = self._handles.get(sid)
+        if handle is None:
+            handle = self._handles[sid] = AccessHandle()
+        return handle
+
+    def _index_key(self, definition: IndexDefinition) -> IndexKey:
+        key = self._canonical_keys.get(id(definition))
+        return index_key(definition) if key is None else key
 
     def canonical_name(self, candidate) -> str:
         """The session's canonical name for one candidate/definition."""
@@ -346,17 +367,17 @@ class WhatIfSession:
     # Projection: the affected-set argument applied to cache keys
     # ------------------------------------------------------------------
     def _project(
-        self, statement: Statement, definitions: Sequence[IndexDefinition]
-    ) -> Tuple[IndexDefinition, ...]:
+        self, sid: int, definitions: Sequence[IndexDefinition]
+    ) -> Tuple[Tuple[IndexDefinition, ...], FrozenSet[IndexKey]]:
         """Restrict ``definitions`` to those that can match one of the
         statement's path requests (and live on one of its collections).
         Indexes outside the projection cannot change the statement's plan
         -- exactly the property that makes affected sets sound -- so the
-        projected set is the statement's true cache identity."""
+        projected key set is the statement's true cache identity.
+        Returns the projected definitions and that key set."""
         if not definitions:
-            return ()
-        sid = self.statement_id(statement)
-        input_key = (sid, frozenset(index_key(d) for d in definitions))
+            return (), frozenset()
+        input_key = (sid, frozenset(map(self._index_key, definitions)))
         projected = self._projection_cache.get(input_key)
         if projected is None:
             requests = self._statement_requests[sid]
@@ -364,7 +385,7 @@ class WhatIfSession:
             kept = []
             seen = set()
             for definition in definitions:
-                key = index_key(definition)
+                key = self._index_key(definition)
                 if key in seen:
                     continue
                 if definition.collection not in collections:
@@ -375,7 +396,7 @@ class WhatIfSession:
                 ):
                     kept.append(definition)
                     seen.add(key)
-            projected = tuple(kept)
+            projected = (tuple(kept), frozenset(seen))
             self._projection_cache[input_key] = projected
         return projected
 
@@ -405,6 +426,7 @@ class WhatIfSession:
         mode: OptimizerMode,
         definitions: Sequence[IndexDefinition],
         site: str,
+        handle: Optional[AccessHandle] = None,
     ) -> OptimizationResult:
         """One guarded optimizer round-trip: fault-injection point,
         retry policy, and -- when retries run out -- graceful
@@ -417,7 +439,7 @@ class WhatIfSession:
 
         def call() -> OptimizationResult:
             maybe_inject(site)
-            return self.optimizer.optimize(statement, mode, definitions)
+            return self.optimizer.optimize(statement, mode, definitions, handle)
 
         try:
             result = self.retry_policy.run(call, on_retry=self._note_retry)
@@ -481,12 +503,9 @@ class WhatIfSession:
         """Evaluate-Indexes mode: cost ``statement`` with ``definitions``
         installed as virtual indexes, memoized on the projected key."""
         self._sync()
-        projected = self._project(statement, definitions)
-        key = (
-            self.statement_id(statement),
-            OptimizerMode.EVALUATE.value,
-            frozenset(index_key(d) for d in projected),
-        )
+        sid = self.statement_id(statement)
+        projected, keys = self._project(sid, definitions)
+        key = (sid, OptimizerMode.EVALUATE.value, keys)
         if use_cache:
             cached = self._result_cache.get(key)
             if cached is not None:
@@ -494,7 +513,11 @@ class WhatIfSession:
                 return cached
             self.counters.cache_misses += 1
         result = self._invoke(
-            statement, OptimizerMode.EVALUATE, projected, "optimizer.evaluate"
+            statement,
+            OptimizerMode.EVALUATE,
+            projected,
+            "optimizer.evaluate",
+            self._handle(sid),
         )
         self._result_cache[key] = result
         return result
@@ -575,14 +598,16 @@ class WhatIfSession:
         bumps the database's modification counter, so cached plans never
         outlive the index set they were chosen against."""
         self._sync()
-        key = (self.statement_id(statement), OptimizerMode.NORMAL.value)
+        sid = self.statement_id(statement)
+        key = (sid, OptimizerMode.NORMAL.value)
         cached = self._result_cache.get(key)
         if cached is not None:
             self.counters.cache_hits += 1
             return cached
         self.counters.cache_misses += 1
         result = self._invoke(
-            statement, OptimizerMode.NORMAL, (), "optimizer.plan"
+            statement, OptimizerMode.NORMAL, (), "optimizer.plan",
+            self._handle(sid),
         )
         self._result_cache[key] = result
         return result

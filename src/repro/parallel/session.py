@@ -54,11 +54,7 @@ from repro.optimizer.optimizer import (
     Optimizer,
     OptimizerMode,
 )
-from repro.optimizer.session import (
-    DEGRADED_LOG_LIMIT,
-    WhatIfSession,
-    index_key,
-)
+from repro.optimizer.session import DEGRADED_LOG_LIMIT, WhatIfSession
 from repro.parallel.executors import (
     DEFAULT_CHUNKS_PER_WORKER,
     PoolBrokenError,
@@ -586,12 +582,9 @@ class ParallelWhatIfSession(WhatIfSession):
         jobs: List[_Job] = []
         scheduled: Dict[Tuple, _Job] = {}
         for position, (statement, definitions) in enumerate(tasks):
-            projected = self._project(statement, definitions)
-            key = (
-                self.statement_id(statement),
-                OptimizerMode.EVALUATE.value,
-                frozenset(index_key(d) for d in projected),
-            )
+            sid = self.statement_id(statement)
+            projected, keys = self._project(sid, definitions)
+            key = (sid, OptimizerMode.EVALUATE.value, keys)
             if use_cache:
                 cached = self._result_cache.get(key)
                 if cached is not None:

@@ -47,6 +47,18 @@ live documents:
   runs.  A rebuild restreams that path's values in document order, which
   is exactly the rescan stream.
 
+Which memos survive a delta:
+
+* ``_matching_cache`` (pattern -> matching paths with counts) is dropped
+  by every delta.
+* ``_matched_paths`` and ``_path_ids`` (pattern -> paths, interned path
+  ids) survive every delta that adds, drops and moves no path.
+* ``access_table``, the optimizer's compiled what-if inputs, is valid
+  for one ``mutation_stamp``: a delta and a lazy summary repair both
+  move the stamp, and the next planner installs a fresh table.  Nothing
+  computed while the stamp moved enters a table
+  (:meth:`DataStatistics.quiescent_stamp`).
+
 :func:`collect_statistics_rescan` keeps the original node-by-node scan as
 the differential reference.
 """
@@ -347,6 +359,11 @@ class DataStatistics:
         #: probes -- so the snapshot engine keys cached blobs on
         #: ``(epoch, mutation_stamp)`` rather than the epoch alone.
         self.mutation_stamp = 0
+        #: The optimizer's what-if access table
+        #: (:class:`repro.optimizer.optimizer.AccessTable`) for one
+        #: ``mutation_stamp``; replaced by the planner once the stamp
+        #: moves, shared with clones, never pickled.
+        self.access_table = None
         self._lock = threading.Lock()
 
     def __getstate__(self):
@@ -355,17 +372,29 @@ class DataStatistics:
         # those ids would silently mismatch its table and corrupt
         # pattern matching.  The two pattern memos were computed through
         # those ids, so all three are dropped and rebuilt lazily on the
-        # receiving side.  The lock is process-local.
+        # receiving side.  The access table is a planner cache, and the
+        # lock is process-local.
         state = self.__dict__.copy()
         state["_path_ids"] = []
         state["_matching_cache"] = {}
         state["_matched_paths"] = {}
+        state.pop("access_table", None)
         state.pop("_lock", None)
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
+        self.access_table = None
         self._lock = threading.Lock()
+
+    def quiescent_stamp(self) -> Optional[int]:
+        """``mutation_stamp``, or ``None`` while a delta or a summary
+        repair holds the statistics' lock (its stamp moves only at the
+        end).  A memo computed between two equal non-``None`` readings
+        saw exactly that stamp's state."""
+        if self._lock.locked():
+            return None
+        return self.mutation_stamp
 
     # ------------------------------------------------------------------
     # Incremental maintenance (synopsis deltas)
@@ -382,7 +411,9 @@ class DataStatistics:
         engine builds its read-only generations this way).  Every
         container is copied, so later deltas on either side never show on
         the other; the pattern memos come along -- they are valid in this
-        process and at these counts."""
+        process and at these counts -- and the access table is shared:
+        both sides are at its stamp, and whichever moves first installs a
+        table of its own."""
         twin = DataStatistics.__new__(DataStatistics)
         with self._lock:
             twin.__dict__.update(self.__dict__)

@@ -1,5 +1,9 @@
 """Tests for the five configuration search algorithms."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.benefit import ConfigurationEvaluator
@@ -151,6 +155,46 @@ class TestTopDown:
             results[top_down_full].optimizer_calls
             >= results[top_down_lite].optimizer_calls
         )
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+#: Top down search at a budget holding every basic candidate, on an XMark
+#: database where the search replaces generals by their children: the
+#: children's order fixes the order the final benefit is summed in.
+TOPDOWN_SCRIPT = """
+from repro.core.advisor import IndexAdvisor
+from repro.query.workload import Workload
+from repro.workloads import xmark
+
+database = xmark.build_database(
+    num_items=200, num_persons=200, num_auctions=200, seed=7
+)
+texts = xmark.xmark_queries(seed=11)
+advisor = IndexAdvisor(database, Workload.from_statements(texts))
+budget = sum(c.size_bytes for c in advisor.candidates.basics())
+for algorithm in ("topdown_lite", "topdown_full"):
+    advisor = IndexAdvisor(database, Workload.from_statements(texts))
+    print(repr(advisor.recommend(budget, algorithm=algorithm).search.benefit))
+"""
+
+
+def test_topdown_benefit_does_not_depend_on_the_hash_seed():
+    """The DAG's children come out in candidate order, not set order, so
+    the benefit's float summation order -- and its last bit -- is the
+    same in every interpreter (it wobbled by one ulp with
+    ``PYTHONHASHSEED``)."""
+    outputs = {}
+    for seed in ("0", "12345", "77"):
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-c", TOPDOWN_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs[seed] = done.stdout.split()
+    assert len(outputs["0"]) == 2
+    assert outputs["0"] == outputs["12345"] == outputs["77"], outputs
 
 
 class TestDynamicProgramming:
