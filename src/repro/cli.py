@@ -246,6 +246,13 @@ def cmd_recommend(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
+        if args.workers is not None:
+            print(
+                "error: --mode portfolio lanes run in order on one "
+                "what-if session; drop --workers",
+                file=sys.stderr,
+            )
+            return 2
         return _recommend_portfolio(args, db, workload)
     if shards > 1 or replicas > 1 or args.divergent:
         return _recommend_cluster(args, db, workload, shards, replicas)
@@ -289,7 +296,6 @@ def _recommend_portfolio(
     telemetry."""
     import json
 
-    from repro.parallel import resolve_workers, workers_from_env
     from repro.serve.portfolio import DEFAULT_STRATEGIES, run_portfolio
 
     strategies = (
@@ -306,12 +312,6 @@ def _recommend_portfolio(
         deadline_seconds=args.deadline,
         optimizer_call_budget=args.call_budget,
         seed=args.portfolio_seed,
-        workers=(
-            workers_from_env()
-            if args.workers is None
-            else resolve_workers(args.workers, option="--workers")
-        )
-        or None,
     )
     if args.json:
         print(json.dumps(recommendation.to_dict(), indent=2))
@@ -581,7 +581,6 @@ def cmd_server(args: argparse.Namespace) -> int:
         ),
         mode=args.mode,
         deadline_seconds=args.deadline,
-        workers=args.workers,
         lanes=args.lanes,
         seed=args.seed,
     )
@@ -895,9 +894,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mode", default=None,
         choices=("retry", "tournament", "evolutionary"),
-        help="portfolio search: race multiple strategies under one "
-             "deadline (retry: sequential first-success; tournament: "
-             "concurrent, best benefit wins; evolutionary: tournament "
+        help="portfolio search: run several strategies on one what-if "
+             "pass under one deadline (retry: first untruncated success; "
+             "tournament: best benefit wins; evolutionary: tournament "
              "generations with seeded-perturbed variants)",
     )
     p.add_argument(
@@ -1038,11 +1037,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--tenants", default=None, metavar="T1,T2,...",
         help="round-robin requests across these tenant names "
              "(default: one 'default' tenant)",
-    )
-    p.add_argument(
-        "--workers", default=None, metavar="N",
-        help="portfolio lane workers: a count or 'auto'; defaults to "
-             "$REPRO_WORKERS, else one lane per strategy",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(

@@ -448,6 +448,12 @@ class IndexAdvisor:
         """The session's optimizer (single production instance)."""
         return self.session.optimizer
 
+    @property
+    def degraded(self) -> bool:
+        """True once any estimate the session served, or any candidate
+        size, came from a fallback (docs/robustness.md)."""
+        return self.session.is_degraded or self._degraded_sizes > 0
+
     # ------------------------------------------------------------------
     # Recommendation
     # ------------------------------------------------------------------
@@ -560,7 +566,7 @@ class IndexAdvisor:
             workload_cost_after=after,
             ddl=ddl,
             session_stats=self.session.stats(),
-            degraded=self.session.is_degraded or self._degraded_sizes > 0,
+            degraded=self.degraded,
             diagnostics=list(self.diagnostics) + list(extra_diagnostics),
             cluster_stats=(
                 cluster_stats() if callable(cluster_stats) else {}

@@ -84,6 +84,11 @@ class ConfigurationEvaluator:
         self._standalone_cache: Dict[CandidateKey, float] = {}
         self._maintenance_cache: Dict[CandidateKey, float] = {}
         self._affected_cache: Dict[CandidateKey, FrozenSet[int]] = {}
+        #: Keys of sub-configuration and standalone entries derived from
+        #: a fallback estimate.  Serving one bumps the session's
+        #: ``degraded_reads``, as re-reading the estimate itself would, so
+        #: searches sharing this evaluator learn which of them used one.
+        self._degraded: set = set()
         #: Ranked positive candidates per candidate set (searchers share
         #: the scan/sort across repeated searches on one evaluator).
         self._ranked_cache: "weakref.WeakKeyDictionary" = (
@@ -146,6 +151,7 @@ class ConfigurationEvaluator:
         self._standalone_cache.clear()
         self._maintenance_cache.clear()
         self._ranked_cache.clear()
+        self._degraded.clear()
         # affected sets depend only on statement patterns, which do not
         # change with data -- but keep the contract simple and safe.
         self._affected_cache.clear()
@@ -196,10 +202,14 @@ class ConfigurationEvaluator:
         plain greedy, top down lite, and dynamic programming)."""
         self._refresh()
         key = candidate.key
-        if key not in self._standalone_cache:
+        if key in self._standalone_cache:
+            self._served(key)
+        else:
+            reads = self.session.degraded_reads
             self._standalone_cache[key] = self.benefit(
                 IndexConfiguration([candidate])
             )
+            self._settle(key, reads)
         return self._standalone_cache[key]
 
     def prefetch_standalone(self, candidates: Iterable[CandidateIndex]) -> None:
@@ -235,6 +245,9 @@ class ConfigurationEvaluator:
             group_key = frozenset((candidate.key,))
             cached = self._subconfig_cache.get(group_key)
             if cached is not None:
+                self._served(group_key)
+                if group_key in self._degraded:
+                    self._degraded.add(candidate.key)
                 spans.append((candidate, 0, [], cached))
                 continue
             if base_costs is None:
@@ -250,18 +263,22 @@ class ConfigurationEvaluator:
                 for position in positions
             )
             spans.append((candidate, start, positions, None))
-        new_costs = self.session.cost_batch(tasks) if tasks else []
+        results = self.session.evaluate_batch(tasks) if tasks else []
         for candidate, start, positions, cached in spans:
             if cached is None:
+                mine = results[start:start + len(positions)]
                 saved = sum(
                     (
                         self.workload.entries[position].frequency
-                        * (base_costs[position] - new_costs[start + offset])
-                        for offset, position in enumerate(positions)
+                        * (base_costs[position] - result.estimated_cost)
+                        for position, result in zip(positions, mine)
                     ),
                     0.0,
                 )
-                self._subconfig_cache[frozenset((candidate.key,))] = saved
+                group_key = frozenset((candidate.key,))
+                self._subconfig_cache[group_key] = saved
+                if any(result.degraded for result in mine):
+                    self._degraded.update((group_key, candidate.key))
                 group_benefit = saved
             else:
                 group_benefit = cached
@@ -382,9 +399,26 @@ class ConfigurationEvaluator:
             affected = sorted(
                 set().union(*(self.affected_set(c) for c in group))
             )
+            reads = self.session.degraded_reads
             cached = self._evaluate_group(group, affected)
             self._subconfig_cache[key] = cached
+            self._settle(key, reads)
+        else:
+            self._served(key)
         return cached
+
+    def _served(self, key) -> None:
+        """A cached entry was read: count it as a degraded read when it
+        was derived from a fallback estimate."""
+        if self._degraded and key in self._degraded:
+            self.session.degraded_reads += 1
+
+    def _settle(self, key, reads: int) -> None:
+        """A cached entry was computed: mark it degraded when computing
+        it read a fallback estimate (the session's count moved past
+        ``reads``)."""
+        if self.session.degraded_reads != reads:
+            self._degraded.add(key)
 
     # ------------------------------------------------------------------
     # Delta evaluation (the search hot path)

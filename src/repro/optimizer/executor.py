@@ -9,9 +9,10 @@ virtual indexes cannot be used for query execution").
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Optional, Set, Tuple
+from typing import List, NamedTuple, Optional, Set, Tuple
 
 from repro.optimizer.optimizer import OptimizationResult, Optimizer
 from repro.optimizer.session import WhatIfSession
@@ -33,11 +34,18 @@ from repro.query.model import (
     WhereClause,
 )
 from repro.storage.database import resolve_database
-from repro.storage.synopsis import pattern_nodes
+from repro.storage.synopsis import pattern_hits, pattern_nodes
 from repro.xmlmodel.nodes import XmlDocument, XmlNode
-from repro.xpath.ast import Literal
+from repro.xpath.ast import (
+    AndPredicate,
+    Axis,
+    ComparisonPredicate,
+    ExistsPredicate,
+    Literal,
+    LocationPath,
+)
 from repro.xpath.evaluator import compare_value, evaluate_path
-from repro.xpath.patterns import pattern_from_path
+from repro.xpath.patterns import PathPattern, PatternStep, pattern_from_path
 
 
 @dataclass
@@ -81,11 +89,12 @@ class Executor:
         #: All planning goes through the session: NORMAL-mode plans are
         #: cached per statement and invalidated on database modification.
         self.session = session
-        #: Resolve predicate-free absolute paths through the per-document
-        #: path synopsis (matcher bitmap + node-id lookup) instead of a
-        #: tree walk.  Results are bit-identical either way (pinned by
-        #: tests/test_executor_synopsis.py); the toggle exists for the
-        #: differential harness.
+        #: Resolve linear paths and residual predicates through the
+        #: per-document path synopsis (matcher bitmap, node-id lookup,
+        #: typed slot values) instead of a tree walk.  Results are
+        #: bit-identical either way (pinned by
+        #: tests/test_executor_synopsis.py and the answer oracle);
+        #: ``False`` is the oracle's truth engine.
         self.use_synopsis = use_synopsis
         self._entries_scanned = 0
 
@@ -116,6 +125,7 @@ class Executor:
     ) -> ExecutionResult:
         doc_ids = self._candidate_doc_ids(optimized.plan, query.collection)
         collection = self.database.collection(query.collection)
+        residual = self._residual(query)
         rows = 0
         docs_examined = 0
         output: List[str] = []
@@ -130,7 +140,7 @@ class Executor:
                     continue
         for document in documents:
             docs_examined += 1
-            for node in _binding_nodes(document, query, self.use_synopsis):
+            for node in _binding_nodes(document, query, residual):
                 rows += 1
                 if collect_output:
                     output.append(_render_result(node, query))
@@ -147,6 +157,11 @@ class Executor:
             index_entries_scanned=self._entries_scanned,
             output=output,
         )
+
+    def _residual(self, query: Query) -> Optional["_Residual"]:
+        """``query``'s compiled per-document plan, or ``None`` (walk the
+        tree) when the synopsis is off."""
+        return _compile_query(query) if self.use_synopsis else None
 
     def _candidate_doc_ids(
         self, plan: Optional[PlanNode], collection: str
@@ -241,9 +256,11 @@ class Executor:
                     outer_documents.append(outer_collection.get(doc_id))
                 except KeyError:
                     continue
+        outer_residual = self._residual(outer_query)
+        inner_residual = self._residual(inner_query)
         for document in outer_documents:
             docs_examined += 1
-            for node in _binding_nodes(document, outer_query, self.use_synopsis):
+            for node in _binding_nodes(document, outer_query, outer_residual):
                 keys = _join_keys(node, variant.left_join_path)
                 if keys:
                     outer_rows.append((node, keys))
@@ -275,7 +292,9 @@ class Executor:
                             docs_examined += 1
                             probed_docs[doc_id] = [
                                 (n, _join_keys(n, variant.right_join_path))
-                                for n in _binding_nodes(document, inner_query, self.use_synopsis)
+                                for n in _binding_nodes(
+                                    document, inner_query, inner_residual
+                                )
                             ]
                         matches.extend(probed_docs[doc_id])
                 seen = set()
@@ -289,7 +308,7 @@ class Executor:
             by_key: dict = {}
             for document in inner_collection:
                 docs_examined += 1
-                for node in _binding_nodes(document, inner_query, self.use_synopsis):
+                for node in _binding_nodes(document, inner_query, inner_residual):
                     node_keys = _join_keys(node, variant.right_join_path)
                     for key in node_keys:
                         by_key.setdefault(key, []).append((node, node_keys))
@@ -346,6 +365,7 @@ class Executor:
             candidates = [d.doc_id for d in collection]
         else:
             candidates = sorted(doc_ids)
+        selector = _selector_pattern(statement) if self.use_synopsis else None
         victims: List[int] = []
         docs_examined = 0
         for doc_id in candidates:
@@ -354,7 +374,7 @@ class Executor:
             except KeyError:
                 continue
             docs_examined += 1
-            if _delete_matches(document, statement, self.use_synopsis):
+            if _delete_matches(document, statement, selector):
                 victims.append(doc_id)
         self._delete_documents(statement.collection, victims)
         return ExecutionResult(
@@ -399,43 +419,125 @@ def _join_keys(node: XmlNode, join_path) -> frozenset:
     )
 
 
+# A statement is compiled once (per distinct statement, cached) into
+# synopsis patterns; a document is then answered from its synopsis slots.
+# A condition is ``(absolute pattern, op, literal)`` -- ``op`` is ``None``
+# for an existence test -- whose pattern is the binding path's steps
+# followed by the condition's relative steps.  With child steps only on
+# the binding path every binding node sits at the same depth, so a node
+# the concatenated pattern reaches lies in exactly one binding node's
+# subtree: the one it is tested against.  A ``//`` in the binding path
+# would let a nested same-name element split the pattern elsewhere, so
+# such statements (and Or, Not and function predicates, and empty clause
+# paths) keep the tree walk.
+
+_Condition = Tuple[PathPattern, Optional[str], Optional[Literal]]
+
+
+class _Residual(NamedTuple):
+    """A query's per-document evaluation plan."""
+
+    #: Pattern of the predicate-stripped binding path; ``None`` walks the
+    #: tree for binding nodes (predicates off the last step).
+    binding: Optional[PathPattern]
+    #: Conditions every binding node must meet; ``None`` walks the tree
+    #: for the where clauses.
+    conditions: Optional[Tuple[_Condition, ...]]
+    #: Whether the binding node is the root element (every synopsis hit
+    #: lies in its subtree).
+    root: bool
+
+
 @lru_cache(maxsize=4096)
-def _synopsis_eligible(path) -> bool:
-    """Whether a location path can be resolved through the synopsis: an
-    absolute, predicate-free path is exactly a linear pattern, so the set
-    of nodes it reaches is the set of nodes whose rooted tag path belongs
-    to the pattern's language."""
-    return bool(
-        path.absolute
-        and path.steps
-        and all(not step.predicates for step in path.steps)
-    )
+def _shared(pattern: PathPattern) -> PathPattern:
+    """The first-seen pattern equal to ``pattern``, so equal patterns of
+    different statements share one matcher bitmap."""
+    return pattern
 
 
-def _path_nodes(
-    document: XmlDocument, path, use_synopsis: bool
-) -> List[XmlNode]:
-    """Nodes ``path`` reaches from the document root, in document order --
-    through the synopsis bitmap when enabled and eligible, else the
-    reference tree walk."""
-    if use_synopsis and _synopsis_eligible(path):
-        return pattern_nodes(document, _path_pattern(path))
-    return evaluate_path(document, path)
+@lru_cache(maxsize=1024)
+def _compile_query(query: Query) -> _Residual:
+    """``query``'s per-document plan, compiled once per distinct query."""
+    path = query.binding_path
+    linear = not path.has_predicates()
+    binding = _shared(pattern_from_path(path))
+    root = len(path.steps) == 1
+    if linear and not query.where:
+        return _Residual(binding, (), root)
+    conditions = _conditions(path, query.where)
+    if conditions is not None:
+        return _Residual(binding, conditions, root)
+    return _Residual(binding if linear else None, None, False)
 
 
-@lru_cache(maxsize=4096)
-def _path_pattern(path):
-    """Cached linear pattern of a path (reuses the compiled matcher
-    across documents)."""
-    return pattern_from_path(path)
+def _conditions(
+    path: LocationPath, where
+) -> Optional[Tuple[_Condition, ...]]:
+    """The binding path's last-step predicates and the where clauses as
+    synopsis conditions, or ``None`` when any of them needs the walk."""
+    steps = path.steps
+    if any(
+        step.axis is not Axis.CHILD or step.is_attribute for step in steps
+    ) or any(step.predicates for step in steps[:-1]):
+        return None
+    relative: List[Tuple[LocationPath, Optional[str], Optional[Literal]]] = []
+    if not all(_conjuncts(p, relative) for p in steps[-1].predicates):
+        return None
+    relative.extend((c.path, c.op, c.literal) for c in where)
+    prefix = [PatternStep(step.axis, step.name_test) for step in steps]
+    conditions = []
+    for condition_path, op, literal in relative:
+        if (
+            condition_path.absolute
+            or not condition_path.steps
+            or condition_path.has_predicates()
+        ):
+            return None
+        pattern = PathPattern(
+            prefix
+            + [PatternStep(s.axis, s.name_test) for s in condition_path.steps]
+        )
+        conditions.append((_shared(pattern), op, literal))
+    return tuple(conditions)
+
+
+def _conjuncts(predicate, out: List) -> bool:
+    """Append ``predicate``'s conjuncts to ``out`` as ``(relative path,
+    op, literal)``; ``False`` when one is not a comparison or an
+    existence test."""
+    if isinstance(predicate, AndPredicate):
+        return all(_conjuncts(p, out) for p in predicate.conjuncts)
+    if isinstance(predicate, ComparisonPredicate):
+        out.append((predicate.path, predicate.op, predicate.literal))
+        return True
+    if isinstance(predicate, ExistsPredicate):
+        out.append((predicate.path, None, None))
+        return True
+    return False
+
+
+def _selector_pattern(statement: DeleteStatement) -> Optional[PathPattern]:
+    """A delete selector's pattern when it is linear (else the walk)."""
+    path = statement.selector_path
+    if path.has_predicates():
+        return None
+    return _shared(pattern_from_path(path))
 
 
 def _binding_nodes(
-    document: XmlDocument, query: Query, use_synopsis: bool = False
+    document: XmlDocument, query: Query, residual: Optional[_Residual] = None
 ) -> List[XmlNode]:
     """Binding-variable nodes of ``query`` in ``document`` that satisfy all
-    where clauses."""
-    nodes = _path_nodes(document, query.binding_path, use_synopsis)
+    where clauses -- from the synopsis as far as ``residual`` allows, by
+    tree walk otherwise (``residual=None`` walks everything)."""
+    if residual is None or residual.binding is None:
+        nodes = evaluate_path(document, query.binding_path)
+    else:
+        nodes = pattern_nodes(document, residual.binding)
+    if residual is not None and residual.conditions is not None:
+        if not residual.conditions or not nodes:
+            return nodes
+        return _surviving(document, nodes, residual)
     if not query.where:
         return nodes
     return [
@@ -443,6 +545,43 @@ def _binding_nodes(
         for node in nodes
         if all(_clause_holds(node, clause) for clause in query.where)
     ]
+
+
+def _surviving(
+    document: XmlDocument, nodes: List[XmlNode], residual: _Residual
+) -> List[XmlNode]:
+    """The binding nodes with a hit of every condition in their preorder
+    subtree: ``node_id < hit <= id of the node's last descendant``."""
+    hit_lists = []
+    for pattern, op, literal in residual.conditions:
+        hits = pattern_hits(document, pattern, op, literal)
+        if not hits:
+            return []
+        hit_lists.append(hits)
+    if residual.root:
+        return nodes
+    surviving = []
+    for node in nodes:
+        first, last = node.node_id, _last_descendant_id(node)
+        for hits in hit_lists:
+            position = bisect_right(hits, first)
+            if position == len(hits) or hits[position] > last:
+                break
+        else:
+            surviving.append(node)
+    return surviving
+
+
+def _last_descendant_id(node: XmlNode) -> int:
+    """The id of the last node of ``node``'s preorder subtree (ids run
+    element, attributes, children)."""
+    while True:
+        if node.children:
+            node = node.children[-1]
+        elif node.attributes:
+            node = node.attributes[-1]
+        else:
+            return node.node_id
 
 
 def _clause_holds(node: XmlNode, clause: WhereClause) -> bool:
@@ -460,9 +599,15 @@ def _clause_holds(node: XmlNode, clause: WhereClause) -> bool:
 def _delete_matches(
     document: XmlDocument,
     statement: DeleteStatement,
-    use_synopsis: bool = False,
+    selector: Optional[PathPattern] = None,
 ) -> bool:
-    targets = _path_nodes(document, statement.selector_path, use_synopsis)
+    """Whether ``document`` is a victim of ``statement`` -- from the
+    synopsis when the selector is linear (``selector``), else by walk."""
+    if selector is not None:
+        return bool(
+            pattern_hits(document, selector, statement.op, statement.literal)
+        )
+    targets = evaluate_path(document, statement.selector_path)
     if statement.op is None:
         return bool(targets)
     return any(

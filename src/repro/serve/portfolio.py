@@ -1,36 +1,42 @@
-"""Portfolio search: multiple strategies raced under one deadline.
+"""Portfolio search: several strategies, one what-if pass, one deadline.
 
 CoPhy (PAPERS.md) motivates running several search formulations of the
 same tuning problem and keeping the best answer; querytorque-style
 serving front ends do the same with whole query plans.  The portfolio
 here runs several of the advisor's anytime strategies
 (:data:`~repro.core.search.PORTFOLIO_ALGORITHMS`) against one disk
-budget and one deadline:
+budget and one deadline, on **one** :class:`~repro.core.advisor.
+IndexAdvisor`:
 
-* ``retry`` -- strategies run *sequentially*; each later attempt gets
-  only what is left of the deadline
-  (:meth:`SearchBudget.remaining_seconds`), and the best result so far
-  is kept.  Cheapest mode; first-strategy latency when the first
-  strategy is good.
-* ``tournament`` -- all strategies run *concurrently* on a PR 4
-  :class:`~repro.parallel.executors.WorkerPool` thread pool, each with
-  the full deadline; the best benefit wins (ties break to the smaller
-  configuration, then to strategy order).
-* ``evolutionary`` -- tournament generations: generation 0 is the base
-  strategies, later generations are seeded-perturbed variants (jittered
-  ``beta``, fractional disk budget, strategy choice drawn from a
-  deterministic per-variant RNG), bounded by the deadline.
+* **One what-if pass.**  The advisor, its what-if session and its
+  evaluator are built once per portfolio.  Candidates, base costs and
+  the ranked standalone benefits are computed once, before any lane
+  runs, and every lane's search reuses them and every cost an earlier
+  lane paid for -- the paper's sub-configuration cache, shared across
+  formulations the way CoPhy shares its what-if costs.  The caches hold
+  values, not search state, so each lane answers what a fresh advisor
+  would.
+* **Lanes run in spec order on the calling thread.**  Modes:
+
+  * ``retry`` -- each attempt gets what is left of the deadline
+    (:meth:`SearchBudget.remaining_seconds`); the first untruncated
+    success wins.  Cheapest mode.
+  * ``tournament`` -- every strategy runs; the best benefit wins (ties
+    break to the smaller configuration, then to strategy order).
+  * ``evolutionary`` -- tournament generations: generation 0 is the
+    base strategies, later generations are seeded-perturbed variants
+    (jittered ``beta``, fractional disk budget, strategy choice drawn
+    from a deterministic per-variant RNG), bounded by the deadline.
+
+* **Fair-share deadline.**  The deadline counts from the portfolio's
+  start, shared phase included.  In the tournament and evolutionary
+  modes lane *i* gets ``remaining / lanes_left``; time a lane leaves
+  unused rolls forward to the next, so the portfolio still returns
+  within its deadline.
 
 Every variant is scored by the same full-workload evaluator, so
 benefits are directly comparable and the portfolio result is by
-construction ``>=`` each surviving single strategy.  When the caller
-passes a :class:`~repro.storage.snapshots.SnapshotStore` (the serving
-front end does), each *concurrent* lane runs against its own store
-snapshot instead of the shared live database: a private catalog and
-counters (lanes stop contending on ``fresh_name``) over the store's
-shared read-only collections, at the cost of one shell round-trip per
-lane (storage/snapshots.py has the sharing contract).  Retry mode and
-store-less calls keep the shared-database semantics.  A faulted variant
+construction ``>=`` each surviving single strategy.  A faulted variant
 (fault site ``serve.portfolio``) degrades the portfolio to the
 survivors' best -- never an unhandled exception; only when *every*
 variant fails does the portfolio raise (a typed
@@ -47,14 +53,18 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.search import DEFAULT_BETA, PORTFOLIO_ALGORITHMS
-from repro.parallel.executors import WorkerPool
 from repro.query.workload import Workload
 from repro.robustness.budget import SearchBudget
-from repro.robustness.errors import ConfigError, FatalAdvisorError
+from repro.robustness.errors import AdvisorError, ConfigError, FatalAdvisorError
 from repro.robustness.faults import maybe_inject
 
 PORTFOLIO_MODES = ("retry", "tournament", "evolutionary")
 DEFAULT_STRATEGIES: Tuple[str, ...] = PORTFOLIO_ALGORITHMS
+
+#: The deadline a lane gets once the portfolio's has run out: already
+#: spent, so the lane truncates at its first budget check and reports
+#: its best-so-far (a :class:`SearchBudget` deadline must be positive).
+_EXPIRED_SECONDS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -134,39 +144,26 @@ def perturbed_specs(
 
 
 def _run_variant(
-    database,
-    entries,
+    advisor,
     spec: VariantSpec,
     budget_bytes: int,
     deadline_seconds: Optional[float],
     optimizer_call_budget: Optional[int],
+    shared_degraded: bool,
 ) -> VariantOutcome:
-    """Run one lane to a :class:`VariantOutcome`.  Never raises: lanes
-    run inside ``WorkerPool.run`` where an escaped exception would break
-    the whole batch, and a faulted strategy must degrade the portfolio,
-    not kill it."""
-    from repro.core.advisor import IndexAdvisor
-    from repro.optimizer.session import WhatIfSession
-
+    """Run one lane on the portfolio's advisor.  Never raises: a
+    faulted strategy must degrade the portfolio, not kill it."""
+    session = advisor.session
+    reads = session.degraded_reads
     started = time.perf_counter()
     try:
         maybe_inject("serve.portfolio")
-        advisor = IndexAdvisor(
-            database,
-            Workload(list(entries)),
-            session=WhatIfSession(database),
-        )
         recommendation = advisor.recommend(
             max(1, int(budget_bytes * spec.budget_fraction)),
             algorithm=spec.algorithm,
             beta=spec.beta,
             deadline_seconds=deadline_seconds,
             optimizer_call_budget=optimizer_call_budget,
-        )
-        return VariantOutcome(
-            spec,
-            recommendation=recommendation,
-            elapsed_seconds=time.perf_counter() - started,
         )
     except Exception as exc:
         return VariantOutcome(
@@ -175,6 +172,17 @@ def _run_variant(
             error_type=type(exc).__name__,
             elapsed_seconds=time.perf_counter() - started,
         )
+    # The session's own flag is sticky across lanes; this lane read a
+    # fallback estimate when the shared phase did or when the session
+    # (or a cached benefit derived from one) served it one since.
+    recommendation.degraded = (
+        shared_degraded or session.degraded_reads != reads
+    )
+    return VariantOutcome(
+        spec,
+        recommendation=recommendation,
+        elapsed_seconds=time.perf_counter() - started,
+    )
 
 
 def _better(candidate: VariantOutcome, incumbent: Optional[VariantOutcome]):
@@ -190,6 +198,17 @@ def _better(candidate: VariantOutcome, incumbent: Optional[VariantOutcome]):
     return (new.benefit, -new.size_bytes) > (old.benefit, -old.size_bytes)
 
 
+def _all_failed(outcomes: Sequence[VariantOutcome]) -> AdvisorError:
+    """The typed error of a portfolio none of whose lanes succeeded."""
+    errors = "; ".join(
+        f"{o.spec.label}: {o.error}" for o in outcomes if o.error
+    )
+    message = f"every portfolio strategy failed ({errors})"
+    if any(o.error_type == "ConfigError" for o in outcomes):
+        return ConfigError(message)
+    return FatalAdvisorError(message, phase="portfolio")
+
+
 def run_portfolio(
     database,
     workload: Workload,
@@ -202,13 +221,21 @@ def run_portfolio(
     seed: int = 0,
     generations: int = 2,
     population: Optional[int] = None,
-    workers: Optional[int] = None,
     snapshots=None,
 ):
-    """Race ``strategies`` against one deadline; return the best
-    :class:`~repro.core.advisor.Recommendation` with per-strategy
+    """Run ``strategies`` against one budget and deadline; return the
+    best :class:`~repro.core.advisor.Recommendation` with per-strategy
     telemetry attached (``portfolio_stats`` / ``to_dict()["portfolio"]``).
+
+    ``optimizer_call_budget`` bounds each lane's calls *including* the
+    shared phase's, as if the lane had run alone.  ``snapshots`` is
+    accepted and unused: lanes share the advisor, not per-lane
+    snapshots.
     """
+    from repro.core.advisor import IndexAdvisor
+    from repro.core.search import ALGORITHMS
+    from repro.optimizer.session import WhatIfSession
+
     if mode not in PORTFOLIO_MODES:
         raise ValueError(
             f"unknown portfolio mode {mode!r}; choose from {PORTFOLIO_MODES}"
@@ -216,109 +243,104 @@ def run_portfolio(
     strategies = tuple(strategies)
     if not strategies:
         raise ValueError("portfolio needs at least one strategy")
-    from repro.core.search import ALGORITHMS
-
     for name in strategies:
         if name not in ALGORITHMS:
             raise ValueError(
                 f"unknown strategy {name!r}; choose from {sorted(ALGORITHMS)}"
             )
+    if budget_bytes <= 0:
+        raise ValueError(
+            f"budget_bytes must be a positive number of bytes, got "
+            f"{budget_bytes}"
+        )
+    clock = SearchBudget(deadline_seconds=deadline_seconds)
 
-    # Deterministic shared-state discipline for concurrent lanes:
-    # statistics are primed up front (exactly one rescan per collection,
-    # counted here, not racily inside lanes) and the catalog name
-    # counter is snapshotted so the winner's DDL can be re-derived as if
-    # it had been the only search run.
+    # Statistics are primed up front (exactly one rescan per collection,
+    # counted here) and the catalog name counter is snapshotted so the
+    # winner's DDL can be re-derived as if its search had run alone.
     for name in sorted(database.collections):
         database.runstats(name)
     name_counter_before = database.catalog._name_counter
 
-    clock_budget = SearchBudget(deadline_seconds=deadline_seconds)
-    entries = list(workload.entries)
-
-    def lane(spec: VariantSpec) -> VariantOutcome:
-        remaining = clock_budget.remaining_seconds()
-        lane_database = database
-        if snapshots is not None and mode != "retry":
-            # Concurrent lanes each get their own snapshot shell:
-            # identical bytes (the differential suite pins this), O(shell)
-            # to take, and no cross-lane catalog contention.
-            lane_database = snapshots.snapshot(database)
-        return _run_variant(
-            lane_database,
-            entries,
-            spec,
-            budget_bytes,
-            remaining if mode == "retry" else deadline_seconds,
-            optimizer_call_budget,
-        )
+    advisor = IndexAdvisor(
+        database,
+        Workload(list(workload.entries)),
+        session=WhatIfSession(database),
+    )
+    session = advisor.session
+    try:
+        # The shared phase: candidates, base costs, ranked standalone
+        # benefits -- everything every lane's search starts from.
+        advisor.evaluator.ranked_positive_candidates(advisor.candidates)
+    except Exception as exc:
+        raise _all_failed(
+            [
+                VariantOutcome(
+                    spec, error=str(exc), error_type=type(exc).__name__
+                )
+                for spec in base_specs(strategies)
+            ]
+        ) from exc
+    shared_degraded = advisor.degraded
+    lane_calls = (
+        None
+        if optimizer_call_budget is None
+        else max(0, optimizer_call_budget - session.counters.optimizer_calls)
+    )
 
     outcomes: List[VariantOutcome] = []
     best: Optional[VariantOutcome] = None
 
-    def absorb(batch: Sequence[VariantOutcome]):
+    def run(spec: VariantSpec, lanes_left: int) -> None:
         nonlocal best
-        for outcome in batch:
-            outcomes.append(outcome)
-            if _better(outcome, best):
-                best = outcome
+        remaining = clock.remaining_seconds()
+        if remaining is not None:
+            remaining = max(remaining / lanes_left, _EXPIRED_SECONDS)
+        outcome = _run_variant(
+            advisor, spec, budget_bytes, remaining, lane_calls,
+            shared_degraded,
+        )
+        outcomes.append(outcome)
+        if _better(outcome, best):
+            best = outcome
+
+    def expired() -> bool:
+        remaining = clock.remaining_seconds()
+        return remaining is not None and remaining <= 0
 
     if mode == "retry":
         for spec in base_specs(strategies):
-            remaining = clock_budget.remaining_seconds()
-            if outcomes and remaining is not None and remaining <= 0:
+            if outcomes and expired():
                 break
-            absorb([lane(spec)])
+            run(spec, 1)
             if best is not None and not best.recommendation.search.truncated:
                 # First untruncated success wins the retry ladder; later
                 # strategies only run when earlier ones failed or were
                 # cut short by the deadline.
                 break
     else:
-        pool = WorkerPool("thread", max(1, workers or len(strategies)))
-        try:
-            absorb(pool.run(lane, base_specs(strategies)))
-            if mode == "evolutionary":
-                pop = population or len(strategies)
-                for generation in range(1, max(1, generations)):
-                    remaining = clock_budget.remaining_seconds()
-                    if remaining is not None and remaining <= 0:
-                        break
-                    absorb(
-                        pool.run(
-                            lane,
-                            perturbed_specs(
-                                strategies, seed, generation, pop
-                            ),
-                        )
-                    )
-        finally:
-            pool.shutdown()
+        planned = [base_specs(strategies)]
+        if mode == "evolutionary":
+            pop = population or len(strategies)
+            planned += [
+                perturbed_specs(strategies, seed, generation, pop)
+                for generation in range(1, max(1, generations))
+            ]
+        lanes_left = sum(len(specs) for specs in planned)
+        for generation, specs in enumerate(planned):
+            if generation and expired():
+                break
+            for spec in specs:
+                run(spec, lanes_left)
+                lanes_left -= 1
 
-    if best is None or best.recommendation is None:
-        errors = "; ".join(
-            f"{o.spec.label}: {o.error}" for o in outcomes if o.error
-        )
-        config_error = next(
-            (
-                o
-                for o in outcomes
-                if o.error_type == "ConfigError"
-            ),
-            None,
-        )
-        if config_error is not None:
-            raise ConfigError(
-                f"every portfolio strategy failed ({errors})"
-            )
-        raise FatalAdvisorError(
-            f"every portfolio strategy failed ({errors})", phase="portfolio"
-        )
+    if best is None:
+        raise _all_failed(outcomes)
 
     winner = best.recommendation
     # Re-derive the winner's DDL as if its search had run alone: restore
-    # the catalog counter (concurrent lanes bumped it in race order) and
-    # mint names deterministically.
+    # the catalog counter (earlier lanes minted names too) and mint
+    # names deterministically.
     database.catalog._name_counter = name_counter_before
     winner.ddl = [
         candidate.definition(
@@ -333,11 +355,7 @@ def run_portfolio(
         "winner": best.spec.label,
         "deadline_seconds": deadline_seconds,
         "strategies_failed": failed,
-        "optimizer_calls_total": sum(
-            o.recommendation.search.optimizer_calls
-            for o in outcomes
-            if o.recommendation is not None
-        ),
+        "optimizer_calls_total": session.counters.optimizer_calls,
         "strategies": [
             outcome.to_dict(winner=outcome is best) for outcome in outcomes
         ],

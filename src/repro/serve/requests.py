@@ -26,10 +26,93 @@ code                meaning
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Any, Dict, Optional, Tuple
 
 #: Error codes a Response may carry (``None`` on success).
 ERROR_CODES = ("rejected", "config", "bad-request", "advisor-error", "internal")
+
+
+class _SlotValue(Mapping):
+    """A read-only mapping whose keys are the subclass's ``__slots__``.
+
+    Served queries and writes are the bulk of what a server hands out
+    and callers keep, so their values, statistics digests and journal
+    entries are slotted objects (~60-80 B) instead of dicts (~200-270 B)
+    that still read ``value["rows"]``.  Sequences are held as tuples;
+    :meth:`to_dict` is the plain-dict JSON form, lists included.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {self.__slots__}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __getitem__(self, key: str):
+        if key in self.__slots__:
+            return getattr(self, key)
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(self.__slots__)
+
+    def __len__(self) -> int:
+        return len(self.__slots__)
+
+    def to_dict(self) -> Dict:
+        return {name: plain(value) for name, value in self.items()}
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.to_dict()!r})"
+
+
+def plain(value):
+    """The JSON form of a served value: slotted mappings (also inside a
+    dict, as in a statistics fingerprint) become dicts, tuples lists."""
+    if isinstance(value, _SlotValue):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    return value
+
+
+class StatisticsDigest(_SlotValue):
+    """One collection's entry in a response's statistics fingerprint."""
+
+    __slots__ = ("doc_count", "total_nodes", "paths", "path_nodes")
+
+
+class JournalEntry(_SlotValue):
+    """One committed write in the server's replay journal."""
+
+    __slots__ = ("seq", "text", "collection", "epoch", "rows")
+
+
+class QueryValue(_SlotValue):
+    """The value of a served ``query``."""
+
+    __slots__ = (
+        "rows",
+        "docs_examined",
+        "used_indexes",
+        "index_entries_scanned",
+        "output",
+        "statistics",
+    )
+
+
+class DmlValue(_SlotValue):
+    """The value of a served ``dml`` write."""
+
+    __slots__ = ("rows", "docs_examined", "statistics")
 
 
 class Response:
@@ -44,9 +127,11 @@ class Response:
 
     A server hands out one of these per request and callers keep them by
     the thousand, so the layout is ``__slots__`` (a hand-written
-    dataclass: ``dataclass(slots=True)`` needs Python 3.10) and the
-    ``statistics`` digest inside ``value`` is one object shared by every
-    response at the same epochs -- treat ``value`` as read-only.
+    dataclass: ``dataclass(slots=True)`` needs Python 3.10), a query's
+    or write's ``value`` is a slotted :class:`QueryValue` /
+    :class:`DmlValue` mapping, and the ``statistics`` digest inside it
+    is one object shared by every response at the same epochs -- treat
+    ``value`` as read-only.
     """
 
     __slots__ = (
@@ -104,11 +189,12 @@ class Response:
 
     def to_dict(self) -> Dict:
         """JSON-serializable form (CLI ``--json``, bench artifacts)."""
+        value = self.value
         return {
             "kind": self.kind,
             "ok": self.ok,
             "tenant": self.tenant,
-            "value": self.value,
+            "value": value.to_dict() if isinstance(value, _SlotValue) else value,
             "error": self.error,
             "code": self.code,
             "epoch": (

@@ -58,7 +58,14 @@ from repro.robustness.errors import (
 )
 from repro.robustness.faults import maybe_inject
 from repro.serve.portfolio import DEFAULT_STRATEGIES, run_portfolio
-from repro.serve.requests import Response
+from repro.serve.requests import (
+    DmlValue,
+    JournalEntry,
+    QueryValue,
+    Response,
+    StatisticsDigest,
+    plain,
+)
 from repro.serve.tenants import AdmissionController, TenantPolicy
 from repro.storage.database import EpochGate, resolve_database
 from repro.storage.snapshots import SnapshotStore
@@ -107,7 +114,6 @@ class AdvisorServer:
         mode: str = "tournament",
         strategies: Sequence[str] = DEFAULT_STRATEGIES,
         deadline_seconds: Optional[float] = None,
-        workers: Optional[int] = None,
         lanes: int = 0,
         scheduler: Optional[Callable] = None,
         seed: int = 0,
@@ -122,10 +128,6 @@ class AdvisorServer:
         self.mode = mode
         self.strategies = tuple(strategies)
         self.deadline_seconds = deadline_seconds
-        #: Portfolio lane count; ``None`` consults ``REPRO_WORKERS`` at
-        #: request time (inside the request task -- junk env becomes a
-        #: typed ``config`` response, never a bare traceback).
-        self.workers = workers
         self.lanes = lanes
         self.scheduler = scheduler
         self.seed = seed
@@ -135,7 +137,7 @@ class AdvisorServer:
         #: Commit journal of every write: ``seq``, statement text,
         #: collection, post-commit epoch, rows -- the replay script of
         #: the differential tests.
-        self.journal: List[Dict] = []
+        self.journal: List[JournalEntry] = []
         self.counters: Dict[str, int] = {}
         #: collections -> (their (epoch, statistics stamp) pairs, digest):
         #: the last statistics fingerprint handed out for them.
@@ -298,12 +300,12 @@ class AdvisorServer:
             held = self._fingerprints[names] = (
                 state,
                 {
-                    name: {
-                        "doc_count": stats.doc_count,
-                        "total_nodes": stats.total_nodes,
-                        "paths": len(stats.path_counts),
-                        "path_nodes": sum(stats.path_counts.values()),
-                    }
+                    name: StatisticsDigest(
+                        stats.doc_count,
+                        stats.total_nodes,
+                        len(stats.path_counts),
+                        sum(stats.path_counts.values()),
+                    )
                     for name, stats in zip(names, statistics)
                 },
             )
@@ -423,14 +425,14 @@ class AdvisorServer:
                 [run, lambda: self._stats_fingerprint(collections)],
             )
         )
-        value = {
-            "rows": result.rows,
-            "docs_examined": result.docs_examined,
-            "used_indexes": list(result.used_indexes),
-            "index_entries_scanned": result.index_entries_scanned,
-            "output": list(result.output),
-            "statistics": fingerprint,
-        }
+        value = QueryValue(
+            result.rows,
+            result.docs_examined,
+            result.used_indexes,
+            result.index_entries_scanned,
+            tuple(result.output),
+            fingerprint,
+        )
         return value, token, retries, watermark
 
     async def _do_dml(self, text: str):
@@ -456,19 +458,19 @@ class AdvisorServer:
             self._seq += 1
             token = self.gate.epochs([collection])
             self.journal.append(
-                {
-                    "seq": seq,
-                    "text": statement.describe(),
-                    "collection": collection,
-                    "epoch": token[0][1],
-                    "rows": result.rows,
-                }
+                JournalEntry(
+                    seq,
+                    statement.describe(),
+                    collection,
+                    token[0][1],
+                    result.rows,
+                )
             )
-        value = {
-            "rows": result.rows,
-            "docs_examined": result.docs_examined,
-            "statistics": self._stats_fingerprint([collection]),
-        }
+        value = DmlValue(
+            result.rows,
+            result.docs_examined,
+            self._stats_fingerprint([collection]),
+        )
         return value, token, 0, seq
 
     def _apply_dml(self, statement, collection: str):
@@ -544,8 +546,8 @@ class AdvisorServer:
         self.admission.charge_calls(
             tenant, session.counters.optimizer_calls
         )
-        value["statistics"] = self._stats_fingerprint(
-            touched, database=snapshot
+        value["statistics"] = plain(
+            self._stats_fingerprint(touched, database=snapshot)
         )
         return value, token, retries, watermark
 
@@ -553,8 +555,6 @@ class AdvisorServer:
         self, statements, budget_bytes, tenant, mode, strategies,
         deadline_seconds, seed,
     ):
-        from repro.parallel.executors import resolve_workers, workers_from_env
-
         workload = Workload.from_statements(list(statements))
         touched = sorted(
             {
@@ -564,14 +564,6 @@ class AdvisorServer:
             }
         )
         self._check_collections(touched)
-        # Resolved *inside* the request task: junk REPRO_WORKERS becomes
-        # a typed ``config`` response here, not a bare traceback out of
-        # a lane (the PR 9 bugfix; regression in tests/test_serve_server.py).
-        lane_workers = (
-            workers_from_env()
-            if self.workers is None
-            else resolve_workers(self.workers, option="workers")
-        )
         deadline, call_quota = self.admission.limits_for(
             tenant,
             self.deadline_seconds
@@ -590,8 +582,6 @@ class AdvisorServer:
                 deadline_seconds=deadline,
                 optimizer_call_budget=call_quota,
                 seed=self.seed if seed is None else seed,
-                workers=lane_workers or None,
-                snapshots=self.snapshots,
             )
 
         recommendation = await self._call(run)

@@ -41,8 +41,7 @@ wrinkles make the key more than ``(collection, epoch)``:
 * One store serves many databases (cluster replicas, the serve layer's
   own snapshots), so the key leads with a per-database token.  Snapshot
   databases composed *by* the store inherit their source's token: a
-  snapshot-of-a-snapshot at unchanged epochs is pure cache hits too
-  (portfolio lanes lean on this).
+  snapshot-of-a-snapshot at unchanged epochs is pure cache hits too.
 
 Epochs and stamps only move forward, so a superseded key is never asked
 for again by the database that moved past it.  Only an *older* composed
@@ -70,9 +69,9 @@ What is copied, what is shared, and who may write, stated once:
   database does afterwards (appending a document, tombstoning one,
   merging or deleting index entries, retracting statistics) reaches
   them.  They are shared by every snapshot the store composes at that
-  key, across requests and across portfolio lanes, and are
-  **read-only**.  A store-composed snapshot therefore refuses DML, index
-  DDL and ``invalidate_statistics`` with
+  key, across requests, and are **read-only**.  A store-composed
+  snapshot therefore refuses DML, index DDL and
+  ``invalidate_statistics`` with
   :class:`~repro.robustness.errors.ReadOnlySnapshotError`; a
   ``pickle``/``deepcopy`` of it owns its parts and is writable again.
   :func:`compose_database` never writes to a part either: the
@@ -344,8 +343,8 @@ class SnapshotStore:
     part, lazily its blob); the module docstring states what is shared
     and who may mutate it.
 
-    Thread-safe: the serve layer's thread lanes and portfolio lanes take
-    snapshots concurrently.  One lock covers lookup, the occasional
+    Thread-safe: the serve layer's thread lanes take snapshots
+    concurrently.  One lock covers lookup, the occasional
     clone/serialize and the shell round-trip; composing from held parts
     is O(shell), so there is nothing worth overlapping.
     """

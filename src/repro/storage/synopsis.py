@@ -18,7 +18,8 @@ Everything downstream rides this one walk instead of re-walking the tree:
   its entries from the shared synopsis (one walk per document total), and
 * the :class:`~repro.optimizer.executor.Executor` resolves predicate-free
   absolute paths as a compiled-matcher bitmap over the document's interned
-  path ids followed by a node-id lookup.
+  path ids followed by a node-id lookup, and answers residual predicates
+  from the same slots' typed values (:func:`pattern_hits`).
 
 The walk order exactly mirrors ``statistics._scan_document`` and
 ``index._walk_with_paths``: element (string value = concatenated subtree
@@ -28,15 +29,17 @@ come out ascending for free.
 
 Interned path ids (``path_ids``) are cached process-locally and dropped on
 pickling: ids interned in this process's ``GLOBAL_TABLE`` would silently
-mismatch another process's table.
+mismatch another process's table.  Typed values (``typed_values``) are
+derived per slot on first use and dropped on pickling too.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.xmlmodel.nodes import XmlDocument, XmlNode
+from repro.xmlmodel.nodes import XmlDocument, XmlNode, typed_value_of
 from repro.xpath.compiled import GLOBAL_TABLE
+from repro.xpath.evaluator import compare_value
 
 TagPath = Tuple[str, ...]
 
@@ -62,6 +65,7 @@ class DocumentSynopsis:
         "element_count",
         "_slots",
         "_path_ids",
+        "_typed",
     )
 
     def __init__(
@@ -83,6 +87,7 @@ class DocumentSynopsis:
             path: slot for slot, path in enumerate(tag_paths)
         }
         self._path_ids: Optional[List[int]] = None
+        self._typed: Optional[List[Optional[List[object]]]] = None
 
     # ------------------------------------------------------------------
     # Pickling: interned ids are process-local, the slot map is derived.
@@ -108,6 +113,7 @@ class DocumentSynopsis:
         ) = state
         self._slots = {path: slot for slot, path in enumerate(self.tag_paths)}
         self._path_ids = None
+        self._typed = None
 
     # ------------------------------------------------------------------
     # Accessors
@@ -122,6 +128,21 @@ class DocumentSynopsis:
             ids = [GLOBAL_TABLE.intern(path) for path in self.tag_paths]
             self._path_ids = ids
         return ids
+
+    def typed_values(self, slot: int) -> List[object]:
+        """The slot's node values typed exactly as
+        :meth:`~repro.xmlmodel.nodes.XmlNode.typed_value` types them
+        (:func:`~repro.xmlmodel.nodes.typed_value_of`).  Computed once
+        per slot, on first use."""
+        typed = self._typed
+        if typed is None:
+            typed = self._typed = [None] * len(self.tag_paths)
+        values = typed[slot]
+        if values is None:
+            values = typed[slot] = [
+                typed_value_of(text) for text in self.values[slot]
+            ]
+        return values
 
     def slot_of(self, tag_path: TagPath) -> Optional[int]:
         """Slot index of ``tag_path`` in this document, or ``None``."""
@@ -198,18 +219,40 @@ def get_synopsis(document: XmlDocument) -> DocumentSynopsis:
     return synopsis
 
 
-def pattern_nodes(document: XmlDocument, pattern) -> List[XmlNode]:
-    """Nodes of ``document`` reached by ``pattern`` (a
-    :class:`~repro.xpath.patterns.PathPattern`), in document order --
-    resolved as a matcher bitmap over the synopsis path ids plus a node-id
-    lookup, never a tree walk."""
+def pattern_hits(
+    document: XmlDocument, pattern, op: Optional[str] = None, literal=None
+) -> List[int]:
+    """Ascending ids of the nodes of ``document`` that ``pattern`` (a
+    :class:`~repro.xpath.patterns.PathPattern`) reaches and whose typed
+    value passes ``compare_value(value, op, literal)`` -- every reached
+    node when ``op`` is ``None``.  A concrete pattern is one slot lookup;
+    any other is a matcher bitmap over the synopsis path ids.  Never a
+    tree walk."""
     synopsis = get_synopsis(document)
-    ids = synopsis.path_ids()  # intern before the matcher's tail scan
-    matched = pattern.matcher.matching_ids()
+    if pattern.tag_path is not None:
+        slot = synopsis.slot_of(pattern.tag_path)
+        slots = () if slot is None else (slot,)
+    else:
+        ids = synopsis.path_ids()  # intern before the matcher's tail scan
+        matched = pattern.matcher.matching_ids()
+        slots = [slot for slot, path_id in enumerate(ids) if path_id in matched]
     found: List[int] = []
-    for slot, path_id in enumerate(ids):
-        if path_id in matched:
+    for slot in slots:
+        if op is None:
             found.extend(synopsis.node_ids[slot])
-    found.sort()
+            continue
+        for node_id, value in zip(
+            synopsis.node_ids[slot], synopsis.typed_values(slot)
+        ):
+            if compare_value(value, op, literal):
+                found.append(node_id)
+    if len(slots) > 1:
+        found.sort()
+    return found
+
+
+def pattern_nodes(document: XmlDocument, pattern) -> List[XmlNode]:
+    """Nodes of ``document`` reached by ``pattern``, in document order
+    (see :func:`pattern_hits`)."""
     nodes = document.nodes
-    return [nodes[node_id] for node_id in found]
+    return [nodes[node_id] for node_id in pattern_hits(document, pattern)]

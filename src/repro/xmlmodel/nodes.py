@@ -13,6 +13,16 @@ import enum
 from typing import Iterator, List, Optional, Tuple
 
 
+def typed_value_of(text: str) -> object:
+    """A string value typed the way :meth:`XmlNode.typed_value` types
+    it: stripped, and a ``float`` when it parses as a number."""
+    text = text.strip()
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 class NodeKind(enum.Enum):
     """Kind of an :class:`XmlNode`."""
 
@@ -139,11 +149,7 @@ class XmlNode:
     def typed_value(self) -> object:
         """The string value coerced to ``float`` when it parses as a number,
         mirroring how a typed XML value index keys its entries."""
-        text = self.string_value().strip()
-        try:
-            return float(text)
-        except ValueError:
-            return text
+        return typed_value_of(self.string_value())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.kind is NodeKind.ELEMENT:

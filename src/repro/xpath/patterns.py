@@ -67,7 +67,9 @@ class PathPattern:
     they can key candidate sets and configuration caches.
     """
 
-    __slots__ = ("steps", "_text", "_hash", "_transitions", "_matcher")
+    __slots__ = (
+        "steps", "_text", "_hash", "_transitions", "_matcher", "_tag_path"
+    )
 
     def __init__(self, steps: Sequence[PatternStep]) -> None:
         steps = tuple(steps)
@@ -128,6 +130,24 @@ class PathPattern:
     @property
     def has_descendant_axis(self) -> bool:
         return any(step.axis is Axis.DESCENDANT for step in self.steps)
+
+    @property
+    def tag_path(self):
+        """The one tag path a wildcard-free, child-steps-only pattern
+        matches, else ``None`` (worked out on first use)."""
+        try:
+            return self._tag_path
+        except AttributeError:
+            tag_path = (
+                tuple(name for _, name in self._transitions)
+                if not any(
+                    descendant or name in ("*", "@*")
+                    for descendant, name in self._transitions
+                )
+                else None
+            )
+            object.__setattr__(self, "_tag_path", tag_path)
+            return tag_path
 
     @property
     def is_universal(self) -> bool:
@@ -300,9 +320,9 @@ def _covers_cached(super_text: str, sub_text: str) -> bool:
     if sup.is_universal:
         # //* matches exactly the paths ending in an element symbol.
         return not sub.last_step.is_attribute
-    if not sub.has_wildcard and not sub.has_descendant_axis:
+    if sub.tag_path is not None:
         # A concrete pattern's language is the single path of its names.
-        return sup.matches(tuple(s.name for s in sub.steps))
+        return sup.matches(sub.tag_path)
     return _covers_product(sup, sub)
 
 

@@ -39,6 +39,18 @@ def _per_test_timeout():
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.fixture()
+def fault_free():
+    """Pin an empty fault schedule over the test, whatever
+    ``REPRO_FAULT_*`` says.  For tests that compare two runs request by
+    request: a process-wide random schedule draws different faults in
+    each, which is no bug (fault behaviour has its own chaos tests)."""
+    from repro.robustness.faults import FaultInjector, injected
+
+    with injected(FaultInjector([])):
+        yield
+
+
 @pytest.fixture(scope="session")
 def tpox_db() -> Database:
     """A small TPoX-like database shared across tests (read-only!)."""

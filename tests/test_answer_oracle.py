@@ -149,7 +149,11 @@ def apply_write(databases, write):
             database.delete_document("C", live[payload % len(live)])
         return []
     statement = parse_statement(payload)
-    return [Executor(database).execute(statement).rows for database in databases]
+    # the indexed engine reads the synopsis, the truth copies walk trees
+    return [
+        Executor(database, use_synopsis=index == 0).execute(statement).rows
+        for index, database in enumerate(databases)
+    ]
 
 
 @settings(max_examples=100, deadline=None)
@@ -169,6 +173,53 @@ def apply_write(databases, write):
     configuration=[("//*", IndexValueType.NUMERIC)],
     dml=[("delete-id", 0), ("delete-id", 0)],
     snapshot_at=0,
+)
+# Residual predicates answered from the synopsis, one shape each.
+@example(
+    # several binding nodes per document; only a sibling's subtree holds
+    # a match (the first b's descendant b fails, the c's passes)
+    initial=["<a><b><b>1</b></b><c><b>7</b></c></a>", "<a><b>9</b></a>"],
+    texts=["for $x in X('C')/a/* where $x//b > 3 return $x"],
+    configuration=[("//b", IndexValueType.NUMERIC)],
+    dml=[("insert", "<a><c><b>2</b></c><b><c><b>5</b></c></b></a>"),
+         ("delete-id", 0)],
+    snapshot_at=1,
+)
+@example(
+    # a predicate on the binding step
+    initial=["<a><c><b>5</b></c><c><b>1</b><b>8</b></c><b>4</b></a>"],
+    texts=["for $x in X('C')/a/*[b > 3] return $x/b"],
+    configuration=[("/a/*", IndexValueType.STRING)],
+    dml=[("insert", "<a><c><b>2</b></c></a>"), ("delete-id", 1)],
+    snapshot_at=0,
+)
+@example(
+    # attribute clauses: the binding node's own and its descendants'
+    initial=['<a><b id="red"></b><c id="blue"><b id="red"></b></c></a>'],
+    texts=[
+        "for $x in X('C')/a/* where $x/@id = \"red\" return $x/@id",
+        "for $x in X('C')/a/* where $x//@id = \"red\" return $x",
+    ],
+    configuration=[("//@id", IndexValueType.STRING)],
+    dml=[("insert", '<a><c k="7"><b id="red"></b></c></a>'),
+         ("delete-where", 'delete from C where //@id = "blue"')],
+    snapshot_at=1,
+)
+@example(
+    # an empty clause path keeps the tree walk
+    initial=["<a><b>7</b><b>07</b><b>x</b></a>"],
+    texts=["for $x in X('C')/a/b where $x = 7 return $x"],
+    configuration=[("/a/b", IndexValueType.NUMERIC)],
+    dml=[("insert", "<a><b>7.0</b></a>"), ("delete-id", 0)],
+    snapshot_at=0,
+)
+@example(
+    # a // binding path keeps the tree walk (nested same-name elements)
+    initial=["<a><b><b><b>5</b></b></b><b>4</b></a>"],
+    texts=["for $x in X('C')//b where $x/b > 3 return $x"],
+    configuration=[("//b", IndexValueType.NUMERIC)],
+    dml=[("insert", "<a><b><b>1</b></b></a>"), ("delete-id", 1)],
+    snapshot_at=1,
 )
 def test_indexes_and_snapshots_never_change_an_answer(
     initial, texts, configuration, dml, snapshot_at

@@ -31,6 +31,8 @@ from repro.workloads import tpox
 TIMEOUT = 180
 BUDGET = 50_000
 
+pytestmark = pytest.mark.usefixtures("fault_free")
+
 
 def small_database():
     return tpox.build_database(
@@ -169,9 +171,10 @@ class TestSerialEquivalence:
 
     def test_thread_lanes_share_snapshot_parts_under_concurrent_dml(self):
         """A few hundred requests through two thread lanes with the
-        default tournament: advise requests and their portfolio lanes
-        read the store's shared parts while DML supersedes them.  No
-        response may fail and the run must replay serially."""
+        default tournament: advise requests read the store's shared
+        parts while DML supersedes them.  No response may fail, the run
+        must replay serially, and each advise request composes exactly
+        one snapshot (its portfolio lanes share it)."""
         schedule = []
         for index in range(240):
             schedule.append(
@@ -209,7 +212,17 @@ class TestSerialEquivalence:
         assert_serially_equivalent(schedule, server, responses)
         snapshots = server.snapshots.stats()
         assert snapshots["generations"] == len(server.database.collections)
-        assert snapshots["compositions"] > snapshots["clones"]
+        advise_requests = sum(
+            1 for request in schedule if request["kind"] in ("whatif", "recommend")
+        )
+        # one composition per advise request, plus one per torn retry a
+        # real thread overlap may force on its snapshot read
+        retries = server.counters.get("read_retries", 0)
+        assert (
+            advise_requests
+            <= snapshots["compositions"]
+            <= advise_requests + retries
+        )
         assert snapshots["serializations"] == 0
 
     def test_advise_requests_replay_bit_identical(self):

@@ -1,7 +1,6 @@
-"""Unit tests of the serving front end (PR 9): the epoch gate, tenant
-admission, typed responses, the portfolio modes, and the ConfigError
-bugfix regression (junk ``REPRO_WORKERS`` inside a request task becomes
-a typed ``config`` response / CLI exit 2, never a bare traceback)."""
+"""Unit tests of the serving front end: the epoch gate, tenant
+admission, typed responses, the portfolio modes, and typed configuration
+errors (a ``config`` response / CLI exit 2, never a bare traceback)."""
 
 import asyncio
 import json
@@ -324,6 +323,66 @@ class TestEndpoints:
         assert "elapsed_seconds" not in response.value
         json.dumps(response.to_dict())
 
+    def test_non_positive_budget_is_a_bad_request(self):
+        """Regression: a zero or negative budget used to be clamped to
+        one byte and answered ``ok`` with ``budget_bytes: 1``."""
+
+        async def scenario():
+            async with AdvisorServer(small_database()) as server:
+                return [
+                    await server.recommend(QUERY_TEXTS, budget)
+                    for budget in (0, -5)
+                ]
+
+        for response in run(scenario()):
+            assert not response.ok
+            assert response.code == "bad-request"
+            assert "budget_bytes" in response.error
+
+    def test_served_values_and_journal_are_slotted_mappings(self):
+        """What a server keeps per request -- query and write values,
+        their statistics digests, journal entries -- is slotted, reads
+        like the dicts it replaced and turns into them for JSON."""
+        text = next(t for t in QUERY_TEXTS if "SDOC" in t)
+
+        async def scenario():
+            async with AdvisorServer(small_database()) as server:
+                return (
+                    await server.query(text),
+                    await server.dml(
+                        "insert into SDOC value "
+                        "'<Security><Symbol>NEW</Symbol></Security>'"
+                    ),
+                    server.journal,
+                )
+
+        query, write, journal = run(scenario())
+        digest_keys = ["doc_count", "total_nodes", "paths", "path_nodes"]
+        for mapping, keys in (
+            (query.value, ["rows", "docs_examined", "used_indexes",
+                           "index_entries_scanned", "output", "statistics"]),
+            (write.value, ["rows", "docs_examined", "statistics"]),
+            (write.value["statistics"]["SDOC"], digest_keys),
+            (journal[0], ["seq", "text", "collection", "epoch", "rows"]),
+        ):
+            assert not hasattr(mapping, "__dict__")
+            assert list(mapping) == keys
+            with pytest.raises(AttributeError):
+                mapping.rows = 0
+        for response in (query, write):
+            as_dict = response.to_dict()["value"]
+            assert type(as_dict) is dict
+            assert type(as_dict["statistics"]["SDOC"]) is dict
+            assert list(as_dict["statistics"]["SDOC"]) == digest_keys
+            assert as_dict == {
+                key: list(value) if isinstance(value, tuple) else value
+                for key, value in response.value.items()
+            }
+        assert isinstance(query.value["output"], tuple)
+        assert query.to_dict()["value"]["output"] == list(query.value["output"])
+        assert write.value["rows"] == 1 and journal[0]["rows"] == 1
+        json.dumps([query.to_dict(), write.to_dict()])
+
     def test_quota_exhaustion_rejects_next_advise_request(self):
         db = small_database()
 
@@ -481,25 +540,12 @@ class TestPortfolio:
 # ---------------------------------------------------------------------------
 
 class TestConfigErrorPropagation:
-    def test_junk_workers_env_is_a_typed_config_response(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "lots")
-        db = small_database()
-
-        async def scenario():
-            async with AdvisorServer(db) as server:
-                return await server.recommend(QUERY_TEXTS, BUDGET)
-
-        response = run(scenario())
-        assert not response.ok
-        assert response.code == "config"
-        assert "REPRO_WORKERS" in response.error
-
     def test_portfolio_raises_config_error_when_all_lanes_hit_it(
         self, monkeypatch
     ):
         import repro.serve.portfolio as portfolio_module
 
-        def doomed_lane(database, entries, spec, *args, **kwargs):
+        def doomed_lane(advisor, spec, *args, **kwargs):
             return portfolio_module.VariantOutcome(
                 spec,
                 error="invalid REPRO_WORKERS value 'lots'",
@@ -537,12 +583,11 @@ class TestConfigErrorPropagation:
         assert code == 2
         assert "REPRO_WORKERS" in capsys.readouterr().err
 
-    def test_cli_portfolio_mode_exits_2_on_junk_workers_env(
-        self, monkeypatch, tmp_path, capsys
+    def test_cli_portfolio_mode_exits_2_with_workers(
+        self, tmp_path, capsys
     ):
-        # Regression: the --mode path resolved --workers without ever
-        # consulting $REPRO_WORKERS, so junk env sailed through to a
-        # successful recommendation instead of a typed exit 2.
+        # Portfolio lanes share one what-if session on one thread, so a
+        # worker count has nothing to configure: rejected like --shards.
         from repro.storage.persist import save_database
 
         dbdir = tmp_path / "db"
@@ -551,17 +596,17 @@ class TestConfigErrorPropagation:
         workload_path.write_text(
             "\n;\n".join(QUERY_TEXTS) + "\n", encoding="utf-8"
         )
-        monkeypatch.setenv("REPRO_WORKERS", "lots")
         code = main(
             [
                 "recommend", str(dbdir),
                 "--workload", str(workload_path),
                 "--budget", str(BUDGET),
                 "--mode", "tournament",
+                "--workers", "2",
             ]
         )
         assert code == 2
-        assert "REPRO_WORKERS" in capsys.readouterr().err
+        assert "--workers" in capsys.readouterr().err
 
 
 def test_normalized_recommendation_strips_wall_clock():

@@ -813,7 +813,7 @@ class TestServeConsumer:
 
     def test_repeat_advise_at_unchanged_epoch_serializes_nothing(self):
         """The serve-path headline: after the first advise request warms
-        the store, repeats (and portfolio lanes) re-pickle nothing."""
+        the store, repeats re-pickle nothing."""
 
         async def scenario():
             async with AdvisorServer(
@@ -828,13 +828,13 @@ class TestServeConsumer:
         assert first.ok and second.ok
         assert first.value == second.value
         assert stats["serializations"] == warm
-        assert stats["compositions"] > 1  # lanes composed, from cache
+        assert stats["compositions"] == 2  # one per request, from cache
 
-    def test_served_recommend_composes_four_snapshots_from_held_parts(self):
-        """A tournament recommend takes four snapshots (the request's
-        and one per lane); at unchanged epochs none of them clones a
-        collection, after a write exactly the touched collection is
-        cloned once for all four, and nothing is ever serialized."""
+    def test_served_recommend_composes_one_snapshot_from_held_parts(self):
+        """A tournament recommend takes one snapshot, which its lanes
+        share; at unchanged epochs it clones no collection, after a
+        write exactly the touched collection is cloned once, and nothing
+        is ever serialized."""
 
         async def scenario():
             async with AdvisorServer(build_database()) as server:
@@ -851,9 +851,9 @@ class TestServeConsumer:
                 return stats
 
         warm, steady, written = _run(scenario())
-        assert steady["compositions"] == warm["compositions"] + 4
+        assert steady["compositions"] == warm["compositions"] + 1
         assert steady["clones"] == warm["clones"]
-        assert written["compositions"] == steady["compositions"] + 4
+        assert written["compositions"] == steady["compositions"] + 1
         assert written["clones"] == steady["clones"] + 1
         assert written["serializations"] == written["bytes_serialized"] == 0
         assert written["generations"] == 3 and written["cached_blobs"] == 0
