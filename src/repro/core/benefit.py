@@ -84,10 +84,13 @@ class ConfigurationEvaluator:
         self._standalone_cache: Dict[CandidateKey, float] = {}
         self._maintenance_cache: Dict[CandidateKey, float] = {}
         self._affected_cache: Dict[CandidateKey, FrozenSet[int]] = {}
+        #: How many fallback estimates this evaluator's costs read: one
+        #: per degraded session result (fresh or cached) and one per
+        #: cached benefit derived from one.  Searches sharing the
+        #: evaluator diff it to learn whether *they* used a fallback.
+        self.fallback_reads = 0
         #: Keys of sub-configuration and standalone entries derived from
-        #: a fallback estimate.  Serving one bumps the session's
-        #: ``degraded_reads``, as re-reading the estimate itself would, so
-        #: searches sharing this evaluator learn which of them used one.
+        #: a fallback estimate.
         self._degraded: set = set()
         #: Ranked positive candidates per candidate set (searchers share
         #: the scan/sort across repeated searches on one evaluator).
@@ -166,11 +169,18 @@ class ConfigurationEvaluator:
             with self.session.phase("base-costs"):
                 # One batch: the parallel session shards the whole
                 # workload's base costing across its workers.
-                self._base_costs = self.session.cost_batch(
+                self._base_costs = self.costs(
                     [(entry.statement, ()) for entry in self.workload]
                 )
             self._generation = getattr(self.database, "modification_count", 0)
         return self._base_costs
+
+    def costs(self, tasks, use_cache: bool = True) -> List[float]:
+        """Costs of (statement, definitions) pairs through the session's
+        batch entry point, counting the fallback estimates among them."""
+        results = self.session.evaluate_batch(tasks, use_cache)
+        self.fallback_reads += sum(1 for result in results if result.degraded)
+        return [result.estimated_cost for result in results]
 
     # ------------------------------------------------------------------
     # Public API
@@ -205,7 +215,7 @@ class ConfigurationEvaluator:
         if key in self._standalone_cache:
             self._served(key)
         else:
-            reads = self.session.degraded_reads
+            reads = self.fallback_reads
             self._standalone_cache[key] = self.benefit(
                 IndexConfiguration([candidate])
             )
@@ -277,7 +287,9 @@ class ConfigurationEvaluator:
                 )
                 group_key = frozenset((candidate.key,))
                 self._subconfig_cache[group_key] = saved
-                if any(result.degraded for result in mine):
+                fallbacks = sum(1 for result in mine if result.degraded)
+                if fallbacks:
+                    self.fallback_reads += fallbacks
                     self._degraded.update((group_key, candidate.key))
                 group_benefit = saved
             else:
@@ -399,7 +411,7 @@ class ConfigurationEvaluator:
             affected = sorted(
                 set().union(*(self.affected_set(c) for c in group))
             )
-            reads = self.session.degraded_reads
+            reads = self.fallback_reads
             cached = self._evaluate_group(group, affected)
             self._subconfig_cache[key] = cached
             self._settle(key, reads)
@@ -408,16 +420,15 @@ class ConfigurationEvaluator:
         return cached
 
     def _served(self, key) -> None:
-        """A cached entry was read: count it as a degraded read when it
-        was derived from a fallback estimate."""
+        """A cached entry was read: count a fallback read when it was
+        derived from a fallback estimate."""
         if self._degraded and key in self._degraded:
-            self.session.degraded_reads += 1
+            self.fallback_reads += 1
 
     def _settle(self, key, reads: int) -> None:
         """A cached entry was computed: mark it degraded when computing
-        it read a fallback estimate (the session's count moved past
-        ``reads``)."""
-        if self.session.degraded_reads != reads:
+        it read a fallback estimate (the count moved past ``reads``)."""
+        if self.fallback_reads != reads:
             self._degraded.add(key)
 
     # ------------------------------------------------------------------
@@ -557,7 +568,7 @@ class ConfigurationEvaluator:
         base_costs = self.base_costs
         positions = list(statement_positions)
         definitions = self.session.definitions_for(group)
-        new_costs = self.session.cost_batch(
+        new_costs = self.costs(
             [
                 (self.workload.entries[position].statement, definitions)
                 for position in positions

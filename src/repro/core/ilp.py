@@ -138,7 +138,7 @@ def build_atom_matrix(
             spans.append((position, j))
             tasks.append((statement, definitions[j]))
     with session.phase("ilp-atoms"):
-        costs = session.cost_batch(tasks)
+        costs = evaluator.costs(tasks)
 
     singles: Dict[Tuple[int, int], float] = {}
     for (position, j), cost in zip(spans, costs):
@@ -171,7 +171,7 @@ def build_atom_matrix(
                     (statement, pair_definitions[pair_key])
                 )
     with session.phase("ilp-atoms"):
-        pair_costs = session.cost_batch(pair_tasks)
+        pair_costs = evaluator.costs(pair_tasks)
 
     atoms: List[Atom] = [
         Atom(position, (j,), saving)

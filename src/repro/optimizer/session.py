@@ -197,10 +197,6 @@ class WhatIfSession:
         #: Bounded sample log of degraded estimates (the counter keeps
         #: the true total).
         self.degraded: List[DegradedEstimate] = []
-        #: How many times :meth:`evaluate` handed out a degraded result,
-        #: fresh or cached -- a caller sharing this session diffs it to
-        #: learn whether *its* costs read a fallback estimate.
-        self.degraded_reads = 0
         self._generation = getattr(database, "modification_count", 0)
         #: Snapshot of the database's per-collection epochs: when the
         #: modification counter moves, the epochs that moved with it name
@@ -514,8 +510,6 @@ class WhatIfSession:
             cached = self._result_cache.get(key)
             if cached is not None:
                 self.counters.cache_hits += 1
-                if cached.degraded:
-                    self.degraded_reads += 1
                 return cached
             self.counters.cache_misses += 1
         result = self._invoke(
@@ -526,8 +520,6 @@ class WhatIfSession:
             self._handle(sid),
         )
         self._result_cache[key] = result
-        if result.degraded:
-            self.degraded_reads += 1
         return result
 
     def cost(

@@ -153,8 +153,8 @@ def _run_variant(
 ) -> VariantOutcome:
     """Run one lane on the portfolio's advisor.  Never raises: a
     faulted strategy must degrade the portfolio, not kill it."""
-    session = advisor.session
-    reads = session.degraded_reads
+    evaluator = advisor.evaluator
+    reads = evaluator.fallback_reads
     started = time.perf_counter()
     try:
         maybe_inject("serve.portfolio")
@@ -173,10 +173,11 @@ def _run_variant(
             elapsed_seconds=time.perf_counter() - started,
         )
     # The session's own flag is sticky across lanes; this lane read a
-    # fallback estimate when the shared phase did or when the session
-    # (or a cached benefit derived from one) served it one since.
+    # fallback estimate when the shared phase did or when the evaluator
+    # (a session result or a cached benefit derived from one) served it
+    # one since.
     recommendation.degraded = (
-        shared_degraded or session.degraded_reads != reads
+        shared_degraded or evaluator.fallback_reads != reads
     )
     return VariantOutcome(
         spec,

@@ -189,12 +189,11 @@ class Response:
 
     def to_dict(self) -> Dict:
         """JSON-serializable form (CLI ``--json``, bench artifacts)."""
-        value = self.value
         return {
             "kind": self.kind,
             "ok": self.ok,
             "tenant": self.tenant,
-            "value": value.to_dict() if isinstance(value, _SlotValue) else value,
+            "value": plain(self.value),
             "error": self.error,
             "code": self.code,
             "epoch": (

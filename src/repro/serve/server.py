@@ -64,7 +64,6 @@ from repro.serve.requests import (
     QueryValue,
     Response,
     StatisticsDigest,
-    plain,
 )
 from repro.serve.tenants import AdmissionController, TenantPolicy
 from repro.storage.database import EpochGate, resolve_database
@@ -546,8 +545,8 @@ class AdvisorServer:
         self.admission.charge_calls(
             tenant, session.counters.optimizer_calls
         )
-        value["statistics"] = plain(
-            self._stats_fingerprint(touched, database=snapshot)
+        value["statistics"] = self._stats_fingerprint(
+            touched, database=snapshot
         )
         return value, token, retries, watermark
 

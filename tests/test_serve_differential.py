@@ -31,8 +31,6 @@ from repro.workloads import tpox
 TIMEOUT = 180
 BUDGET = 50_000
 
-pytestmark = pytest.mark.usefixtures("fault_free")
-
 
 def small_database():
     return tpox.build_database(
@@ -120,8 +118,48 @@ async def serial_run(requests):
     return server, responses
 
 
+#: Session counters of the faults a schedule injected: they follow the
+#: process-wide fault draws (``REPRO_FAULT_*``), which a concurrent run
+#: and its replay make differently, not the serialization order.
+FAULT_COUNTERS = ("retries", "degraded_estimates", "degraded_samples")
+
+
+def fault_touched(response) -> bool:
+    """True when a fault changed what a recommend advises: a lane read a
+    fallback estimate (flagged ``degraded``) or was itself faulted."""
+    if response.kind != "recommend" or not response.ok:
+        return False
+    value = response.value
+    return value["degraded"] or any(
+        lane.get("degraded") or "error" in lane
+        for lane in value["portfolio"]["strategies"]
+    )
+
+
+def comparable(response):
+    """``Response.comparable()`` minus the session's fault counters."""
+    data = response.comparable()
+    if response.kind == "recommend" and response.ok:
+        for name in FAULT_COUNTERS:
+            data["value"]["session"].pop(name, None)
+    return data
+
+
+def assert_same_response(response, twin, message):
+    """Bit-for-bit equality -- except that a recommend a fault touched on
+    either side is compared on its envelope (kind, ok, code, epoch, seq)
+    only: the two sides drew different faults, so neither advice is
+    wrong."""
+    mine, theirs = comparable(response), comparable(twin)
+    if fault_touched(response) or fault_touched(twin):
+        mine.pop("value")
+        theirs.pop("value")
+    assert mine == theirs, message
+
+
 def assert_serially_equivalent(schedule, server, responses):
-    """The differential contract: replay serially, compare bit-for-bit."""
+    """The differential contract: replay serially, compare bit-for-bit.
+    No response may fail, under a fault schedule too."""
     assert all(response.ok for response in responses), [
         (response.kind, response.code, response.error)
         for response in responses
@@ -133,10 +171,11 @@ def assert_serially_equivalent(schedule, server, responses):
         serial_run([schedule[index] for index in order])
     )
     for position, index in enumerate(order):
-        assert (
-            responses[index].comparable()
-            == replayed[position].comparable()
-        ), f"response {index} diverged from its serial replay"
+        assert_same_response(
+            responses[index],
+            replayed[position],
+            f"response {index} diverged from its serial replay",
+        )
     assert server.journal == replay_server.journal
     assert (
         server.database.storage_stats()
@@ -273,6 +312,11 @@ class TestPortfolioDominance:
                 Workload(SMALL_WORKLOAD.entries),
                 session=WhatIfSession(database),
             ).recommend(BUDGET, algorithm=algorithm)
+            lane = lanes[algorithm]
+            if standalone.degraded or lane.get("degraded") or "error" in lane:
+                # a fault schedule drew a fallback or a lane fault on one
+                # side only: the two searches answered different inputs
+                continue
             assert (
                 tournament_benefit >= standalone.search.benefit - 1e-9
             ), f"tournament lost to standalone {algorithm}"
@@ -304,4 +348,5 @@ class TestPortfolioDominance:
         server, responses = run(concurrent_run(schedule, seed=5))
         raced = responses[-1]
         assert raced.ok and raced.seq == 0
-        assert raced.value == solo.value
+        if not (fault_touched(raced) or fault_touched(solo)):
+            assert comparable(raced)["value"] == comparable(solo)["value"]

@@ -467,9 +467,15 @@ class TestPortfolio:
             BUDGET,
             mode="retry",
         )
-        # the first strategy succeeded untruncated, so only one lane ran
-        assert len(winner.portfolio_stats["strategies"]) == 1
-        assert winner.portfolio_stats["strategies"][0]["label"] == "greedy"
+        # the first untruncated success ended the ladder: fault-free that
+        # is greedy alone; only lanes a serve.portfolio fault took down
+        # ran before it
+        strategies = winner.portfolio_stats["strategies"]
+        assert [s["label"] for s in strategies] == [
+            "greedy", "greedy_heuristics", "ilp"
+        ][: len(strategies)]
+        assert all("error" in s for s in strategies[:-1])
+        assert not strategies[-1]["truncated"]
 
     def test_evolutionary_population_is_seed_deterministic(self):
         first = perturbed_specs(("greedy", "ilp"), seed=3, generation=1,
