@@ -9,29 +9,12 @@ way).
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro import IndexAdvisor, Workload
 from repro.workloads import synthetic, tpox
 
 from bench_common import NUM_CUSTOMERS, NUM_ORDERS, NUM_SECURITIES, SEED
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _serial_workers():
-    """Benchmark figures are recorded serially by contract: an inherited
-    ``REPRO_WORKERS`` would silently change wall times (and on small
-    boxes, worsen them) without changing any recommendation.
-    Parallelism is measured by the ``parallel.*`` probes of ``bench/``."""
-    previous = os.environ.get("REPRO_WORKERS")
-    os.environ["REPRO_WORKERS"] = "0"
-    yield
-    if previous is None:
-        os.environ.pop("REPRO_WORKERS", None)
-    else:
-        os.environ["REPRO_WORKERS"] = previous
 
 
 @pytest.fixture(scope="session")

@@ -34,7 +34,6 @@ from repro.core.config import IndexConfiguration
 from repro.optimizer.executor import Executor, create_executor
 from repro.optimizer.optimizer import Optimizer, OptimizerMode
 from repro.optimizer.session import InstrumentationCounters, WhatIfSession
-from repro.parallel import ParallelWhatIfSession, create_session
 from repro.query.parser import parse_statement
 from repro.query.workload import Workload
 from repro.storage.catalog import IndexDefinition
@@ -56,7 +55,6 @@ __all__ = [
     "InstrumentationCounters",
     "Optimizer",
     "OptimizerMode",
-    "ParallelWhatIfSession",
     "Recommendation",
     "Router",
     "StorageTarget",
@@ -64,7 +62,6 @@ __all__ = [
     "Workload",
     "__version__",
     "create_executor",
-    "create_session",
     "load_database",
     "parse_statement",
     "resolve_database",

@@ -192,7 +192,6 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         resolve_shards,
         shards_from_env,
     )
-    from repro.parallel import resolve_executor, resolve_workers
     from repro.robustness.budget import (
         call_budget_from_env,
         deadline_from_env,
@@ -201,8 +200,6 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     )
 
     try:
-        resolve_workers(args.workers)
-        resolve_executor(args.executor)
         shards = resolve_shards(
             args.shards, default=shards_from_env(), option="--shards"
         )
@@ -211,7 +208,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         )
         # Typed validation (ConfigError names the option): zero/negative
         # deadlines and call budgets are operator error, exactly like
-        # REPRO_WORKERS/REPRO_SHARDS junk.  Absent flags fall back to
+        # REPRO_SHARDS junk.  Absent flags fall back to
         # REPRO_DEADLINE / REPRO_CALL_BUDGET.
         deadline = (
             resolve_deadline(args.deadline, option="--deadline")
@@ -246,33 +243,17 @@ def cmd_recommend(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        if args.workers is not None:
-            print(
-                "error: --mode portfolio lanes run in order on one "
-                "what-if session; drop --workers",
-                file=sys.stderr,
-            )
-            return 2
         return _recommend_portfolio(args, db, workload)
     if shards > 1 or replicas > 1 or args.divergent:
         return _recommend_cluster(args, db, workload, shards, replicas)
-    advisor = IndexAdvisor(
-        db,
-        workload,
-        workers=args.workers,
-        executor=args.executor,
-        compress=args.compress,
+    advisor = IndexAdvisor(db, workload, compress=args.compress)
+    recommendation = advisor.recommend(
+        budget_bytes=args.budget,
+        algorithm=args.algorithm,
+        deadline_seconds=args.deadline,
+        optimizer_call_budget=args.call_budget,
+        checkpoint_path=args.checkpoint,
     )
-    try:
-        recommendation = advisor.recommend(
-            budget_bytes=args.budget,
-            algorithm=args.algorithm,
-            deadline_seconds=args.deadline,
-            optimizer_call_budget=args.call_budget,
-            checkpoint_path=args.checkpoint,
-        )
-    finally:
-        advisor.session.close()
     if args.json:
         print(json.dumps(recommendation.to_dict(), indent=2))
     else:
@@ -356,8 +337,6 @@ def _recommend_cluster(
         budget_bytes=args.budget,
         divergent=args.divergent,
         algorithm=args.algorithm,
-        workers=args.workers,
-        executor=args.executor,
         deadline_seconds=args.deadline,
         optimizer_call_budget=args.call_budget,
     )
@@ -581,7 +560,6 @@ def cmd_server(args: argparse.Namespace) -> int:
         ),
         mode=args.mode,
         deadline_seconds=args.deadline,
-        lanes=args.lanes,
         seed=args.seed,
     )
 
@@ -622,7 +600,7 @@ def cmd_server(args: argparse.Namespace) -> int:
     else:
         print(
             f"served {summary['requests']} requests "
-            f"({args.clients} clients, {args.lanes} lanes)"
+            f"({args.clients} clients)"
         )
         for kind, block in summary["kinds"].items():
             print(
@@ -867,16 +845,6 @@ def build_parser() -> argparse.ArgumentParser:
              "skipping it with a warning",
     )
     p.add_argument(
-        "--workers", default=None, metavar="N",
-        help="parallel what-if workers: a count, 'auto' (CPU count), or "
-             "'serial'; defaults to $REPRO_WORKERS, else serial",
-    )
-    p.add_argument(
-        "--executor", default=None, metavar="KIND",
-        help="worker executor: process (default), thread, serial, or a "
-             "start method (fork/spawn/forkserver)",
-    )
-    p.add_argument(
         "--shards", default=None, metavar="S",
         help="shard the database across S shards (in-memory cluster); "
              "defaults to $REPRO_SHARDS, else 1",
@@ -1010,11 +978,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="concurrent client tasks driving the schedule",
     )
     p.add_argument(
-        "--lanes", type=int, default=0,
-        help="thread lanes for engine steps (0 = inline on the event "
-             "loop)",
-    )
-    p.add_argument(
         "--recommend-every", type=int, default=0, metavar="K",
         help="inject a portfolio recommend after every K requests "
              "(0 = never)",
@@ -1088,8 +1051,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         # Junk configuration -- a bad flag or a junk REPRO_* environment
-        # variable resolved anywhere downstream (including inside worker
-        # or async request tasks) -- is operator error: exit 2, like
+        # variable resolved anywhere downstream (including inside async
+        # request tasks) -- is operator error: exit 2, like
         # argparse itself.
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,17 +6,16 @@ workload into one slice per replica *column* by similarity of the
 statements' distinct request patterns (the same signature the PR 2
 coverage machinery and ``core/compression.py`` template keys are built
 on), and :func:`tune_cluster` runs one
-:class:`~repro.core.advisor.IndexAdvisor` per replica -- on the PR 4
-parallel engine when ``workers`` is set -- so each replica column gets
-the configuration its slice of the traffic deserves.  The cost-based
+:class:`~repro.core.advisor.IndexAdvisor` per replica, so each replica
+column gets the configuration its slice of the traffic deserves.  The cost-based
 :class:`~repro.cluster.router.Router` then sends every statement to the
 column that tuned for it.
 
 ``divergent=False`` is the uniform baseline: one advisor per shard over
 the full workload, the same configuration applied to every replica.
 On a mixed TPoX/XMark workload at the same per-replica budget, the
-statements routed over divergent replicas cost no more than over uniform
-ones (pinned in ``tests/test_cluster.py``).
+statements routed over divergent replicas examine fewer documents when
+executed than over uniform ones (pinned in ``tests/test_cluster.py``).
 """
 
 from __future__ import annotations
@@ -204,8 +203,6 @@ def tune_cluster(
     budget_bytes: int,
     divergent: bool = True,
     algorithm: str = "topdown_full",
-    workers=None,
-    executor: Optional[str] = None,
     create: bool = True,
     deadline_seconds: Optional[float] = None,
     optimizer_call_budget: Optional[int] = None,
@@ -232,26 +229,16 @@ def tune_cluster(
             database = cluster.replica_database(shard, replica)
             slice_workload = slices[replica]
             if divergent or uniform_recommendation is None:
-                advisor = IndexAdvisor(
-                    database,
-                    slice_workload,
-                    workers=workers,
-                    executor=executor,
+                advisor = IndexAdvisor(database, slice_workload)
+                recommendation = advisor.recommend(
+                    budget_bytes,
+                    algorithm=algorithm,
+                    deadline_seconds=deadline_seconds,
+                    optimizer_call_budget=optimizer_call_budget,
                 )
-                try:
-                    recommendation = advisor.recommend(
-                        budget_bytes,
-                        algorithm=algorithm,
-                        deadline_seconds=deadline_seconds,
-                        optimizer_call_budget=optimizer_call_budget,
-                    )
-                    created = (
-                        advisor.create_indexes(recommendation)
-                        if create
-                        else []
-                    )
-                finally:
-                    advisor.session.close()
+                created = (
+                    advisor.create_indexes(recommendation) if create else []
+                )
                 if not divergent:
                     uniform_recommendation = recommendation
             else:

@@ -198,53 +198,6 @@ class Recommendation:
                 f"{storage.get('stats_delta_applies', 0)} delta applies, "
                 f"{storage.get('summary_rebuilds', 0)} summary rebuilds"
             )
-        snapshots = stats.get("snapshots")
-        if snapshots:
-            lines.append(
-                f"  snapshot store    : {snapshots.get('hits', 0)} hits / "
-                f"{snapshots.get('misses', 0)} misses, "
-                f"{snapshots.get('serializations', 0)} serializations "
-                f"({snapshots.get('bytes_serialized', 0)} bytes), "
-                f"{snapshots.get('compositions', 0)} compositions, "
-                f"{snapshots.get('clones', 0)} clones "
-                f"({snapshots.get('parts_held', 0)} parts held, "
-                f"{snapshots.get('parts_discarded', 0)} discarded), "
-                f"{snapshots.get('evictions', 0)} evictions, "
-                f"{snapshots.get('bytes_cached', 0)} bytes cached"
-            )
-        workers = stats.get("workers")
-        if workers:
-            lines.append(
-                f"  workers           : {workers.get('requested', 0)} "
-                f"({workers.get('executor', '?')}"
-                + (
-                    f"/{workers['start_method']}"
-                    if workers.get("start_method")
-                    else ""
-                )
-                + ")"
-            )
-            lines.append(
-                f"  parallel batches  : {workers.get('parallel_batches', 0)} "
-                f"of {workers.get('batches', 0)} "
-                f"({workers.get('parallel_tasks', 0)} tasks, "
-                f"{workers.get('chunks', 0)} chunks, "
-                f"{workers.get('pool_failures', 0)} pool failures)"
-            )
-            for label, count in sorted(
-                (workers.get("per_worker_tasks") or {}).items()
-            ):
-                lines.append(f"  worker {label}: {count} tasks")
-            shipping = workers.get("shipping")
-            if shipping and any(shipping.values()):
-                lines.append(
-                    f"  snapshot shipping : "
-                    f"{shipping.get('base_ships', 0)} base "
-                    f"({shipping.get('base_bytes', 0)} bytes), "
-                    f"{shipping.get('delta_syncs', 0)} deltas "
-                    f"({shipping.get('delta_bytes', 0)} bytes), "
-                    f"{shipping.get('rebases', 0)} rebases"
-                )
         compression = self.compression_stats
         if compression:
             lines.append(
@@ -339,8 +292,6 @@ class IndexAdvisor:
         generalize: bool = True,
         naive_evaluation: bool = False,
         session: Optional[WhatIfSession] = None,
-        workers=None,
-        executor: Optional[str] = None,
         compress: str = "off",
     ) -> None:
         #: The storage target as handed in -- a plain :class:`Database`
@@ -371,24 +322,10 @@ class IndexAdvisor:
             )
         #: The advisor's entire optimizer coupling runs through this one
         #: session; pass a shared session to share its cost cache across
-        #: advisors (e.g. the generalization experiments).  ``workers``
-        #: selects the parallel session (``None`` consults
-        #: ``REPRO_WORKERS``; 0/"serial" stays serial).
+        #: advisors (e.g. the generalization experiments).
         if session is None:
-            from repro.parallel import create_session
-
-            session = create_session(
-                database,
-                cost_constants,
-                workers=workers,
-                executor=executor,
-            )
+            session = WhatIfSession(database, cost_constants)
         self.session = session
-        # Ship the workload statements with the worker snapshot so batch
-        # tasks can travel as small index references (no-op serially).
-        self.session.register_statements(
-            entry.statement for entry in workload
-        )
         self.generalize = generalize
         self.maintenance_constants = maintenance_constants
         self.naive_evaluation = naive_evaluation

@@ -167,8 +167,6 @@ class ConfigurationEvaluator:
         self._refresh()
         if self._base_costs is None:
             with self.session.phase("base-costs"):
-                # One batch: the parallel session shards the whole
-                # workload's base costing across its workers.
                 self._base_costs = self.costs(
                     [(entry.statement, ()) for entry in self.workload]
                 )
@@ -229,8 +227,7 @@ class ConfigurationEvaluator:
         :meth:`standalone_benefit` loop would -- same session probes,
         same cache writes, same ``evaluations`` accounting -- but
         collects every uncached candidate's group costing into **one**
-        session batch, which the parallel session fans out across
-        workers.  Candidates already cached (standalone or as a cached
+        session batch.  Candidates already cached (standalone or as a cached
         single-index sub-configuration) are skipped/settled without
         touching the session, exactly as the serial path would."""
         self._refresh()
@@ -560,11 +557,9 @@ class ConfigurationEvaluator:
     ) -> float:
         """Optimize the affected statements with the group installed as
         virtual indexes; return the frequency-weighted savings.  Costing
-        is delegated to the session as one batch -- the per-statement
-        fan-out the parallel session shards across workers (bypassing
-        the cache in naive mode so the ablation keeps measuring real
-        optimizer traffic).  The savings sum runs in position order, so
-        the float result is independent of how the batch was computed."""
+        is delegated to the session as one batch (bypassing the cache in
+        naive mode so the ablation keeps measuring real optimizer
+        traffic).  The savings sum runs in position order."""
         base_costs = self.base_costs
         positions = list(statement_positions)
         definitions = self.session.definitions_for(group)

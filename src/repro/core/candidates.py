@@ -183,8 +183,6 @@ def enumerate_basic_candidates(coupling, workload: Workload) -> CandidateSet:
             for _, statement in eligible
         ]
     else:
-        # Sessions expose a batch entry point so a parallel session can
-        # fan the whole workload out in one dispatch.
         results = coupling.enumerate_batch(
             [statement for _, statement in eligible]
         )

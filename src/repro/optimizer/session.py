@@ -540,16 +540,9 @@ class WhatIfSession:
         tasks: Sequence[Tuple[Statement, Sequence[IndexDefinition]]],
         use_cache: bool = True,
     ) -> List[OptimizationResult]:
-        """Evaluate many (statement, definitions) pairs.
-
-        The serial implementation is exactly a loop over
-        :meth:`evaluate`; :class:`~repro.parallel.ParallelWhatIfSession`
-        overrides it to fan uncached pairs out to a worker pool while
-        reproducing this loop's cache traffic and counters bit for bit.
-        Callers that have a whole frontier of costs to collect should
-        prefer this over per-pair calls so the parallel session can see
-        the batch.
-        """
+        """Evaluate many (statement, definitions) pairs: exactly a loop
+        over :meth:`evaluate`, with the same cache traffic and counters
+        as the per-pair calls."""
         return [
             self.evaluate(statement, definitions, use_cache)
             for statement, definitions in tasks
@@ -575,17 +568,15 @@ class WhatIfSession:
         return [self.enumerate(statement) for statement in statements]
 
     # ------------------------------------------------------------------
-    # Parallel-session hooks (no-ops on the serial session)
+    # Lifecycle
     # ------------------------------------------------------------------
     def register_statements(self, statements: Iterable[Statement]) -> None:
-        """Hint that ``statements`` will be costed repeatedly.  The
-        parallel session ships registered statements to its workers once
-        (in the snapshot) instead of pickling them into every task; here
-        it is a no-op."""
+        """A no-op, kept because the benchmark harness's ``parallel.*``
+        probes call it (see :mod:`repro.parallel`)."""
 
     def close(self) -> None:
-        """Release any resources the session holds.  The serial session
-        holds none; the parallel session shuts down its worker pool."""
+        """A no-op: the session holds no resources.  Kept so callers can
+        use the session as a context manager."""
 
     def __enter__(self) -> "WhatIfSession":
         return self

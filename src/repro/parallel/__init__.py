@@ -1,16 +1,14 @@
-"""Parallel what-if evaluation (see docs/performance.md, "Workers").
+"""Compatibility shim: there is no parallel what-if engine any more.
 
-Public surface:
-
-* :func:`create_session` -- the advisor's session factory: returns a
-  plain serial :class:`~repro.optimizer.session.WhatIfSession` for 0
-  workers, a :class:`ParallelWhatIfSession` otherwise; consults
-  ``REPRO_WORKERS``/``REPRO_EXECUTOR`` when nothing is passed.
-* :class:`ParallelWhatIfSession` -- the worker-pool session, pinned
-  bit-identical to the serial one by
-  ``tests/test_parallel_differential.py``.
-* :func:`resolve_workers` / :func:`available_workers` -- worker-count
-  parsing ("auto", "serial", counts) and CPU detection.
+The process-pool session lost every wall-clock measurement (two process
+workers ran a batch at 0.53x serial: a what-if call costs microseconds,
+shipping it costs more), so it was deleted; docs/performance.md,
+"Parallel what-if evaluation", records why.  :func:`create_session`
+stays because the benchmark harness's ``parallel.*`` probes still call
+it with ``workers=2, executor="process"``.  It ignores both and returns
+a plain serial :class:`~repro.optimizer.session.WhatIfSession`, so those
+probes time the serial session twice and ``parallel.batch_speedup_w2``
+reads about 1.0.
 """
 
 from __future__ import annotations
@@ -19,28 +17,9 @@ from typing import Optional
 
 from repro.optimizer.cost import CostConstants
 from repro.optimizer.session import WhatIfSession
-from repro.parallel.executors import (
-    EXECUTOR_CHOICES,
-    PoolBrokenError,
-    available_workers,
-    resolve_executor,
-    resolve_workers,
-    workers_from_env,
-)
-from repro.parallel.session import ParallelWhatIfSession, WorkerRuntime
 from repro.storage.database import Database
 
-__all__ = [
-    "EXECUTOR_CHOICES",
-    "ParallelWhatIfSession",
-    "PoolBrokenError",
-    "WorkerRuntime",
-    "available_workers",
-    "create_session",
-    "resolve_executor",
-    "resolve_workers",
-    "workers_from_env",
-]
+__all__ = ["create_session"]
 
 
 def create_session(
@@ -51,22 +30,6 @@ def create_session(
     executor: Optional[str] = None,
     **kwargs,
 ) -> WhatIfSession:
-    """Build the right session for a worker-count spec.
-
-    ``workers=None`` falls back to ``REPRO_WORKERS`` (absent/0 means
-    serial); ``"auto"`` uses the CPU count.  0 workers returns a plain
-    :class:`WhatIfSession` -- the parallel session's serial mode is
-    reserved for tests that want the chunk/merge machinery inline.
-    """
-    count = (
-        workers_from_env() if workers is None else resolve_workers(workers)
-    )
-    if count <= 0:
-        return WhatIfSession(database, constants, **kwargs)
-    return ParallelWhatIfSession(
-        database,
-        constants,
-        workers=count,
-        executor=executor,
-        **kwargs,
-    )
+    """A serial :class:`WhatIfSession`; ``workers`` and ``executor`` are
+    accepted and ignored."""
+    return WhatIfSession(database, constants, **kwargs)

@@ -37,9 +37,9 @@ def _hash_once(cls):
     generated field-tuple hash, but walk the AST for it once per
     instance instead of on every dict lookup.
 
-    ``str`` hashes differ between processes and statements travel to
-    pool workers and into snapshot blobs, so ``__getstate__`` pickles
-    the dataclass fields and nothing else.  Two threads racing to fill a
+    ``str`` hashes differ between processes and a pickled statement may
+    be loaded by another one, so ``__getstate__`` pickles the dataclass
+    fields and nothing else.  Two threads racing to fill a
     memo store the same value.
     """
     deep_hash = cls.__hash__

@@ -192,7 +192,7 @@ def resolve_deadline(value, option: str = "deadline") -> Optional[float]:
     Accepts positive numbers, numeric strings, and
     ``none``/``off``/empty (unbounded).  Zero, negative, and junk input
     raise :class:`~repro.robustness.errors.ConfigError` naming the
-    offending option, matching the ``REPRO_WORKERS`` treatment.
+    offending option, matching the ``REPRO_SHARDS`` treatment.
     """
     if value is None:
         return None

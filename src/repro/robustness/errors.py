@@ -59,7 +59,7 @@ class StatisticsUnavailable(RetryableOptimizerError):
 
 class ConfigError(AdvisorError, ValueError):
     """An invalid configuration value: a malformed CLI flag or a junk
-    environment variable (``REPRO_WORKERS``, ``REPRO_SHARDS``, ...).
+    environment variable (``REPRO_SHARDS``, ``REPRO_DEADLINE``, ...).
 
     Subclasses :class:`ValueError` so call sites that predate the typed
     taxonomy keep working, while new code can catch the typed error and

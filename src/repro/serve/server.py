@@ -24,12 +24,10 @@ Concurrency model (docs/serving.md):
   portfolio search never races live DML (reproducible at its epoch
   token).  storage/snapshots.py states the sharing contract.
 
-Execution modes: *inline* (``lanes=0``, default) runs engine steps on
-the event loop with cooperative yield points -- combined with a
-:class:`~repro.serve.scheduler.SeededScheduler` this gives the
-deterministic adversarial interleavings the property tests shrink;
-*thread-lane* mode (``lanes=N``) dispatches engine steps to a thread
-pool for real overlap (the latency bench).
+Engine steps run inline on the event loop, atomic between cooperative
+yield points; a :class:`~repro.serve.scheduler.SeededScheduler` hooked
+into those points gives the deterministic adversarial interleavings the
+property tests shrink.
 
 Every endpoint returns a typed :class:`~repro.serve.requests.Response`
 and never raises -- see requests.py for the error-code taxonomy.
@@ -39,7 +37,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.optimizer.executor import Executor
@@ -113,7 +110,6 @@ class AdvisorServer:
         mode: str = "tournament",
         strategies: Sequence[str] = DEFAULT_STRATEGIES,
         deadline_seconds: Optional[float] = None,
-        lanes: int = 0,
         scheduler: Optional[Callable] = None,
         seed: int = 0,
         read_retry_limit: int = 64,
@@ -127,7 +123,6 @@ class AdvisorServer:
         self.mode = mode
         self.strategies = tuple(strategies)
         self.deadline_seconds = deadline_seconds
-        self.lanes = lanes
         self.scheduler = scheduler
         self.seed = seed
         self.read_retry_limit = read_retry_limit
@@ -141,29 +136,19 @@ class AdvisorServer:
         #: collections -> (their (epoch, statistics stamp) pairs, digest):
         #: the last statistics fingerprint handed out for them.
         self._fingerprints: Dict[Tuple[str, ...], Tuple[Tuple, Dict]] = {}
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._started = False
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Prime statistics so reads never fill caches or repair
-        summaries (read purity), and spin up thread lanes if asked."""
+        summaries (read purity)."""
         for name in sorted(self.database.collections):
             stats = self.database.runstats(name)
             stats.rebuild_dirty_summaries()
-        if self.lanes > 0:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.lanes, thread_name_prefix="serve"
-            )
-        self._started = True
 
     async def stop(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        self._started = False
+        """Nothing to release; the symmetric half of :meth:`start`."""
 
     async def __aenter__(self) -> "AdvisorServer":
         await self.start()
@@ -182,15 +167,6 @@ class AdvisorServer:
             await self.scheduler(site)
         else:
             await asyncio.sleep(0)
-
-    async def _call(self, fn: Callable):
-        """Run one engine step: on a thread lane when configured, else
-        inline on the event loop (atomic between yield points)."""
-        if self._executor is not None:
-            return await asyncio.get_running_loop().run_in_executor(
-                self._executor, fn
-            )
-        return fn()
 
     async def _read_backoff(self, attempt: int, site: str) -> None:
         """Bounded adaptive backoff between optimistic-read retries.
@@ -237,7 +213,7 @@ class AdvisorServer:
                 for index, step in enumerate(steps):
                     if index:
                         await self._yield("serve.read.step")
-                    results.append(await self._call(step))
+                    results.append(step())
             except Exception:
                 if self.gate.validate(token):
                     raise  # the failure is real, not a torn-read artifact
@@ -447,9 +423,7 @@ class AdvisorServer:
             self.gate.begin_write(collection)
             try:
                 await self._yield("serve.write.begin")
-                result = await self._call(
-                    lambda: self._apply_dml(statement, collection)
-                )
+                result = self._apply_dml(statement, collection)
                 await self._yield("serve.write.commit")
             finally:
                 self.gate.end_write(collection)
@@ -518,30 +492,23 @@ class AdvisorServer:
             )
         snapshot, token, retries, watermark = await self._snapshot(touched)
         session = WhatIfSession(snapshot)
-
-        def run():
-            report = analyze(
-                snapshot,
-                workload,
-                IndexConfiguration(candidates),
-                session=session,
-            )
-            return {
-                "total_benefit": report.total_benefit,
-                "unused_indexes": report.unused_indexes(),
-                "impacts": [
-                    {
-                        "statement": impact.statement_text,
-                        "frequency": impact.frequency,
-                        "cost_before": impact.cost_before,
-                        "cost_after": impact.cost_after,
-                        "used_indexes": list(impact.used_indexes),
-                    }
-                    for impact in report.impacts
-                ],
-            }
-
-        value = await self._call(run)
+        report = analyze(
+            snapshot, workload, IndexConfiguration(candidates), session=session
+        )
+        value = {
+            "total_benefit": report.total_benefit,
+            "unused_indexes": report.unused_indexes(),
+            "impacts": [
+                {
+                    "statement": impact.statement_text,
+                    "frequency": impact.frequency,
+                    "cost_before": impact.cost_before,
+                    "cost_after": impact.cost_after,
+                    "used_indexes": list(impact.used_indexes),
+                }
+                for impact in report.impacts
+            ],
+        }
         self.admission.charge_calls(
             tenant, session.counters.optimizer_calls
         )
@@ -570,20 +537,16 @@ class AdvisorServer:
             else deadline_seconds,
         )
         snapshot, token, retries, watermark = await self._snapshot(touched)
-
-        def run():
-            return run_portfolio(
-                snapshot,
-                workload,
-                budget_bytes,
-                mode=mode or self.mode,
-                strategies=tuple(strategies or self.strategies),
-                deadline_seconds=deadline,
-                optimizer_call_budget=call_quota,
-                seed=self.seed if seed is None else seed,
-            )
-
-        recommendation = await self._call(run)
+        recommendation = run_portfolio(
+            snapshot,
+            workload,
+            budget_bytes,
+            mode=mode or self.mode,
+            strategies=tuple(strategies or self.strategies),
+            deadline_seconds=deadline,
+            optimizer_call_budget=call_quota,
+            seed=self.seed if seed is None else seed,
+        )
         self.admission.charge_calls(
             tenant,
             recommendation.portfolio_stats.get("optimizer_calls_total", 0),

@@ -1,15 +1,15 @@
 """The epoch-keyed snapshot engine: :class:`SnapshotStore`.
 
-Every advise/whatif request on the serve path, every process-pool
-rebuild in the parallel engine, and every per-cycle tuning pass needs a
-consistent copy of the database that live DML cannot touch.  Documents
+Every advise/whatif request on the serve path and every per-cycle
+tuning pass needs a consistent copy of the database that live DML
+cannot touch.  Documents
 never change after insert and index entries are tuples of ids, so such a
 copy does not have to copy the data: the store keeps exactly **one
 generation** per ``(database, collection)``, keyed by ``(database,
 collection, epoch, statistics stamp)`` -- a read-only
 :class:`CollectionPart` built as a *structural clone* of the live
 collection (:func:`clone_part`: own lists and dicts over the same
-document objects) and, only once somebody asks for bytes, its pickle:
+document objects):
 
 * DML on one collection re-clones only that collection, in time
   proportional to its list lengths, not its pickled size; the generation
@@ -17,12 +17,8 @@ document objects) and, only once somebody asks for bytes, its pickle:
   O(collections) generations no matter how many writes ran;
 * a no-DML steady state clones nothing: a snapshot is the shared parts
   plus a tiny fresh "shell" (one ~7 kB pickle round-trip);
-* nothing is serialized until :meth:`SnapshotStore.collection_blob` /
-  :meth:`~SnapshotStore.blobs` / :meth:`~SnapshotStore.delta` ask: the
-  parallel engine ships process workers the base blobs once and then
-  only the blobs whose key moved (the delta protocol in
-  ``parallel/session.py``); workers decode their own private parts
-  (:func:`load_parts`).
+* no collection is ever serialized: the shell is the only pickle a
+  snapshot makes.
 
 The cache key
 -------------
@@ -47,8 +43,8 @@ Epochs and stamps only move forward, so a superseded key is never asked
 for again by the database that moved past it.  Only an *older* composed
 snapshot can still carry it; re-snapshotting one after its generation
 was dropped is a miss that re-clones from that snapshot -- never wrong
-state.  The LRU byte budget counts materialised blobs; when they exceed
-it, it evicts whole generations, blob and part together.
+state.  One generation per collection is the store's only bound; it
+needs no other.
 
 The sharing contract
 --------------------
@@ -101,7 +97,7 @@ round-trip even though parts of it (catalog name counters, rescan
 counters) move without epoch bumps.  "Bit-identical" is pinned in two
 serialized forms: the partitioned canonical form
 (:func:`partitioned_dumps` -- raw equality, the partition the store
-holds and ships) and the whole-graph form under string-canonical
+holds) and the whole-graph form under string-canonical
 memoization (:func:`canonical_dumps` -- a plain whole-graph ``dumps``
 additionally encodes which *equal* strings happen to share identity
 across collections, an accident of build history that is invisible to
@@ -118,7 +114,6 @@ import itertools
 import pickle
 import threading
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -129,11 +124,8 @@ from repro.storage.index import PathIndex
 #: bit-identity contract) do not depend on the caller.
 PROTOCOL = pickle.HIGHEST_PROTOCOL
 
-#: Default LRU byte budget (256 MiB of cached blobs).
-DEFAULT_BUDGET_BYTES = 256 * 1024 * 1024
-
 #: ``(db token, collection, epoch, statistics stamp | None)``
-BlobKey = Tuple[int, str, int, Optional[int]]
+GenerationKey = Tuple[int, str, int, Optional[int]]
 
 
 @dataclass
@@ -258,19 +250,14 @@ def compose_database(
     return database
 
 
-def load_parts(blobs: Dict[str, bytes]) -> Dict[str, CollectionPart]:
-    """Deserialize per-collection blobs back into parts."""
-    return {name: pickle.loads(blob) for name, blob in blobs.items()}
-
-
 def partitioned_dumps(database: Database) -> Dict[str, bytes]:
     """The store's canonical serialized form of a database: one
     standalone blob per collection (keyed by collection name; the shell
     under ``""``), each under string-canonical memoization
     (:func:`canonical_dumps`).  A store-composed snapshot and a fresh
     whole-database pickle round-trip are **bit-identical** in this form
-    -- it mirrors the partition the store caches and the delta protocol
-    ships -- and the differential suites compare it directly."""
+    -- it mirrors the partition the store holds -- and the differential
+    suites compare it directly."""
     blobs = {"": canonical_dumps(capture_shell(database))}
     for name in database.collections:
         blobs[name] = canonical_dumps(capture_part(database, name))
@@ -300,8 +287,7 @@ def canonical_dumps(obj: object) -> bytes:
 
     Two databases agree under :func:`canonical_dumps` iff their object
     graphs are identical up to exactly those accidents.  Test/bench
-    currency only (pure-python pickler) -- production paths ship the
-    store's raw blobs."""
+    currency only (pure-python pickler)."""
     values: Dict[object, object] = {}
     buffer = io.BytesIO()
     pickler = pickle._Pickler(buffer, PROTOCOL)
@@ -323,54 +309,36 @@ def canonical_dumps(obj: object) -> bytes:
 
 
 def _statistics_stamp(statistics) -> Optional[int]:
-    """The stamp component of a blob key (``None``: no statistics)."""
+    """The stamp component of a generation key (``None``: no
+    statistics)."""
     return None if statistics is None else statistics.mutation_stamp
 
 
-@dataclass
-class _Generation:
-    """The one generation the store holds for a ``(database token,
-    collection)`` at ``key``: the shared read-only part once a snapshot
-    asked for it, the blob once a shipper asked for it."""
-
-    key: BlobKey
-    part: Optional[CollectionPart] = None
-    blob: Optional[bytes] = None
-
-
 class SnapshotStore:
-    """Epoch-keyed cache of per-collection database generations (cloned
-    part, lazily its blob); the module docstring states what is shared
-    and who may mutate it.
+    """Epoch-keyed cache of per-collection database generations (one
+    cloned part each); the module docstring states what is shared and
+    who may mutate it.
 
-    Thread-safe: the serve layer's thread lanes take snapshots
-    concurrently.  One lock covers lookup, the occasional
-    clone/serialize and the shell round-trip; composing from held parts
-    is O(shell), so there is nothing worth overlapping.
+    Thread-safe: a store may be shared by callers on several threads,
+    so one lock covers lookup, the occasional clone and the shell
+    round-trip.  Composing from held parts is O(shell), so there is
+    nothing worth overlapping.
     """
 
-    def __init__(self, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> None:
-        self.budget_bytes = max(0, int(budget_bytes))
+    def __init__(self) -> None:
         self._lock = threading.RLock()
-        #: ``(db token, collection)`` -> its one generation, LRU order.
-        self._generations: "OrderedDict[Tuple[int, str], _Generation]" = (
-            OrderedDict()
-        )
+        #: ``(db token, collection)`` -> ``(key, part)``: its one
+        #: generation, a shared read-only part cloned at ``key``.
+        self._generations: Dict[
+            Tuple[int, str], Tuple[GenerationKey, CollectionPart]
+        ] = {}
         self._token_ids: "weakref.WeakKeyDictionary[Database, int]" = (
             weakref.WeakKeyDictionary()
         )
         self._token_counter = itertools.count(1)
-        # Counters (surfaced as ``snapshot_stats`` through sessions,
-        # ``--stats`` and ``stats_report``).
+        # Counters (surfaced as ``server.snapshots`` in ``--json``).
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
-        #: Bytes of materialised blobs held (what the budget bounds).
-        self.bytes_cached = 0
-        #: Collection serializations performed: only a blob request
-        #: (process shipping) makes one, a snapshot never does.
-        self.serializations = 0
-        self.bytes_serialized = 0
         #: Parts built by cloning the live collection (zero for
         #: snapshots at held keys, one per written collection after).
         self.clones = 0
@@ -395,8 +363,8 @@ class SnapshotStore:
                 self._token_ids[database] = token
             return token
 
-    def collection_key(self, database: Database, name: str) -> BlobKey:
-        """The blob cache key for one collection right now."""
+    def collection_key(self, database: Database, name: str) -> GenerationKey:
+        """The generation key for one collection right now."""
         return (
             self.token(database),
             name,
@@ -404,74 +372,31 @@ class SnapshotStore:
             _statistics_stamp(database._statistics.get(name)),
         )
 
-    def current_keys(self, database: Database) -> Dict[str, BlobKey]:
-        """Blob keys of every collection of ``database`` right now."""
-        return {
-            name: self.collection_key(database, name)
-            for name in database.collections
-        }
-
     # ------------------------------------------------------------------
     # Generation cache
     # ------------------------------------------------------------------
-    def _generation(self, database: Database, name: str) -> _Generation:
-        """The generation at the collection's current key: the held one
-        on a hit; on a miss an empty one that supersedes (and drops)
-        whatever was held for that collection.  Caller holds the lock."""
+    def _part(self, database: Database, name: str) -> CollectionPart:
+        """The shared read-only part at the collection's current key:
+        the held one on a hit, else a fresh clone of ``database``'s
+        collection that supersedes (and drops) whatever was held for
+        it.  Caller holds the lock."""
         key = self.collection_key(database, name)
         slot = key[:2]
         held = self._generations.get(slot)
-        if held is not None and held.key == key:
+        if held is not None and held[0] == key:
             self.hits += 1
-            self._generations.move_to_end(slot)
-            return held
-        self.misses += 1
-        if held is not None:
-            self._drop(slot)
-        generation = self._generations[slot] = _Generation(key)
-        return generation
-
-    def _drop(self, slot: Tuple[int, str]) -> None:
-        self.bytes_cached -= len(self._generations.pop(slot).blob or b"")
-
-    def _part(self, database: Database, name: str) -> CollectionPart:
-        """The shared read-only part at the collection's current key,
-        cloned from ``database`` at most once per generation.  Caller
-        holds the lock."""
-        generation = self._generation(database, name)
-        part = generation.part
-        if part is not None and (
-            _statistics_stamp(part.statistics) != generation.key[3]
-        ):
+            part = held[1]
+            if _statistics_stamp(part.statistics) == key[3]:
+                return part
             # A lazy summary repair fired through some snapshot: the
             # part is no longer the state its key names.
             self.parts_discarded += 1
-            part = None
-        if part is None:
-            part = generation.part = clone_part(capture_part(database, name))
-            self.clones += 1
+        else:
+            self.misses += 1
+        part = clone_part(capture_part(database, name))
+        self.clones += 1
+        self._generations[slot] = (key, part)
         return part
-
-    def collection_blob(self, database: Database, name: str) -> bytes:
-        """The serialized :class:`CollectionPart` for one collection,
-        from cache when its key is unchanged."""
-        with self._lock:
-            generation = self._generation(database, name)
-            blob = generation.blob
-            if blob is None:
-                blob = generation.blob = pickle.dumps(
-                    capture_part(database, name), PROTOCOL
-                )
-                self.serializations += 1
-                self.bytes_serialized += len(blob)
-                self.bytes_cached += len(blob)
-                while (
-                    self.bytes_cached > self.budget_bytes
-                    and len(self._generations) > 1
-                ):
-                    self._drop(next(iter(self._generations)))
-                    self.evictions += 1
-            return blob
 
     def shell_blob(self, database: Database) -> bytes:
         """The serialized shell, captured fresh (never cached: catalog
@@ -484,17 +409,6 @@ class SnapshotStore:
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
-    def blobs(self, database: Database) -> Tuple[bytes, Dict[str, bytes]]:
-        """``(shell blob, per-collection blobs)`` for ``database`` --
-        the serialized form a process-pool initializer ships."""
-        with self._lock:
-            shell = self.shell_blob(database)
-            collection_blobs = {
-                name: self.collection_blob(database, name)
-                for name in database.collections
-            }
-            return shell, collection_blobs
-
     def snapshot(self, database: Database) -> Database:
         """An epoch-consistent snapshot of ``database``: a private shell
         over the store's shared cloned parts -- bit-identical to
@@ -515,54 +429,22 @@ class SnapshotStore:
             self._token_ids[composed] = token
             return composed
 
-    def delta(
-        self, database: Database, base_keys: Dict[str, BlobKey]
-    ) -> Tuple[Dict[str, bytes], Tuple[str, ...]]:
-        """Per-collection blobs whose key moved since ``base_keys`` was
-        captured, plus the names that disappeared -- the payload of the
-        parallel engine's delta protocol."""
-        with self._lock:
-            changed: Dict[str, bytes] = {}
-            for name in database.collections:
-                if self.collection_key(database, name) != base_keys.get(name):
-                    changed[name] = self.collection_blob(database, name)
-            removed = tuple(
-                name
-                for name in base_keys
-                if name not in database.collections
-            )
-            return changed, removed
-
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:
-        """``snapshot_stats``: cache traffic and byte movement."""
+        """Cache traffic, clones and compositions."""
         with self._lock:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
-                "serializations": self.serializations,
-                "bytes_serialized": self.bytes_serialized,
-                "bytes_cached": self.bytes_cached,
-                "cached_blobs": sum(
-                    generation.blob is not None
-                    for generation in self._generations.values()
-                ),
-                "evictions": self.evictions,
                 "generations": len(self._generations),
                 "clones": self.clones,
-                "parts_held": sum(
-                    generation.part is not None
-                    for generation in self._generations.values()
-                ),
                 "parts_discarded": self.parts_discarded,
                 "compositions": self.compositions,
                 "shell_bytes": self.shell_bytes,
-                "budget_bytes": self.budget_bytes,
             }
 
     def clear(self) -> None:
         with self._lock:
             self._generations.clear()
-            self.bytes_cached = 0

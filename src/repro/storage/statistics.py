@@ -368,8 +368,7 @@ class DataStatistics:
 
     def __getstate__(self):
         # ``_path_ids`` holds ids interned in *this* process's
-        # GLOBAL_TABLE; in another process (a spawned what-if worker)
-        # those ids would silently mismatch its table and corrupt
+        # GLOBAL_TABLE; in another process those ids would silently mismatch its table and corrupt
         # pattern matching.  The two pattern memos were computed through
         # those ids, so all three are dropped and rebuilt lazily on the
         # receiving side.  The access table is a planner cache, and the

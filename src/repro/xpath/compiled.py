@@ -102,9 +102,10 @@ class PathTable:
         #: Encoded form per id; ``None`` marks an unencodable path that
         #: matchers must check with the NFA instead.
         self._encoded: List[Optional[str]] = []
-        #: Guards id assignment: two threads interning the same new path
-        #: must agree on its id (thread-pool what-if workers intern
-        #: concurrently).  The hit path stays lock-free -- ``_ids`` is
+        #: Guards id assignment: the table is process-wide, so two
+        #: threads interning the same new path (a caller's own threads
+        #: sharing sessions or snapshots) must agree on its id.  The hit
+        #: path stays lock-free -- ``_ids`` is
         #: published last, so a visible id always has its path/encoding
         #: in place.
         self._lock = threading.Lock()

@@ -112,8 +112,8 @@ class PathPattern:
         # Pickle as the canonical text.  A pattern's matcher bitmap is
         # keyed against the pickling process's GLOBAL_TABLE ids, which
         # mean nothing in another process -- re-parsing on unpickle
-        # forces the receiving process (e.g. a parallel what-if worker)
-        # to rebuild matcher state against its own table.
+        # forces whichever process loads the pickle to rebuild matcher
+        # state against its own table.
         return (parse_pattern, (self._text,))
 
     # ------------------------------------------------------------------

@@ -286,43 +286,6 @@ class TestRecommendValidation:
                      "--budget", "20000", "--strict"]) == 1
         assert "statement 1" in capsys.readouterr().err
 
-    def test_workers_flag_matches_serial_output(self, dbdir, tmp_path, capsys):
-        import json as json_module
-
-        workload = self.write_workload(tmp_path)
-        args = ["recommend", dbdir, "--workload", workload,
-                "--budget", "20000", "--json"]
-        assert main(args) == 0
-        serial = json_module.loads(capsys.readouterr().out)
-        assert main(args + ["--workers", "2", "--executor", "thread"]) == 0
-        parallel = json_module.loads(capsys.readouterr().out)
-        for payload in (serial, parallel):
-            payload.pop("elapsed_seconds")
-            payload["session"].pop("phase_seconds", None)
-            payload["session"].pop("workers", None)
-        assert parallel == serial
-
-    def test_workers_stats_block_is_printed(self, dbdir, tmp_path, capsys):
-        workload = self.write_workload(tmp_path)
-        assert main(["recommend", dbdir, "--workload", workload,
-                     "--budget", "20000", "--workers", "2",
-                     "--executor", "thread", "--stats"]) == 0
-        out = capsys.readouterr().out
-        assert "workers           : 2 (thread)" in out
-        assert "parallel batches" in out
-
-    def test_bad_workers_is_rejected(self, dbdir, tmp_path, capsys):
-        workload = self.write_workload(tmp_path)
-        assert main(["recommend", dbdir, "--workload", workload,
-                     "--budget", "20000", "--workers", "lots"]) == 2
-        assert "invalid worker count" in capsys.readouterr().err
-
-    def test_bad_executor_is_rejected(self, dbdir, tmp_path, capsys):
-        workload = self.write_workload(tmp_path)
-        assert main(["recommend", dbdir, "--workload", workload,
-                     "--budget", "20000", "--executor", "quantum"]) == 2
-        assert "invalid executor" in capsys.readouterr().err
-
     def test_anytime_flags_flow_through(self, dbdir, tmp_path, capsys):
         import json as json_module
 
@@ -353,7 +316,7 @@ class TestRecommendValidation:
     ):
         """PR 8 satellite: a zero budget can never evaluate a single
         configuration, so it is typed operator error (ConfigError),
-        matching the REPRO_WORKERS/REPRO_SHARDS treatment."""
+        matching the REPRO_SHARDS/REPRO_DEADLINE treatment."""
         workload = self.write_workload(tmp_path)
         assert main(["recommend", dbdir, "--workload", workload,
                      "--budget", "20000", "--call-budget", "0"]) == 2

@@ -6,6 +6,7 @@ import pytest
 from repro import IndexAdvisor
 from repro.cluster import (
     Cluster,
+    ClusterExecutor,
     Router,
     divergence,
     partition_workload,
@@ -181,13 +182,6 @@ class TestConfig:
         with pytest.raises(ConfigError) as info:
             replicas_from_env({"REPRO_REPLICAS": "-2"})
         assert "REPRO_REPLICAS" in str(info.value)
-
-    def test_workers_env_raises_config_error(self):
-        from repro.parallel import workers_from_env
-
-        with pytest.raises(ConfigError) as info:
-            workers_from_env({"REPRO_WORKERS": "a few"})
-        assert "REPRO_WORKERS" in str(info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -374,23 +368,34 @@ class TestTuning:
         self, mixed_db
     ):
         """Same topology, same per-replica budget (too tight for one
-        configuration to cover both benchmarks): the statements routed
-        over divergently tuned replicas cost no more, by the optimizer's
-        estimate, than over uniformly tuned ones."""
+        configuration to cover both benchmarks): executed through the
+        cluster executor, the workload's queries examine strictly fewer
+        documents over divergently tuned replicas than over uniformly
+        tuned ones (115 vs 504, frequency-weighted).  The optimizer's
+        estimate of the routed cost agrees, and explains why: each
+        replica column holds the indexes its slice of the traffic
+        needs."""
         workload = Workload(
             list(tpox.tpox_workload(num_securities=60, seed=42).entries)
             + list(xmark.xmark_workload(seed=7).entries)
         )
-        advisor = IndexAdvisor(mixed_db, workload)
-        try:
-            basics = advisor.candidates.basics()
-        finally:
-            advisor.session.close()
+        basics = IndexAdvisor(mixed_db, workload).candidates.basics()
         budget = int(0.3 * sum(c.size_bytes for c in basics))
 
-        def routed_cost(divergent):
+        def tuned(divergent):
             cluster = Cluster.from_database(mixed_db, shards=1, replicas=3)
             tune_cluster(cluster, workload, budget, divergent=divergent)
+            return cluster
+
+        def docs_examined(cluster):
+            executor = ClusterExecutor(cluster)
+            return sum(
+                executor.execute(entry.statement).docs_examined
+                * entry.frequency
+                for entry in workload
+            )
+
+        def routed_cost(cluster):
             router = cluster.router
             return sum(
                 router.replica_cost(
@@ -402,4 +407,6 @@ class TestTuning:
                 for entry in workload
             )
 
-        assert routed_cost(divergent=True) <= routed_cost(divergent=False)
+        divergent, uniform = tuned(divergent=True), tuned(divergent=False)
+        assert docs_examined(divergent) < docs_examined(uniform)
+        assert routed_cost(divergent) <= routed_cost(uniform)

@@ -20,17 +20,17 @@ from repro.optimizer.executor import Executor, create_executor
 from repro.query.model import JoinQuery
 from repro.query.workload import Workload
 from repro.workloads import synthetic, tpox, xmark
+from tests.fault_projection import assert_same_advice, without_fault_counters
 
 BUDGET = 250_000
 
 #: Fields that legitimately differ between runs: wall-clock timing, the
-#: per-worker scheduling block, the storage-engine counters (resharding
-#: re-inserts every document, so delta/rescan counts differ from the
-#: original build -- as do the blob sizes in the snapshot-store block a
-#: process pool adds), and the cluster's own counters block (absent on a
-#: plain database by definition).
+#: storage-engine counters (resharding re-inserts every document, so
+#: delta/rescan counts differ from the original build), and the
+#: cluster's own counters block (absent on a plain database by
+#: definition).  Fault counters are left to :func:`assert_same_advice`.
 TIMING_KEYS = ("elapsed_seconds",)
-SESSION_TIMING_KEYS = ("phase_seconds", "workers", "storage", "snapshots")
+SESSION_TIMING_KEYS = ("phase_seconds", "storage")
 TARGET_KEYS = ("cluster",)
 
 
@@ -95,8 +95,10 @@ def run_recommendation(build, cluster: bool, algorithm="topdown_full"):
 def test_one_by_one_cluster_is_bit_identical(bench_name):
     build = BENCHMARKS[bench_name]
     baseline = run_recommendation(build, cluster=False)
-    assert run_recommendation(build, cluster=True) == baseline, (
-        f"{bench_name}: 1x1 cluster diverged from single database"
+    assert_same_advice(
+        run_recommendation(build, cluster=True),
+        baseline,
+        f"{bench_name}: 1x1 cluster diverged from single database",
     )
 
 
@@ -106,7 +108,9 @@ def test_one_by_one_cluster_is_bit_identical(bench_name):
 def test_algorithms_are_bit_identical_on_cluster(algorithm):
     build = BENCHMARKS["tpox"]
     baseline = run_recommendation(build, cluster=False, algorithm=algorithm)
-    assert run_recommendation(build, cluster=True, algorithm=algorithm) == baseline
+    assert_same_advice(
+        run_recommendation(build, cluster=True, algorithm=algorithm), baseline
+    )
 
 
 def test_counters_match_database_exactly():
@@ -115,6 +119,12 @@ def test_counters_match_database_exactly():
     build = BENCHMARKS["tpox"]
     single = run_recommendation(build, cluster=False)
     clustered = run_recommendation(build, cluster=True)
+    assert_same_advice(clustered, single)
+    if single["degraded"] or clustered["degraded"]:
+        return  # a fallback estimate moved the counters on one side
+    single, clustered = (
+        without_fault_counters(single), without_fault_counters(clustered)
+    )
     for key in (
         "optimizer_calls",
         "cache_hits",
@@ -219,7 +229,11 @@ def test_one_by_one_dml_is_bit_identical():
         finally:
             advisor.session.close()
 
-    assert run(cluster=True) == run(cluster=False)
+    (clustered, advice), (single, baseline) = (
+        run(cluster=True), run(cluster=False)
+    )
+    assert clustered == single
+    assert_same_advice(advice, baseline)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,7 @@
 """Chaos property test (ISSUE satellite): under ANY seeded fault
 schedule, ``recommend()`` either returns a valid :class:`Recommendation`
 or raises a typed :class:`FatalAdvisorError` -- never an unhandled
-exception.  PR 4 extends the same property to the parallel session:
-faults injected inside worker fan-outs merge into the parent's degraded
-counters and still never escape as anything but FatalAdvisorError."""
+exception.  The serving front end is held to the same discipline."""
 
 import asyncio
 import json
@@ -13,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.core.advisor import IndexAdvisor, Recommendation
 from repro.optimizer.session import WhatIfSession
-from repro.parallel import ParallelWhatIfSession
 from repro.query.workload import Workload
 from repro.robustness.errors import FatalAdvisorError
 from repro.robustness.faults import (
@@ -151,133 +148,6 @@ def test_degraded_ilp_still_beats_degraded_greedy():
     assert ilp.search.benefit >= greedy.search.benefit - 1e-9
     json.dumps(ilp.to_dict())
 
-
-# ---------------------------------------------------------------------------
-# PR 4: the same chaos properties against the parallel session
-# ---------------------------------------------------------------------------
-
-def _parallel_session(database):
-    """Thread executor + min_batch=1 so every fan-out path (including
-    single-job batches) runs under injection."""
-    return ParallelWhatIfSession(
-        database,
-        retry_policy=FAST_RETRIES,
-        workers=2,
-        executor="thread",
-        min_batch=1,
-    )
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    rules=st.lists(RULES, min_size=1, max_size=3),
-    seed=st.integers(min_value=0, max_value=2**16),
-    algorithm=ALGORITHMS,
-)
-def test_parallel_recommend_never_raises_unhandled(rules, seed, algorithm):
-    database = small_database()
-    session = _parallel_session(database)
-    advisor = IndexAdvisor(
-        database, Workload(SMALL_WORKLOAD.entries), session=session
-    )
-    try:
-        with injected(FaultInjector(rules, seed=seed)):
-            try:
-                recommendation = advisor.recommend(BUDGET, algorithm=algorithm)
-            except FatalAdvisorError:
-                return  # the one allowed failure mode, parallel included
-    finally:
-        session.close()
-    assert isinstance(recommendation, Recommendation)
-    assert recommendation.search.size_bytes <= BUDGET
-    json.dumps(recommendation.to_dict())
-
-
-def test_parallel_degraded_merge_matches_serial():
-    """Every Evaluate-mode call failing (rate=1.0) forces the heuristic
-    fallback in every worker; the merged degraded counters, costs, and
-    configuration must equal the serial session's.  The rule pins the
-    fault message (call indices depend on thread interleaving)."""
-    rules = [
-        FaultRule(
-            site="optimizer.evaluate",
-            rate=1.0,
-            exception=lambda site, index: InjectedFault(site, 0),
-        )
-    ]
-
-    def run(session_factory):
-        database = small_database()
-        session = session_factory(database)
-        advisor = IndexAdvisor(
-            database, Workload(SMALL_WORKLOAD.entries), session=session
-        )
-        try:
-            with injected(FaultInjector(rules, seed=3)):
-                recommendation = advisor.recommend(BUDGET, algorithm="greedy")
-        finally:
-            session.close()
-        data = recommendation.to_dict()
-        data.pop("elapsed_seconds")
-        data["session"].pop("phase_seconds", None)
-        data["session"].pop("workers", None)
-        return data
-
-    serial = run(
-        lambda db: WhatIfSession(db, retry_policy=FAST_RETRIES)
-    )
-    parallel = run(_parallel_session)
-    assert parallel["degraded"] is True
-    assert parallel["session"]["degraded_estimates"] > 0
-    assert parallel == serial
-
-
-def test_parallel_checkpoint_resumes_mid_fanout(tmp_path):
-    """A call budget expiring between parallel fan-outs leaves a
-    checkpoint; a parallel rerun resumes from it and lands on the same
-    configuration as an unbounded serial run.  (Scale and budget mirror
-    the serial resume test in test_robustness_runtime.py -- big enough
-    that greedy accepts steps before the budget expires.)"""
-    path = str(tmp_path / "parallel.ckpt")
-    workload = tpox.tpox_workload(num_securities=120, seed=42)
-
-    def big_database():
-        return tpox.build_database(
-            num_securities=120, num_orders=120, num_customers=60, seed=42
-        )
-
-    database = big_database()
-    session = _parallel_session(database)
-    first = IndexAdvisor(
-        database, Workload(workload.entries), session=session
-    ).recommend(
-        BUDGET,
-        algorithm="greedy_heuristics",
-        optimizer_call_budget=58,
-        checkpoint_path=path,
-    )
-    session.close()
-    assert first.truncated
-
-    database2 = big_database()
-    session2 = _parallel_session(database2)
-    resumed = IndexAdvisor(
-        database2, Workload(workload.entries), session=session2
-    ).recommend(BUDGET, algorithm="greedy_heuristics", checkpoint_path=path)
-    session2.close()
-    assert resumed.search.resumed
-    assert not resumed.truncated
-
-    database3 = big_database()
-    clean = IndexAdvisor(
-        database3,
-        Workload(workload.entries),
-        session=WhatIfSession(database3, retry_policy=FAST_RETRIES),
-    ).recommend(BUDGET, algorithm="greedy_heuristics")
-    assert [str(c.pattern) for c in resumed.configuration] == [
-        str(c.pattern) for c in clean.configuration
-    ]
-    assert resumed.search.benefit == clean.search.benefit
 
 # ---------------------------------------------------------------------------
 # PR 9: the serving front end under the same chaos discipline

@@ -27,6 +27,7 @@ from repro.query.workload import Workload
 from repro.serve import AdvisorServer, SeededScheduler
 from repro.serve.server import serial_order
 from repro.workloads import tpox
+from tests.fault_projection import FAULT_COUNTERS
 
 TIMEOUT = 180
 BUDGET = 50_000
@@ -93,13 +94,13 @@ def run(coro):
     return asyncio.run(asyncio.wait_for(coro, timeout=TIMEOUT))
 
 
-async def concurrent_run(schedule, *, seed=None, clients=4, lanes=0):
+async def concurrent_run(schedule, *, seed=None, clients=4):
     """Run ``schedule`` concurrently: adversarially interleaved under a
     :class:`SeededScheduler` when ``seed`` is given, free-running on the
-    event loop (optionally with thread lanes) otherwise."""
+    event loop otherwise."""
     database = small_database()
     scheduler = SeededScheduler(seed=seed) if seed is not None else None
-    server = AdvisorServer(database, scheduler=scheduler, lanes=lanes)
+    server = AdvisorServer(database, scheduler=scheduler)
     async with server:
         if scheduler is not None:
             responses = await scheduler.drive(
@@ -118,12 +119,6 @@ async def serial_run(requests):
     return server, responses
 
 
-#: Session counters of the faults a schedule injected: they follow the
-#: process-wide fault draws (``REPRO_FAULT_*``), which a concurrent run
-#: and its replay make differently, not the serialization order.
-FAULT_COUNTERS = ("retries", "degraded_estimates", "degraded_samples")
-
-
 def fault_touched(response) -> bool:
     """True when a fault changed what a recommend advises: a lane read a
     fallback estimate (flagged ``degraded``) or was itself faulted."""
@@ -137,7 +132,9 @@ def fault_touched(response) -> bool:
 
 
 def comparable(response):
-    """``Response.comparable()`` minus the session's fault counters."""
+    """``Response.comparable()`` minus the session's fault counters (a
+    concurrent run and its replay draw different faults from the
+    process-wide schedule)."""
     data = response.comparable()
     if response.kind == "recommend" and response.ok:
         for name in FAULT_COUNTERS:
@@ -200,69 +197,6 @@ class TestSerialEquivalence:
         schedule = mixed_schedule(writes=4)
         server, responses = run(concurrent_run(schedule, clients=4))
         assert_serially_equivalent(schedule, server, responses)
-
-    def test_thread_lane_mode_replays_bit_identical(self):
-        schedule = mixed_schedule(writes=4)
-        server, responses = run(
-            concurrent_run(schedule, clients=4, lanes=2)
-        )
-        assert_serially_equivalent(schedule, server, responses)
-
-    def test_thread_lanes_share_snapshot_parts_under_concurrent_dml(self):
-        """A few hundred requests through two thread lanes with the
-        default tournament: advise requests read the store's shared
-        parts while DML supersedes them.  No response may fail, the run
-        must replay serially, and each advise request composes exactly
-        one snapshot (its portfolio lanes share it)."""
-        schedule = []
-        for index in range(240):
-            schedule.append(
-                {"kind": "query", "text": QUERY_TEXTS[index % len(QUERY_TEXTS)]}
-            )
-            if index % 4 == 0:
-                schedule.append(
-                    {
-                        "kind": "dml",
-                        "text": "insert into SDOC value "
-                        f"'{security(f'LANE{index}')}'",
-                    }
-                )
-            if index % 40 == 20:
-                schedule.append(
-                    {
-                        "kind": "whatif",
-                        "statements": QUERY_TEXTS,
-                        "patterns": ["/Security/Symbol"],
-                        "collection": "SDOC",
-                    }
-                )
-            if index % 80 == 40:
-                schedule.append(
-                    {
-                        "kind": "recommend",
-                        "statements": QUERY_TEXTS,
-                        "budget_bytes": BUDGET,
-                    }
-                )
-        server, responses = run(
-            concurrent_run(schedule, clients=4, lanes=2)
-        )
-        assert server.mode == "tournament"
-        assert_serially_equivalent(schedule, server, responses)
-        snapshots = server.snapshots.stats()
-        assert snapshots["generations"] == len(server.database.collections)
-        advise_requests = sum(
-            1 for request in schedule if request["kind"] in ("whatif", "recommend")
-        )
-        # one composition per advise request, plus one per torn retry a
-        # real thread overlap may force on its snapshot read
-        retries = server.counters.get("read_retries", 0)
-        assert (
-            advise_requests
-            <= snapshots["compositions"]
-            <= advise_requests + retries
-        )
-        assert snapshots["serializations"] == 0
 
     def test_advise_requests_replay_bit_identical(self):
         schedule = mixed_schedule(writes=2, with_advise=True)

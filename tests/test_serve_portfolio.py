@@ -241,31 +241,6 @@ def test_a_fallback_in_the_last_lane_degrades_only_that_lane(
     assert lane_flags(winner) == [False, False, True]
 
 
-def test_fallback_reads_count_the_same_on_a_parallel_session():
-    """The evaluator counts fallbacks in the batches it reads, so a
-    parallel session's fan-outs and cache hits count as the serial
-    session's evaluate loop does."""
-    from repro.parallel import ParallelWhatIfSession
-
-    database, workload = tpox_case()
-    counts = []
-    for session in (
-        WhatIfSession(database),
-        ParallelWhatIfSession(database, workers=2, executor="thread"),
-    ):
-        rules = [FaultRule(site="optimizer.evaluate")]
-        try:
-            with injected(FaultInjector(rules)):
-                advisor = IndexAdvisor(database, workload, session=session)
-                advisor.recommend(50_000, algorithm="greedy")
-                advisor.recommend(50_000, algorithm="ilp")
-        finally:
-            session.close()
-        counts.append(advisor.evaluator.fallback_reads)
-    assert counts[0] > 0
-    assert counts[0] == counts[1]
-
-
 @settings(max_examples=8, deadline=None)
 @given(
     rate=st.floats(min_value=0.0, max_value=0.9),

@@ -7,7 +7,6 @@ import json
 
 import pytest
 
-from repro.cli import main
 from repro.query.workload import Workload
 from repro.robustness.errors import AdmissionRejected, ConfigError
 from repro.serve import (
@@ -554,7 +553,7 @@ class TestConfigErrorPropagation:
         def doomed_lane(advisor, spec, *args, **kwargs):
             return portfolio_module.VariantOutcome(
                 spec,
-                error="invalid REPRO_WORKERS value 'lots'",
+                error="invalid REPRO_DEADLINE value 'lots'",
                 error_type="ConfigError",
             )
 
@@ -566,53 +565,6 @@ class TestConfigErrorPropagation:
                 BUDGET,
                 mode="retry",
             )
-
-    def test_cli_exits_2_on_junk_workers_env(
-        self, monkeypatch, tmp_path, capsys
-    ):
-        from repro.storage.persist import save_database
-
-        dbdir = tmp_path / "db"
-        save_database(small_database(), str(dbdir))
-        workload_path = tmp_path / "wl.xq"
-        workload_path.write_text(
-            "\n;\n".join(QUERY_TEXTS) + "\n", encoding="utf-8"
-        )
-        monkeypatch.setenv("REPRO_WORKERS", "lots")
-        code = main(
-            [
-                "recommend", str(dbdir),
-                "--workload", str(workload_path),
-                "--budget", str(BUDGET),
-            ]
-        )
-        assert code == 2
-        assert "REPRO_WORKERS" in capsys.readouterr().err
-
-    def test_cli_portfolio_mode_exits_2_with_workers(
-        self, tmp_path, capsys
-    ):
-        # Portfolio lanes share one what-if session on one thread, so a
-        # worker count has nothing to configure: rejected like --shards.
-        from repro.storage.persist import save_database
-
-        dbdir = tmp_path / "db"
-        save_database(small_database(), str(dbdir))
-        workload_path = tmp_path / "wl.xq"
-        workload_path.write_text(
-            "\n;\n".join(QUERY_TEXTS) + "\n", encoding="utf-8"
-        )
-        code = main(
-            [
-                "recommend", str(dbdir),
-                "--workload", str(workload_path),
-                "--budget", str(BUDGET),
-                "--mode", "tournament",
-                "--workers", "2",
-            ]
-        )
-        assert code == 2
-        assert "--workers" in capsys.readouterr().err
 
 
 def test_normalized_recommendation_strips_wall_clock():

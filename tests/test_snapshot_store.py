@@ -6,13 +6,12 @@ Three layers of pinning:
    bit-identical to a fresh ``pickle.loads(pickle.dumps(database))``
    round-trip in both serialized forms (:func:`partitioned_dumps` raw
    equality and whole-graph :func:`canonical_dumps`), under ANY
-   interleaving of DML, DDL, runstats, statistics invalidation, lazy
-   summary repair, and LRU evictions (hypothesis drives the op stream).
+   interleaving of DML, DDL, runstats, statistics invalidation and lazy
+   summary repair (hypothesis drives the op stream).
 2. **Generation accounting** -- repeat snapshots at unchanged epochs
-   clone and serialize nothing; DML on one collection refreshes only
-   that collection's generation; a snapshot never serializes, only a
-   blob request does (the perf claims, pinned as counter equalities,
-   not timings).
+   clone nothing; DML on one collection refreshes only that
+   collection's generation (the perf claims, pinned as counter
+   equalities, not timings).
 3. **Shared generations** (ISSUE PR 12, copy-on-write since PR 22) --
    snapshots at unchanged keys share one cloned part per collection;
    parts share the live ``XmlDocument`` objects but own every container;
@@ -21,8 +20,7 @@ Three layers of pinning:
    snapshot is read-only (typed error) while a pickled copy of it is
    writable; concurrent lanes reading one shared part leave it
    unchanged.
-4. **Consumers** -- the serve layer's request snapshots and the
-   parallel engine's delta-shipped process workers produce results
+4. **Consumers** -- the serve layer's request snapshots are
    bit-identical to their store-less baselines, and the EpochGate's
    read-retry backoff (satellite 1) makes validated reads dominate
    under the seeded adversarial scheduler.
@@ -39,7 +37,6 @@ from hypothesis import strategies as st
 
 from repro.core.advisor import IndexAdvisor
 from repro.optimizer.session import WhatIfSession
-from repro.parallel import ParallelWhatIfSession
 from repro.query.workload import Workload
 from repro.robustness.errors import ReadOnlySnapshotError
 from repro.serve import AdvisorServer, SeededScheduler
@@ -123,29 +120,17 @@ class TestStoreBitIdentity:
 
     def test_snapshot_of_snapshot_is_pure_cache_hits(self):
         """A composed snapshot inherits its source's token: snapshotting
-        it again serializes nothing and stays bit-identical."""
+        it again clones nothing and stays bit-identical."""
         database = build_database()
         database.runstats("SDOC")
         store = SnapshotStore()
         first = store.snapshot(database)
-        before = store.stats()["serializations"]
+        before = store.stats()
         second = store.snapshot(first)
-        assert store.stats()["serializations"] == before
+        after = store.stats()
+        assert after["clones"] == before["clones"]
+        assert after["misses"] == before["misses"]
         assert_bit_identical(second, fresh_round_trip(database))
-
-    def test_evictions_do_not_break_identity(self):
-        """A budget too small to hold the blobs a shipper asks for forces
-        evictions, re-clones and re-serializations -- never wrong
-        bytes."""
-        database = build_database()
-        database.runstats("SDOC")
-        store = SnapshotStore(budget_bytes=1)
-        for _ in range(3):
-            assert_bit_identical(
-                store.snapshot(database), fresh_round_trip(database)
-            )
-            store.blobs(database)
-        assert store.stats()["evictions"] > 0
 
 
 #: The hypothesis op alphabet: (label, mutator).  Each op is keyed by
@@ -197,19 +182,15 @@ def _apply_op(database, op, payload):
         min_size=1,
         max_size=8,
     ),
-    budget=st.sampled_from([1, 10_000, SnapshotStore().budget_bytes]),
     snapshot_every_step=st.booleans(),
 )
-def test_any_interleaving_stays_bit_identical(
-    ops, budget, snapshot_every_step
-):
-    """For ANY op stream (DML, DDL, runstats, invalidation) and ANY
-    budget (including one forcing evictions on every snapshot), the
-    store's snapshot equals the fresh round-trip -- whether the store
+def test_any_interleaving_stays_bit_identical(ops, snapshot_every_step):
+    """For ANY op stream (DML, DDL, runstats, invalidation) the store's
+    snapshot equals the fresh round-trip -- whether the store
     snapshotted at every step (warm, mostly hits) or only at the end
     (cold keys for every intermediate state)."""
     database = build_database()
-    store = SnapshotStore(budget_bytes=budget)
+    store = SnapshotStore()
     for op, payload in ops:
         _apply_op(database, op, payload)
         if snapshot_every_step:
@@ -290,7 +271,7 @@ def test_whatif_probes_through_snapshots_stay_bit_identical(ops):
 class TestReserializationAccounting:
     def test_unchanged_epoch_serializes_nothing(self):
         """Repeat snapshots at unchanged epochs are pure cache hits --
-        the 'repeat advise at unchanged epoch = zero re-pickles' gate."""
+        the 'repeat advise at unchanged epoch = zero re-clones' gate."""
         database = build_database()
         database.runstats("SDOC")
         store = SnapshotStore()
@@ -299,7 +280,6 @@ class TestReserializationAccounting:
         for _ in range(5):
             store.snapshot(database)
         after = store.stats()
-        assert after["serializations"] == baseline["serializations"] == 0
         assert after["clones"] == baseline["clones"]
         assert after["misses"] == baseline["misses"]
         assert (
@@ -309,15 +289,14 @@ class TestReserializationAccounting:
 
     def test_dml_reserializes_only_the_touched_collection(self):
         """DML on SDOC refreshes SDOC's generation only: the next
-        snapshot clones that one collection and serializes nothing; the
-        next blob request serializes that one collection (the old
-        ``_snapshot_payload`` re-pickled the world)."""
+        snapshot clones that one collection and hits every other (the
+        old ``_snapshot_payload`` re-pickled the world); the one after
+        clones nothing."""
         database = build_database()
         store = SnapshotStore()
         store.snapshot(database)
-        store.blobs(database)
         before = store.stats()
-        assert before["serializations"] == len(database.collections)
+        assert before["clones"] == len(database.collections)
         database.insert_document("SDOC", SECURITY)
         store.snapshot(database)
         after = store.stats()
@@ -325,37 +304,11 @@ class TestReserializationAccounting:
         assert after["misses"] == before["misses"] + 1
         untouched = len(database.collections) - 1
         assert after["hits"] == before["hits"] + untouched
-        assert after["serializations"] == before["serializations"]
-        assert after["bytes_serialized"] == before["bytes_serialized"]
-        assert after["cached_blobs"] == untouched
-        store.blobs(database)
-        shipped = store.stats()
-        assert shipped["serializations"] == before["serializations"] + 1
-        assert shipped["misses"] == after["misses"]
-        assert shipped["clones"] == after["clones"]
-
-    def test_blob_is_serialized_only_on_request(self):
-        """Snapshots, however many and across writes, never pickle a
-        collection; ``collection_blob`` does, once per key, and its
-        bytes decode to the snapshot's part."""
-        database = build_database()
-        database.runstats("SDOC")
-        store = SnapshotStore()
-        for _ in range(3):
-            database.insert_document("SDOC", SECURITY)
-            snapshot = store.snapshot(database)
-        idle = store.stats()
-        assert idle["serializations"] == idle["bytes_serialized"] == 0
-        assert idle["cached_blobs"] == idle["bytes_cached"] == 0
-        blob = store.collection_blob(database, "SDOC")
-        assert store.collection_blob(database, "SDOC") is blob
-        asked = store.stats()
-        assert asked["serializations"] == asked["cached_blobs"] == 1
-        assert asked["bytes_serialized"] == asked["bytes_cached"] == len(blob)
-        assert asked["clones"] == idle["clones"]
-        assert canonical_dumps(pickle.loads(blob)) == canonical_dumps(
-            capture_part(snapshot, "SDOC")
-        )
+        assert after["generations"] == len(database.collections)
+        store.snapshot(database)
+        again = store.stats()
+        assert again["misses"] == after["misses"]
+        assert again["clones"] == after["clones"]
 
     def test_runstats_moves_only_its_collection_key(self):
         """Statistics transitions (appear/mutate/disappear) re-key only
@@ -371,18 +324,6 @@ class TestReserializationAccounting:
         after = store.stats()
         assert after["clones"] == before["clones"] + 1
         assert after["misses"] == before["misses"] + 1
-
-    def test_delta_carries_only_moved_keys(self):
-        """The parallel engine's delta payload after single-collection
-        DML carries exactly the touched collection."""
-        database = build_database()
-        store = SnapshotStore()
-        store.blobs(database)
-        base_keys = store.current_keys(database)
-        database.insert_document("SDOC", SECURITY)
-        changed, removed = store.delta(database, base_keys)
-        assert sorted(changed) == ["SDOC"]
-        assert removed == ()
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +353,7 @@ class TestSharedGenerations:
         store = SnapshotStore()
         first = store.snapshot(database)
         warm = store.stats()
-        assert warm["clones"] == warm["parts_held"] == len(names)
+        assert warm["clones"] == warm["generations"] == len(names)
         second = store.snapshot(database)
         assert store.stats()["clones"] == warm["clones"]
         for name in names:
@@ -524,16 +465,14 @@ class TestSharedGenerations:
         }
 
     def test_writes_leave_one_generation_per_collection(self):
-        """Regression: every DML used to leave its superseded blob in
-        the store until the byte budget tripped (``cached_blobs`` grew
-        O(DML))."""
+        """Regression: every DML used to leave its superseded generation
+        in the store until a byte budget tripped (the store grew
+        O(DML)).  A write's new generation replaces the old one."""
         database = _primed_database()
         store = SnapshotStore()
         store.snapshot(database)
-        store.blobs(database)
         baseline = store.stats()
         assert baseline["generations"] == len(database.collections)
-        assert baseline["cached_blobs"] == len(database.collections)
         for _ in range(12):
             doc_id = database.insert_document("SDOC", SECURITY)
             store.snapshot(database)
@@ -541,19 +480,10 @@ class TestSharedGenerations:
             store.snapshot(database)
         after = store.stats()
         assert after["generations"] == len(database.collections)
-        assert after["parts_held"] == len(database.collections)
-        assert after["evictions"] == 0
         assert after["clones"] == baseline["clones"] + 24
-        # SDOC's superseded blob went with its generation, and no
-        # snapshot made a new one: the budget counts materialised blobs
-        assert after["serializations"] == baseline["serializations"]
-        assert after["cached_blobs"] == len(database.collections) - 1
-        assert after["bytes_cached"] < baseline["bytes_cached"]
-        store.blobs(database)
-        shipped = store.stats()
-        assert shipped["cached_blobs"] == len(database.collections)
-        # flat up to the tombstone each deleted document id leaves
-        assert shipped["bytes_cached"] < baseline["bytes_cached"] + 1024
+        assert_bit_identical(
+            store.snapshot(database), fresh_round_trip(database)
+        )
 
     def test_resnapshot_of_a_superseded_snapshot_is_a_correct_miss(self):
         database = _primed_database()
@@ -594,26 +524,6 @@ class TestSharedGenerations:
         assert fresh._statistics["SDOC"] is not stats
         assert fresh._statistics["SDOC"]._dirty_paths
         assert_bit_identical(fresh, fresh_round_trip(database))
-
-    def test_eviction_drops_part_with_blob(self):
-        """The budget bounds materialised blobs: snapshots alone never
-        trip it, a shipper's blobs do, and an evicted generation takes
-        its part along."""
-        database = _primed_database()
-        names = len(database.collections)
-        store = SnapshotStore(budget_bytes=1)
-        for _ in range(3):
-            assert_bit_identical(
-                store.snapshot(database), fresh_round_trip(database)
-            )
-            held = store.stats()
-            assert held["generations"] == held["parts_held"] == names
-            store.blobs(database)
-            stats = store.stats()
-            assert stats["generations"] == stats["cached_blobs"] == 1
-            assert stats["parts_held"] == 0
-        assert stats["evictions"] > 0
-        assert stats["clones"] == stats["serializations"] == 3 * names
 
 
 MUTATORS = {
@@ -728,68 +638,6 @@ def test_thread_lanes_reading_one_shared_part_leave_it_unchanged():
 
 
 # ---------------------------------------------------------------------------
-# Parallel consumer: delta-shipped process workers
-# ---------------------------------------------------------------------------
-
-
-def _normalized(recommendation):
-    data = recommendation.to_dict()
-    data.pop("elapsed_seconds", None)
-    session = dict(data.get("session", {}))
-    for key in ("phase_seconds", "workers", "storage", "snapshots"):
-        session.pop(key, None)
-    data["session"] = session
-    return data
-
-
-def _advise_twice_with_dml(session_factory):
-    """Two advisor runs over ONE session with single-collection DML in
-    between -- the delta protocol's canonical shape.  The build skews
-    bytes toward the unqueried collections so the touched collection
-    (SDOC, the one every workload query reads) both invalidates cached
-    costs AND stays under the rebase fraction: the second dispatch must
-    ship a real delta, not a rebase and not a pure cache replay."""
-    database = tpox.build_database(
-        num_securities=12, num_orders=60, num_customers=30, seed=7
-    )
-    workload = Workload(list(WORKLOAD.entries))
-    session = session_factory(database)
-    try:
-        first = _normalized(
-            IndexAdvisor(database, workload, session=session).recommend(
-                BUDGET
-            )
-        )
-        database.insert_document("SDOC", SECURITY)
-        second = _normalized(
-            IndexAdvisor(database, workload, session=session).recommend(
-                BUDGET
-            )
-        )
-        return first, second, session
-    finally:
-        session.close()
-
-
-class TestParallelConsumer:
-    def test_process_workers_delta_sync_bit_identical(self):
-        serial = _advise_twice_with_dml(WhatIfSession)[:2]
-        first, second, session = _advise_twice_with_dml(
-            lambda db: ParallelWhatIfSession(
-                db, workers=2, executor="process", min_batch=1
-            )
-        )
-        assert (first, second) == serial
-        assert first != second  # the DML must actually matter
-        shipping = session.stats()["workers"]["shipping"]
-        assert shipping["base_ships"] == 1  # the pool was never rebuilt
-        assert shipping["delta_syncs"] >= 1
-        assert shipping["rebases"] == 0
-        # the whole point: the delta cost a fraction of a re-ship
-        assert shipping["delta_bytes"] < shipping["base_bytes"] / 3
-
-
-# ---------------------------------------------------------------------------
 # Serve consumer: request snapshots + gate backoff (satellite 1)
 # ---------------------------------------------------------------------------
 
@@ -813,28 +661,27 @@ class TestServeConsumer:
 
     def test_repeat_advise_at_unchanged_epoch_serializes_nothing(self):
         """The serve-path headline: after the first advise request warms
-        the store, repeats re-pickle nothing."""
+        the store, repeats re-clone nothing."""
 
         async def scenario():
             async with AdvisorServer(
                 build_database(), mode="tournament"
             ) as server:
                 first = await server.recommend(QUERY_TEXTS, BUDGET)
-                warm = server.snapshots.stats()["serializations"]
+                warm = server.snapshots.stats()["clones"]
                 second = await server.recommend(QUERY_TEXTS, BUDGET)
                 return first, second, warm, server.snapshots.stats()
 
         first, second, warm, stats = _run(scenario())
         assert first.ok and second.ok
         assert first.value == second.value
-        assert stats["serializations"] == warm
+        assert stats["clones"] == warm
         assert stats["compositions"] == 2  # one per request, from cache
 
     def test_served_recommend_composes_one_snapshot_from_held_parts(self):
         """A tournament recommend takes one snapshot, which its lanes
-        share; at unchanged epochs it clones no collection, after a
-        write exactly the touched collection is cloned once, and nothing
-        is ever serialized."""
+        share; at unchanged epochs it clones no collection, and after a
+        write exactly the touched collection is cloned once."""
 
         async def scenario():
             async with AdvisorServer(build_database()) as server:
@@ -855,8 +702,7 @@ class TestServeConsumer:
         assert steady["clones"] == warm["clones"]
         assert written["compositions"] == steady["compositions"] + 1
         assert written["clones"] == steady["clones"] + 1
-        assert written["serializations"] == written["bytes_serialized"] == 0
-        assert written["generations"] == 3 and written["cached_blobs"] == 0
+        assert written["generations"] == 3
 
     @staticmethod
     def _contended_schedule(rounds: int = 3):

@@ -4,6 +4,8 @@ The key invariant (Section III) is that virtual-index statistics derived
 from data statistics agree with the statistics of the really-built index.
 """
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -315,3 +317,18 @@ class TestDocumentFrequency:
         first = stats.matching_paths(parse_pattern("/S/*"))
         second = stats.matching_paths(parse_pattern("/S/*"))
         assert first is second  # cached object
+
+    def test_pickle_drops_interning_caches(self):
+        """``_path_ids`` are ids of this process's ``GLOBAL_TABLE``, and
+        the pattern memos were computed through them: a pickle carries
+        none of the three, and the rebuilt caches answer the same."""
+        stats = make_db(SAMPLE_DOCS).runstats("C")
+        pattern = parse_pattern("/S//L")
+        assert stats.matching_paths(pattern)  # warm the caches
+        clone = pickle.loads(pickle.dumps(stats))
+        assert clone._path_ids == []
+        assert clone._matching_cache == {}
+        assert clone._matched_paths == {}
+        assert sorted(clone.matching_paths(pattern)) == sorted(
+            stats.matching_paths(pattern)
+        )

@@ -303,3 +303,34 @@ def test_public_candidate_maintenance(tpox_db, tpox_wl):
     assert charge >= 0.0
     # the deprecated underscore alias stays wired to the public method
     assert advisor.evaluator._candidate_maintenance(candidate) == charge
+
+
+# ---------------------------------------------------------------------------
+# The ``repro.parallel`` shim the benchmark harness's probes call
+# ---------------------------------------------------------------------------
+def test_create_session_shim_is_a_plain_serial_session(
+    tpox_db, tpox_wl, fault_free
+):
+    """``create_session`` ignores ``workers``/``executor``: it returns a
+    plain :class:`WhatIfSession` whose probe calls answer exactly as a
+    fresh session's do."""
+    from repro.parallel import create_session
+
+    shim = create_session(tpox_db, workers=2, executor="process")
+    assert type(shim) is WhatIfSession
+    fresh = WhatIfSession(tpox_db)
+    candidates = IndexAdvisor(tpox_db, tpox_wl, session=fresh).candidates
+    results = []
+    for session in (shim, fresh):
+        session.register_statements(entry.statement for entry in tpox_wl)
+        tasks = [
+            (entry.statement, session.definitions_for([candidate]))
+            for entry in tpox_wl
+            for candidate in candidates.basics()
+        ]
+        results.append(session.evaluate_batch(tasks, use_cache=False))
+        session.close()
+    assert results[0] == results[1]
+    assert [result.estimated_cost for result in results[0]] == [
+        result.estimated_cost for result in results[1]
+    ]

@@ -5,6 +5,8 @@ property-based coverage: containment decisions must agree with brute-force
 membership checks over generated tag paths.
 """
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -233,3 +235,14 @@ def test_mutual_coverage_is_equivalence(a, b):
         # any witness matched by one must be matched by the other
         for path in [("a",), ("a", "b"), ("a", "b", "c"), ("d", "c", "b", "a")]:
             assert a.matches(path) == b.matches(path)
+
+
+def test_pattern_pickles_by_reparsing():
+    """Patterns pickle as their canonical text, so whichever process
+    loads one re-interns against its own global path table (ids differ
+    across processes; bitmap state must not travel)."""
+    pattern = parse_pattern("/Security/SecInfo//Sector")
+    clone = pickle.loads(pickle.dumps(pattern))
+    assert str(clone) == str(pattern)
+    assert clone == pattern
+    assert clone.covers(parse_pattern("/Security/SecInfo/Industrial/Sector"))
