@@ -352,6 +352,43 @@ class TestRecommendValidation:
         payload = json_module.loads(capsys.readouterr().out)
         assert payload["truncated"] is False
 
+    @pytest.mark.parametrize("flag", ["--workers", "--executor"])
+    def test_worker_pool_flags_are_unrecognized(
+        self, dbdir, tmp_path, capsys, flag
+    ):
+        """There is one what-if execution path: the worker pool's flags
+        are argparse errors, not silently ignored knobs."""
+        workload = self.write_workload(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["recommend", dbdir, "--workload", workload,
+                  "--budget", "20000", flag, "2"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_worker_pool_env_is_not_read(
+        self, dbdir, tmp_path, capsys, monkeypatch
+    ):
+        """Junk ``REPRO_WORKERS``/``REPRO_EXECUTOR`` change nothing: the
+        JSON recommendation equals the one printed without them."""
+        import json as json_module
+
+        workload = self.write_workload(tmp_path)
+        argv = ["recommend", dbdir, "--workload", workload,
+                "--budget", "20000", "--json"]
+        monkeypatch.setenv("REPRO_DEADLINE", "none")
+        assert main(argv) == 0
+        plain = json_module.loads(capsys.readouterr().out)
+        monkeypatch.setenv("REPRO_WORKERS", "many")
+        monkeypatch.setenv("REPRO_EXECUTOR", "forkbomb")
+        assert main(argv) == 0
+        with_env = json_module.loads(capsys.readouterr().out)
+        for payload in (plain, with_env):
+            payload.pop("elapsed_seconds", None)
+            payload["session"].pop("phase_seconds", None)
+            assert "workers" not in payload["session"]
+        assert with_env["indexes"] == plain["indexes"]
+        assert with_env["benefit"] == plain["benefit"]
+
 
 class TestServe:
     """The online daemon's CLI front end (PR 8 tentpole)."""

@@ -330,6 +330,16 @@ class TestTuning:
         }
         assert s0 == s1
 
+    @pytest.mark.parametrize("knob", [{"workers": 2}, {"executor": "thread"}])
+    def test_takes_no_worker_knobs(self, knob):
+        with pytest.raises(TypeError):
+            tune_cluster(
+                tpox_cluster(shards=1, replicas=2),
+                _tpox_workload(),
+                250_000,
+                **knob,
+            )
+
     def test_divergent_mode_diverges(self):
         cluster = tpox_cluster(shards=1, replicas=2)
         result = tune_cluster(

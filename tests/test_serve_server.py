@@ -567,6 +567,50 @@ class TestConfigErrorPropagation:
             )
 
 
+class TestInlineExecution:
+    """Every served request runs inline on the event loop: the server
+    has no lanes and starts no thread of its own."""
+
+    def test_lanes_argument_is_gone(self):
+        with pytest.raises(TypeError):
+            AdvisorServer(small_database(), lanes=2)
+
+    def test_cli_lanes_flag_is_unrecognized(self, tmp_path, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["server", str(tmp_path / "db"), "--workload",
+                  str(tmp_path / "wl.xq"), "--lanes", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --lanes" in capsys.readouterr().err
+
+    def test_every_endpoint_runs_on_the_event_loop_thread(self):
+        import threading
+
+        db = small_database()
+
+        async def scenario():
+            before = set(threading.enumerate())
+            async with AdvisorServer(db) as server:
+                responses = [
+                    await server.query(QUERY_TEXTS[0]),
+                    await server.dml(
+                        "insert into SDOC value "
+                        "'<Security><Symbol>NEW</Symbol></Security>'"
+                    ),
+                    await server.whatif(
+                        QUERY_TEXTS, ["/Security/Symbol"], "SDOC"
+                    ),
+                    await server.recommend(QUERY_TEXTS, BUDGET),
+                ]
+                during = set(threading.enumerate())
+            return before, during, responses
+
+        before, during, responses = run(scenario())
+        assert all(r.ok for r in responses), [r.to_dict() for r in responses]
+        assert during == before
+
+
 def test_normalized_recommendation_strips_wall_clock():
     winner = run_portfolio(
         small_database(),

@@ -659,9 +659,13 @@ class TestServeConsumer:
         assert_bit_identical(snapshot, fresh_round_trip(server.database))
         assert server.snapshots.stats()["compositions"] >= 1
 
-    def test_repeat_advise_at_unchanged_epoch_serializes_nothing(self):
+    def test_repeat_advise_at_unchanged_epoch_serializes_nothing(
+        self, fault_free
+    ):
         """The serve-path headline: after the first advise request warms
-        the store, repeats re-clone nothing."""
+        the store, repeats re-clone nothing.  The two responses are
+        compared value for value, so no fault schedule may draw into
+        either."""
 
         async def scenario():
             async with AdvisorServer(

@@ -334,3 +334,45 @@ def test_create_session_shim_is_a_plain_serial_session(
     assert [result.estimated_cost for result in results[0]] == [
         result.estimated_cost for result in results[1]
     ]
+
+
+# ---------------------------------------------------------------------------
+# One execution path: no worker knobs, no pools
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("knob", [{"workers": 2}, {"executor": "thread"}])
+def test_advisor_takes_no_worker_knobs(tpox_db, tpox_wl, knob):
+    with pytest.raises(TypeError):
+        IndexAdvisor(tpox_db, tpox_wl, **knob)
+
+
+def test_advisor_session_is_a_plain_serial_session(tpox_db, tpox_wl):
+    advisor = IndexAdvisor(tpox_db, tpox_wl)
+    assert type(advisor.session) is WhatIfSession
+    assert "workers" not in advisor.session.stats()
+
+
+def test_package_exports_no_parallel_session():
+    import repro
+    import repro.parallel
+
+    assert not hasattr(repro, "ParallelWhatIfSession")
+    assert not hasattr(repro, "create_session")
+    assert repro.parallel.__all__ == ["create_session"]
+
+
+def test_src_starts_no_thread_or_process_pool():
+    """Every what-if call and every served request runs on the caller's
+    thread; no module of the package imports a pool."""
+    import pathlib
+    import re
+
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    pool = re.compile(r"ThreadPoolExecutor|ProcessPoolExecutor|multiprocessing")
+    offenders = [
+        str(path.relative_to(root))
+        for path in sorted(root.rglob("*.py"))
+        if pool.search(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
