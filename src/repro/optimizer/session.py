@@ -258,6 +258,12 @@ class WhatIfSession:
             self._statement_collections[sid] = collections
         return sid
 
+    @property
+    def statement_count(self) -> int:
+        """Distinct statements this session holds ids (and requests,
+        dependencies and cached results) for."""
+        return len(self._statement_ids)
+
     def definitions_for(
         self, candidates: Iterable
     ) -> Tuple[IndexDefinition, ...]:
@@ -587,7 +593,9 @@ class WhatIfSession:
     def plan(self, statement: Statement) -> OptimizationResult:
         """NORMAL-mode planning (real indexes only), memoized.  Index DDL
         bumps the database's modification counter, so cached plans never
-        outlive the index set they were chosen against."""
+        outlive the index set they were chosen against.  A degraded
+        result (retries ran out: no plan, so a full scan) is answered
+        but not memoized -- the next call asks the optimizer again."""
         self._sync()
         sid = self.statement_id(statement)
         key = (sid, OptimizerMode.NORMAL.value)
@@ -600,7 +608,8 @@ class WhatIfSession:
             statement, OptimizerMode.NORMAL, (), "optimizer.plan",
             self._handle(sid),
         )
-        self._result_cache[key] = result
+        if not result.degraded:
+            self._result_cache[key] = result
         return result
 
     def enumerate(self, statement: Statement) -> OptimizationResult:

@@ -5,11 +5,14 @@ Concurrency model (docs/serving.md):
 * **Reads** (``query``, ``whatif``, ``recommend``) are lock-free and
   optimistic: take an :class:`~repro.storage.database.EpochGate` token
   over the collections touched, do the work, validate that no write
-  moved the epochs, retry on a torn read.  Reads are side-effect free
-  -- statistics are primed at :meth:`AdvisorServer.start` and dirty
-  summaries are rebuilt on the write path, so a read never mutates
-  shared state (and never perturbs the storage counters the
-  differential tests pin).
+  moved the epochs, retry on a torn read.  Reads never change the
+  database or its statistics -- statistics are primed at
+  :meth:`AdvisorServer.start` and dirty summaries are rebuilt on the
+  write path, so a read never perturbs the storage counters the
+  differential tests pin.  What a read may fill is the server's own
+  bounded statement table: each distinct text is parsed once, and one
+  executor's what-if session keeps each served query's plan until a
+  write moves an epoch the query reads (``STATEMENT_TABLE_LIMIT``).
 * **Writes** (``dml``) are serialized per collection by an
   ``asyncio.Lock`` and bracketed by the gate's writer critical section;
   each commit gets a global sequence number and a journal entry, which
@@ -44,6 +47,7 @@ from repro.query.model import (
     DeleteStatement,
     InsertStatement,
     JoinQuery,
+    Statement,
 )
 from repro.query.parser import parse_statement
 from repro.query.workload import Workload
@@ -65,6 +69,17 @@ from repro.serve.requests import (
 from repro.serve.tenants import AdmissionController, TenantPolicy
 from repro.storage.database import EpochGate, resolve_database
 from repro.storage.snapshots import SnapshotStore
+
+#: Distinct statement texts one server keeps parsed -- and, for served
+#: queries, planned -- at once, and the most served values it holds for
+#: sharing.  A new text arriving at a full table replaces the table, the
+#: held values and the executor together, so nothing the server holds
+#: per statement grows past this bound.
+STATEMENT_TABLE_LIMIT = 1024
+
+#: Torn reads one request retries before it fails; a read refused by an
+#: active writer may be refused 16 times as often.
+READ_RETRY_LIMIT = 64
 
 
 def normalized_recommendation(recommendation) -> Dict:
@@ -112,7 +127,6 @@ class AdvisorServer:
         deadline_seconds: Optional[float] = None,
         scheduler: Optional[Callable] = None,
         seed: int = 0,
-        read_retry_limit: int = 64,
     ) -> None:
         self.database = resolve_database(database)
         self.gate = EpochGate(self.database)
@@ -125,7 +139,7 @@ class AdvisorServer:
         self.deadline_seconds = deadline_seconds
         self.scheduler = scheduler
         self.seed = seed
-        self.read_retry_limit = read_retry_limit
+        self._reset_statements()
         self._writer_locks: Dict[str, asyncio.Lock] = {}
         self._seq = 0
         #: Commit journal of every write: ``seq``, statement text,
@@ -156,6 +170,46 @@ class AdvisorServer:
 
     async def __aexit__(self, *exc_info) -> None:
         await self.stop()
+
+    # ------------------------------------------------------------------
+    # Statement table
+    # ------------------------------------------------------------------
+    def _reset_statements(self) -> None:
+        """Start an empty statement table, with the held values and the
+        executor (whose what-if session plans the served queries) that
+        belong to it."""
+        #: text -> its parsed, immutable statement.
+        self._statements: Dict[str, Statement] = {}
+        #: request key -> the value served for it last (see _shared).
+        self._values: Dict[object, object] = {}
+        self._executor = Executor(self.database)
+
+    def _parse(self, text: str) -> Statement:
+        """``parse_statement(text)``, once per text while the table
+        holds it.  A text that fails to parse is not remembered."""
+        statement = self._statements.get(text)
+        if statement is None:
+            statement = parse_statement(text)
+            if len(self._statements) >= STATEMENT_TABLE_LIMIT:
+                self._reset_statements()
+                self._bump("statement_table_resets")
+            self._statements[text] = statement
+        return statement
+
+    def _shared(self, key, value):
+        """``value``, or the equal value served last under ``key``.
+        Callers keep responses by the thousand, so an answer that did
+        not change is handed out as the object they already hold, the
+        way the statistics digest is shared -- the work that produced
+        ``value`` is done either way.  At most ``STATEMENT_TABLE_LIMIT``
+        values are held."""
+        held = self._values.get(key)
+        if held == value:
+            return held
+        if held is None and len(self._values) >= STATEMENT_TABLE_LIMIT:
+            self._values = {}
+        self._values[key] = value
+        return value
 
     # ------------------------------------------------------------------
     # Execution plumbing
@@ -200,7 +254,7 @@ class AdvisorServer:
             token = self.gate.read_view(collections)
             if token is None:
                 refused += 1
-                if refused > self.read_retry_limit * 16:
+                if refused > READ_RETRY_LIMIT * 16:
                     raise FatalAdvisorError(
                         f"read starved behind writers on {collections}",
                         phase="serve.read",
@@ -222,7 +276,7 @@ class AdvisorServer:
                 return results, token, retries, self._seq
             retries += 1
             self._bump("read_retries")
-            if retries > self.read_retry_limit:
+            if retries > READ_RETRY_LIMIT:
                 raise FatalAdvisorError(
                     f"read kept tearing after {retries} retries on "
                     f"{collections}",
@@ -380,7 +434,7 @@ class AdvisorServer:
     # Endpoint bodies
     # ------------------------------------------------------------------
     async def _do_query(self, text: str):
-        statement = parse_statement(text)
+        statement = self._parse(text)
         if isinstance(statement, (InsertStatement, DeleteStatement)):
             raise ValueError(
                 "DML statement on the query endpoint; use dml()"
@@ -390,9 +444,7 @@ class AdvisorServer:
         )
 
         def run():
-            return Executor(self.database).execute(
-                statement, collect_output=True
-            )
+            return self._executor.execute(statement, collect_output=True)
 
         (result, fingerprint), token, retries, watermark = (
             await self._gated_read(
@@ -408,7 +460,7 @@ class AdvisorServer:
             tuple(result.output),
             fingerprint,
         )
-        return value, token, retries, watermark
+        return self._shared(text, value), token, retries, watermark
 
     async def _do_dml(self, text: str):
         statement = parse_statement(text)
@@ -465,7 +517,9 @@ class AdvisorServer:
         from repro.storage.index import IndexValueType
         from repro.xpath.patterns import parse_pattern
 
-        workload = Workload.from_statements(list(statements))
+        workload = Workload.from_statements(
+            [self._parse(text) for text in statements]
+        )
         touched = self._check_collections(
             [collection]
             + [
@@ -515,13 +569,16 @@ class AdvisorServer:
         value["statistics"] = self._stats_fingerprint(
             touched, database=snapshot
         )
-        return value, token, retries, watermark
+        key = ("whatif", collection, tuple(statements), tuple(patterns))
+        return self._shared(key, value), token, retries, watermark
 
     async def _do_recommend(
         self, statements, budget_bytes, tenant, mode, strategies,
         deadline_seconds, seed,
     ):
-        workload = Workload.from_statements(list(statements))
+        workload = Workload.from_statements(
+            [self._parse(text) for text in statements]
+        )
         touched = sorted(
             {
                 name
@@ -551,12 +608,11 @@ class AdvisorServer:
             tenant,
             recommendation.portfolio_stats.get("optimizer_calls_total", 0),
         )
-        return (
+        value = self._shared(
+            ("recommend", tuple(statements), budget_bytes),
             normalized_recommendation(recommendation),
-            token,
-            retries,
-            watermark,
         )
+        return value, token, retries, watermark
 
     # ------------------------------------------------------------------
     # Schedule driving (CLI, bench, differential tests)
@@ -625,5 +681,11 @@ class AdvisorServer:
             "writes": self._seq,
             "storage": self.database.storage_stats(),
             "snapshots": self.snapshots.stats(),
+            "statement_table": {
+                "statements": len(self._statements),
+                "planned": self._executor.session.statement_count,
+                "values": len(self._values),
+                "limit": STATEMENT_TABLE_LIMIT,
+            },
             "epochs": dict(sorted(self.database.collection_epochs.items())),
         }

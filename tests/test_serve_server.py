@@ -431,6 +431,286 @@ class TestEndpoints:
 
 
 # ---------------------------------------------------------------------------
+# Statement table: parse each text and plan each statement once per server
+# ---------------------------------------------------------------------------
+
+SDOC_QUERY = QUERY_TEXTS[0]  # where $sec/Symbol = "..." return $sec
+NEW_SECURITY = (
+    "insert into SDOC value '<Security><Symbol>NEW</Symbol></Security>'"
+)
+
+
+def mixed_small_database():
+    """TPoX and XMark collections in one mutable database."""
+    from repro.workloads import xmark
+    from repro.xmlmodel.serializer import serialize
+
+    database = small_database()
+    others = xmark.build_database(
+        num_items=10, num_persons=10, num_auctions=10, seed=7
+    )
+    for name, collection in others.collections.items():
+        database.create_collection(name)
+        for document in collection:
+            database.insert_document(name, serialize(document.root))
+    return database
+
+
+def xmark_query_text():
+    from repro.workloads import xmark
+
+    return next(
+        entry.statement.describe()
+        for entry in xmark.xmark_workload(seed=7).entries
+        if getattr(entry.statement, "collection", None) == "IDOC"
+    )
+
+
+def symbol_index(database):
+    from repro.storage import IndexDefinition, IndexValueType
+    from repro.xpath import parse_pattern
+
+    database.create_index(
+        IndexDefinition(
+            "ix_symbol", "SDOC", parse_pattern("/Security/Symbol"),
+            IndexValueType.STRING,
+        )
+    )
+
+
+class _Spies:
+    """Counts the server's ``parse_statement`` calls and records the
+    statement of every optimizer call."""
+
+    def __init__(self, monkeypatch) -> None:
+        import repro.serve.server as server_module
+        from repro.optimizer.optimizer import Optimizer
+
+        self.parses = 0
+        self.planned = []
+        parse, optimize = server_module.parse_statement, Optimizer.optimize
+
+        def counting_parse(text):
+            self.parses += 1
+            return parse(text)
+
+        def recording_optimize(optimizer, statement, *args, **kwargs):
+            self.planned.append(statement.describe())
+            return optimize(optimizer, statement, *args, **kwargs)
+
+        monkeypatch.setattr(server_module, "parse_statement", counting_parse)
+        monkeypatch.setattr(Optimizer, "optimize", recording_optimize)
+
+    def reset(self) -> None:
+        self.parses = 0
+        self.planned.clear()
+
+
+class TestStatementTable:
+    """A server parses each text once and keeps each served query's
+    plan until a write moves an epoch the query reads; the table is
+    bounded by ``STATEMENT_TABLE_LIMIT``."""
+
+    def test_repeated_query_parses_and_plans_nothing(
+        self, monkeypatch, fault_free
+    ):
+        spies = _Spies(monkeypatch)
+
+        async def scenario():
+            async with AdvisorServer(small_database()) as server:
+                first = [await server.query(text) for text in QUERY_TEXTS]
+                cold = (spies.parses, len(spies.planned))
+                spies.reset()
+                again = [await server.query(text) for text in QUERY_TEXTS]
+                warm = (spies.parses, len(spies.planned))
+                spies.reset()
+                advise = await server.whatif(
+                    QUERY_TEXTS, ["/Security/Symbol"], "SDOC"
+                )
+                return first, again, cold, warm, spies.parses, advise
+
+        first, again, cold, warm, advise_parses, advise = run(scenario())
+        assert cold == (len(QUERY_TEXTS), len(QUERY_TEXTS))
+        assert warm == (0, 0)
+        assert advise.ok and advise_parses == 0  # served texts are parsed
+        for before, after in zip(first, again):
+            assert after.ok and after.comparable() == before.comparable()
+
+    def test_write_replans_only_the_collection_it_touched(
+        self, monkeypatch, fault_free
+    ):
+        spies = _Spies(monkeypatch)
+        xmark_text = xmark_query_text()
+
+        async def scenario():
+            async with AdvisorServer(mixed_small_database()) as server:
+                await server.query(SDOC_QUERY)
+                await server.query(xmark_text)
+                write = await server.dml(NEW_SECURITY)
+                spies.reset()
+                responses = [
+                    await server.query(SDOC_QUERY),
+                    await server.query(xmark_text),
+                ]
+                return write, responses
+
+        write, responses = run(scenario())
+        assert write.ok and all(r.ok for r in responses)
+        assert spies.planned == [SDOC_QUERY]
+
+    def test_index_created_on_the_live_database_replans(self, fault_free):
+        db = small_database()
+
+        async def scenario():
+            async with AdvisorServer(db) as server:
+                before = await server.query(SDOC_QUERY)
+                symbol_index(db)
+                after = await server.query(SDOC_QUERY)
+                return before, after
+
+        before, after = run(scenario())
+        assert before.value["used_indexes"] == ()
+        assert after.value["used_indexes"] == ("ix_symbol",)
+        assert after.value["rows"] == before.value["rows"]
+        assert after.value["output"] == before.value["output"]
+
+    def test_table_stays_bounded_and_answers_stay_correct(self):
+        from repro.optimizer import Executor
+        from repro.query.parser import parse_statement
+        from repro.serve.server import STATEMENT_TABLE_LIMIT
+
+        db = small_database()
+        texts = [
+            "for $s in X('SDOC')/Security where $s/Yield > "
+            f"{number / 100} return $s/Symbol"
+            for number in range(STATEMENT_TABLE_LIMIT + 50)
+        ]
+
+        async def scenario():
+            async with AdvisorServer(db) as server:
+                responses = []
+                peak = 0
+                for text in texts:
+                    responses.append(await server.query(text))
+                    table = server.stats()["statement_table"]
+                    peak = max(peak, table["statements"], table["planned"])
+                return responses, peak, server.stats()
+
+        responses, peak, stats = run(scenario())
+        assert peak <= STATEMENT_TABLE_LIMIT
+        assert stats["statement_table"]["statements"] == 50
+        assert stats["statement_table"]["values"] == 50
+        assert stats["counters"]["statement_table_resets"] == 1
+        for text, response in zip(texts, responses):
+            expected = Executor(db).execute(
+                parse_statement(text), collect_output=True
+            )
+            assert response.ok
+            assert response.value["rows"] == expected.rows
+            assert response.value["output"] == tuple(expected.output)
+
+    def test_equal_answers_share_one_value(self, fault_free):
+        async def scenario():
+            async with AdvisorServer(small_database()) as server:
+                first = await server.query(SDOC_QUERY)
+                second = await server.query(SDOC_QUERY)
+                await server.dml(NEW_SECURITY)
+                third = await server.query(SDOC_QUERY)
+                fourth = await server.query(SDOC_QUERY)
+            fresh_db = small_database()
+            fresh_db.insert_document(
+                "SDOC", "<Security><Symbol>NEW</Symbol></Security>"
+            )
+            async with AdvisorServer(fresh_db) as fresh:
+                reference = await fresh.query(SDOC_QUERY)
+            return first, second, third, fourth, reference
+
+        first, second, third, fourth, reference = run(scenario())
+        assert second.value is first.value
+        assert third.value is not first.value  # the statistics moved
+        assert third.value["output"] == first.value["output"]
+        assert third.value == reference.value
+        assert fourth.value is third.value
+
+    def test_equal_advise_answers_share_one_value(self, fault_free):
+        async def scenario():
+            async with AdvisorServer(small_database()) as server:
+                whatifs = [
+                    await server.whatif(
+                        QUERY_TEXTS, ["/Security/Symbol"], "SDOC"
+                    )
+                    for _ in range(2)
+                ]
+                recommends = [
+                    await server.recommend(QUERY_TEXTS, BUDGET)
+                    for _ in range(2)
+                ]
+                await server.dml(NEW_SECURITY)
+                after = await server.whatif(
+                    QUERY_TEXTS, ["/Security/Symbol"], "SDOC"
+                )
+                return whatifs, recommends, after
+
+        whatifs, recommends, after = run(scenario())
+        assert all(r.ok for r in whatifs + recommends + [after])
+        assert whatifs[1].value is whatifs[0].value
+        assert recommends[1].value is recommends[0].value
+        assert after.value is not whatifs[0].value  # the statistics moved
+        assert after.value["statistics"] != whatifs[0].value["statistics"]
+
+    def test_held_values_stay_bounded(self, monkeypatch):
+        import repro.serve.server as server_module
+
+        monkeypatch.setattr(server_module, "STATEMENT_TABLE_LIMIT", 4)
+
+        async def scenario():
+            async with AdvisorServer(small_database()) as server:
+                responses = [
+                    await server.whatif(
+                        QUERY_TEXTS[:2], [f"/Security/Symbol{number}"],
+                        "SDOC",
+                    )
+                    for number in range(10)
+                ]
+                return responses, server.stats()["statement_table"]
+
+        responses, table = run(scenario())
+        assert all(r.ok for r in responses)
+        assert table["statements"] == 2
+        assert 0 < table["values"] <= 4
+
+    def test_degraded_plan_is_not_kept(self, fault_free):
+        from repro.robustness.faults import FaultInjector, FaultRule, injected
+        from repro.robustness.policy import RetryPolicy
+
+        db = small_database()
+        symbol_index(db)
+        past_retries = FaultRule(
+            "optimizer.plan", limit=RetryPolicy().max_attempts
+        )
+
+        async def scenario():
+            async with AdvisorServer(db) as server:
+                with injected(FaultInjector([past_retries])) as injector:
+                    degraded = await server.query(SDOC_QUERY)
+                planned = await server.query(SDOC_QUERY)
+                return degraded, planned, injector.total_injected()
+
+        degraded, planned, faults = run(scenario())
+        assert faults == RetryPolicy().max_attempts
+        assert degraded.ok and planned.ok
+        assert degraded.value["used_indexes"] == ()  # a full scan...
+        assert degraded.value["docs_examined"] == len(db.collection("SDOC"))
+        assert degraded.value["rows"] == planned.value["rows"]  # ...as right
+        assert degraded.value["output"] == planned.value["output"]
+        assert planned.value["used_indexes"] == ("ix_symbol",)
+
+    def test_read_retry_limit_argument_is_gone(self):
+        with pytest.raises(TypeError):
+            AdvisorServer(small_database(), read_retry_limit=8)
+
+
+# ---------------------------------------------------------------------------
 # Portfolio modes
 # ---------------------------------------------------------------------------
 
