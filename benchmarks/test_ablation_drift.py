@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import IndexAdvisor, Optimizer
+from repro import IndexAdvisor, WhatIfSession
 from repro.core.benefit import ConfigurationEvaluator
 from repro.workloads.drift import drift_workload
 
@@ -29,7 +29,7 @@ def run_drift(db, workload):
     }
     rows = []
     # training workload itself first
-    evaluator = ConfigurationEvaluator(db, Optimizer(db), workload)
+    evaluator = ConfigurationEvaluator(db, WhatIfSession(db), workload)
     rows.append(
         {
             "workload": "training",
@@ -43,7 +43,7 @@ def run_drift(db, workload):
     )
     for seed in DRIFT_SEEDS:
         drifted = drift_workload(db, workload, seed=seed)
-        evaluator = ConfigurationEvaluator(db, Optimizer(db), drifted)
+        evaluator = ConfigurationEvaluator(db, WhatIfSession(db), drifted)
         rows.append(
             {
                 "workload": f"drift(seed={seed})",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import IndexAdvisor, Optimizer
+from repro import IndexAdvisor, WhatIfSession
 from repro.baselines import DecoupledAdvisor
 from repro.core.benefit import ConfigurationEvaluator
 from repro.core.whatif import analyze
@@ -28,7 +28,7 @@ def run_comparison(db, workload):
             budget_bytes=budget, algorithm="greedy_heuristics"
         )
         decoupled_rec = DecoupledAdvisor(db, workload).recommend(budget)
-        evaluator = ConfigurationEvaluator(db, Optimizer(db), workload)
+        evaluator = ConfigurationEvaluator(db, WhatIfSession(db), workload)
         coupled_speedup = evaluator.estimated_speedup(coupled_rec.configuration)
         decoupled_speedup = evaluator.estimated_speedup(
             decoupled_rec.configuration

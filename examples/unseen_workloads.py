@@ -10,7 +10,7 @@ workload) serve the *full* workload -- including never-seen queries.
 Run:  python examples/unseen_workloads.py
 """
 
-from repro import IndexAdvisor, Optimizer, Workload
+from repro import IndexAdvisor, WhatIfSession, Workload
 from repro.core.benefit import ConfigurationEvaluator
 from repro.workloads import synthetic, tpox
 
@@ -41,7 +41,7 @@ def main() -> None:
     for algorithm in ("topdown_lite", "greedy_heuristics"):
         advisor = IndexAdvisor(db, training)
         recommendation = advisor.recommend(budget_bytes=budget, algorithm=algorithm)
-        evaluator = ConfigurationEvaluator(db, Optimizer(db), test_workload)
+        evaluator = ConfigurationEvaluator(db, WhatIfSession(db), test_workload)
         speedup = evaluator.estimated_speedup(recommendation.configuration)
         print(f"=== {algorithm} ===")
         print(

@@ -653,30 +653,13 @@ def cmd_review(args: argparse.Namespace) -> int:
 
 
 def cmd_whatif(args: argparse.Namespace) -> int:
-    from repro.core.candidates import CandidateIndex
-    from repro.core.config import IndexConfiguration
-    from repro.core.whatif import analyze
-    from repro.storage.index import IndexValueType
-    from repro.xpath.patterns import parse_pattern
+    from repro.core.whatif import analyze, configuration_from_specs
 
     db = load_database(args.dbdir)
     workload = read_workload_file(args.workload)
-    candidates = []
-    for spec in args.patterns:
-        if ":" in spec:
-            pattern_text, type_text = spec.rsplit(":", 1)
-        else:
-            pattern_text, type_text = spec, "string"
-        value_type = (
-            IndexValueType.NUMERIC
-            if type_text.lower() in ("numeric", "numerical", "double")
-            else IndexValueType.STRING
-        )
-        candidates.append(
-            CandidateIndex(parse_pattern(pattern_text), value_type, args.collection)
-        )
+    configuration = configuration_from_specs(args.patterns, args.collection)
     session = WhatIfSession(db)
-    report = analyze(db, workload, IndexConfiguration(candidates), session=session)
+    report = analyze(db, workload, configuration, session=session)
     print(report.summary())
     if args.stats:
         stats = session.stats()

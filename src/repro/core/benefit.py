@@ -47,7 +47,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, U
 from repro.core.candidates import CandidateIndex, CandidateKey
 from repro.core.config import IndexConfiguration
 from repro.core.maintenance import MaintenanceConstants, maintenance_cost
-from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.rewriter import PathRequest, extract_all_requests
 from repro.optimizer.session import WhatIfSession
 from repro.query.model import JoinQuery, Query
@@ -57,26 +56,19 @@ from repro.xpath.patterns import PathPattern
 
 
 class ConfigurationEvaluator:
-    """Benefit/cost oracle for index configurations over one workload.
-
-    ``coupling`` is the shared :class:`WhatIfSession`; a bare
-    :class:`Optimizer` is also accepted (it is adopted into a private
-    session) for backward compatibility and tests.
-    """
+    """Benefit/cost oracle for index configurations over one workload,
+    costed through the shared :class:`WhatIfSession`."""
 
     def __init__(
         self,
         database,
-        coupling: Union[WhatIfSession, Optimizer],
+        session: WhatIfSession,
         workload: Workload,
         maintenance_constants: MaintenanceConstants = MaintenanceConstants(),
         naive: bool = False,
     ) -> None:
         self.database = database
-        if isinstance(coupling, WhatIfSession):
-            self.session = coupling
-        else:
-            self.session = WhatIfSession.adopt(coupling)
+        self.session = session
         self.workload = workload
         self.maintenance_constants = maintenance_constants
         self.naive = naive
@@ -129,16 +121,6 @@ class ConfigurationEvaluator:
     # ------------------------------------------------------------------
     # Coupling / staleness
     # ------------------------------------------------------------------
-    @property
-    def optimizer(self) -> Optimizer:
-        """The session's optimizer (for call counting; do not construct
-        optimizers elsewhere)."""
-        return self.session.optimizer
-
-    @property
-    def optimizer_calls(self) -> int:
-        return self.optimizer.calls
-
     def _refresh(self) -> None:
         """Invalidate derived caches when the database changed.  The
         session notices data/index modifications via the database's
@@ -220,83 +202,6 @@ class ConfigurationEvaluator:
             self._settle(key, reads)
         return self._standalone_cache[key]
 
-    def prefetch_standalone(self, candidates: Iterable[CandidateIndex]) -> None:
-        """Batch-compute standalone benefits for a frontier of candidates.
-
-        Performs exactly the computation the serial per-candidate
-        :meth:`standalone_benefit` loop would -- same session probes,
-        same cache writes, same ``evaluations`` accounting -- but
-        collects every uncached candidate's group costing into **one**
-        session batch.  Candidates already cached (standalone or as a cached
-        single-index sub-configuration) are skipped/settled without
-        touching the session, exactly as the serial path would."""
-        self._refresh()
-        pending = [
-            candidate
-            for candidate in candidates
-            if candidate.key not in self._standalone_cache
-        ]
-        if not pending:
-            return
-        if self.naive:
-            # Naive mode re-optimizes the whole workload per candidate;
-            # each call is itself a (cache-bypassing) batch, so the
-            # serial candidate loop is already the right shape.
-            for candidate in pending:
-                self.standalone_benefit(candidate)
-            return
-        base_costs: Optional[List[float]] = None
-        tasks: List = []
-        spans: List[Tuple[CandidateIndex, int, List[int], Optional[float]]] = []
-        for candidate in pending:
-            group_key = frozenset((candidate.key,))
-            cached = self._subconfig_cache.get(group_key)
-            if cached is not None:
-                self._served(group_key)
-                if group_key in self._degraded:
-                    self._degraded.add(candidate.key)
-                spans.append((candidate, 0, [], cached))
-                continue
-            if base_costs is None:
-                # Serial order: the first uncached group computes base
-                # costs before its own probes (_evaluate_group does the
-                # same).
-                base_costs = self.base_costs
-            positions = sorted(self.affected_set(candidate))
-            definitions = self.session.definitions_for([candidate])
-            start = len(tasks)
-            tasks.extend(
-                (self.workload.entries[position].statement, definitions)
-                for position in positions
-            )
-            spans.append((candidate, start, positions, None))
-        results = self.session.evaluate_batch(tasks) if tasks else []
-        for candidate, start, positions, cached in spans:
-            if cached is None:
-                mine = results[start:start + len(positions)]
-                saved = sum(
-                    (
-                        self.workload.entries[position].frequency
-                        * (base_costs[position] - result.estimated_cost)
-                        for position, result in zip(positions, mine)
-                    ),
-                    0.0,
-                )
-                group_key = frozenset((candidate.key,))
-                self._subconfig_cache[group_key] = saved
-                fallbacks = sum(1 for result in mine if result.degraded)
-                if fallbacks:
-                    self.fallback_reads += fallbacks
-                    self._degraded.update((group_key, candidate.key))
-                group_benefit = saved
-            else:
-                group_benefit = cached
-            self.evaluations += 1
-            self.session.note_evaluation()
-            self._standalone_cache[candidate.key] = (
-                group_benefit - self.candidate_maintenance(candidate)
-            )
-
     def ranked_positive_candidates(self, candidates) -> List[CandidateIndex]:
         """Candidates with positive standalone benefit, densest
         (benefit/size) first -- the scan order every searcher starts
@@ -312,10 +217,6 @@ class ConfigurationEvaluator:
         cached = self._ranked_cache.get(candidates)
         if cached is not None and cached[0] == len(candidates):
             return cached[1]
-        # Score the whole frontier in one session fan-out.  Only
-        # candidates the serial scan below would score (size > 0) are
-        # prefetched, so counters match the plain loop exactly.
-        self.prefetch_standalone(c for c in candidates if c.size_bytes > 0)
         positive = [
             (self.standalone_benefit(c), c)
             for c in candidates
@@ -379,10 +280,6 @@ class ConfigurationEvaluator:
                 )
             self._maintenance_cache[key] = total
         return self._maintenance_cache[key]
-
-    # Backward-compatible alias (pre-session code reached for the
-    # underscore name).
-    _candidate_maintenance = candidate_maintenance
 
     # ------------------------------------------------------------------
     # Raw (query-side) benefit with sub-configuration caching
@@ -579,18 +476,6 @@ class ConfigurationEvaluator:
             0.0,
         )
 
-    # ------------------------------------------------------------------
-    def cache_stats(self) -> Dict[str, int]:
-        """Cache/counter snapshot for the efficiency experiments."""
-        counters = self.session.counters
-        return {
-            "optimizer_calls": self.optimizer.calls,
-            "config_evaluations": self.evaluations,
-            "cached_subconfigs": len(self._subconfig_cache),
-            "session_cache_hits": counters.cache_hits,
-            "session_cache_misses": counters.cache_misses,
-        }
-
 
 def reconcile_configuration(
     session: WhatIfSession,
@@ -605,76 +490,37 @@ def reconcile_configuration(
     frequency-weighted representatives, so the winning configuration's
     benefit is an approximation; this function recomputes it exactly --
     the same quantity a full-workload
-    :class:`ConfigurationEvaluator.benefit` would return -- with
-    ``2 x |affected statements|`` batched session calls (base + with the
+    :class:`ConfigurationEvaluator.benefit` would return -- with at most
+    ``2 x |affected statements|`` optimizer calls (base + with the
     configuration) instead of ``O(|workload|)``: unaffected statements
     keep their base cost and contribute zero savings by definition, so
-    they are never optimized at all.
+    they are never optimized at all.  Affected sets, costs and
+    maintenance come from a :class:`ConfigurationEvaluator` over the
+    raw workload.
     """
-    database = session.database
-    positions: set = set()
-    requests_by_position: List[List[PathRequest]] = []
-    for position, entry in enumerate(workload):
-        requests_by_position.append(
-            extract_all_requests(entry.statement)
-            if hasattr(entry.statement, "collection")
-            else []
-        )
-    request_index: Dict[Tuple[str, object], Tuple] = {}
-    for position, requests in enumerate(requests_by_position):
-        for request in requests:
-            key = (str(request.pattern), request.value_type)
-            found = request_index.get(key)
-            if found is None:
-                request_index[key] = (
-                    request.pattern, request.value_type, {position},
-                )
-            else:
-                found[2].add(position)
-    for candidate in config:
-        for pattern, value_type, holders in request_index.values():
-            if (
-                candidate.value_type is value_type
-                and not holders <= positions
-                and candidate.pattern.covers(pattern)
-            ):
-                positions |= holders
-    ordered = sorted(positions)
-    statements = [workload.entries[p].statement for p in ordered]
+    evaluator = ConfigurationEvaluator(
+        session.database, session, workload, maintenance_constants
+    )
+    positions = sorted(
+        set().union(*(evaluator.affected_set(c) for c in config))
+    )
+    statements = [workload.entries[p].statement for p in positions]
     definitions = session.definitions_for(list(config))
     with session.phase("reconcile"):
-        base_costs = session.cost_batch(
-            [(statement, ()) for statement in statements]
-        )
-        new_costs = session.cost_batch(
-            [(statement, definitions) for statement in statements]
-        )
+        base_costs = evaluator.costs([(s, ()) for s in statements])
+        new_costs = evaluator.costs([(s, definitions) for s in statements])
     savings = sum(
         (
             workload.entries[p].frequency * (base - new)
-            for p, base, new in zip(ordered, base_costs, new_costs)
+            for p, base, new in zip(positions, base_costs, new_costs)
         ),
         0.0,
     )
-    maintenance = 0.0
-    updates = workload.updates()
-    for candidate in config:
-        if candidate.collection not in database.collections:
-            continue
-        try:
-            statistics = database.runstats(candidate.collection)
-        except StatisticsUnavailable:
-            continue
-        for entry in updates:
-            maintenance += entry.frequency * maintenance_cost(
-                candidate, entry.statement, statistics, maintenance_constants
-            )
+    maintenance = evaluator.maintenance(config)
     return {
         "benefit": savings - maintenance,
         "savings": savings,
         "maintenance": maintenance,
-        "affected_statements": len(ordered),
+        "affected_statements": len(positions),
         "workload_statements": len(workload),
     }
-
-

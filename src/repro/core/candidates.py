@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.optimizer.optimizer import Optimizer, OptimizerMode
+from repro.optimizer.session import WhatIfSession
 from repro.query.workload import Workload
 from repro.robustness.errors import StatisticsUnavailable
 from repro.storage.catalog import IndexDefinition
@@ -163,31 +163,17 @@ class CandidateSet:
                     general.affected |= basic.affected
 
 
-def enumerate_basic_candidates(coupling, workload: Workload) -> CandidateSet:
-    """Run every workload statement through Enumerate Indexes mode and
-    collect the basic candidate set.
-
-    ``coupling`` is a :class:`~repro.optimizer.session.WhatIfSession`
-    (preferred -- enumeration results are cached per statement) or a bare
-    :class:`Optimizer` (tests, backward compatibility).
-    """
+def enumerate_basic_candidates(
+    session: WhatIfSession, workload: Workload
+) -> CandidateSet:
+    """Run every workload statement through Enumerate Indexes mode of the
+    :class:`~repro.optimizer.session.WhatIfSession` (results are cached
+    per statement) and collect the basic candidate set."""
     candidates = CandidateSet()
-    eligible = [
-        (position, entry.statement)
-        for position, entry in enumerate(workload)
-        if hasattr(entry.statement, "collection")
-    ]
-    if isinstance(coupling, Optimizer):
-        results = [
-            coupling.optimize(statement, OptimizerMode.ENUMERATE)
-            for _, statement in eligible
-        ]
-    else:
-        results = coupling.enumerate_batch(
-            [statement for _, statement in eligible]
-        )
-    for (position, _), result in zip(eligible, results):
-        for enumerated in result.candidates:
+    for position, entry in enumerate(workload):
+        if not hasattr(entry.statement, "collection"):
+            continue
+        for enumerated in session.enumerate(entry.statement).candidates:
             candidate = candidates.get_or_add(
                 enumerated.pattern,
                 enumerated.value_type,

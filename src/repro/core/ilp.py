@@ -19,7 +19,7 @@ frequency-weighted maintenance charge ``m_j``)::
                sum_j size_j y_j <= budget_bytes
                x, y binary
 
-Atoms are built in two batched fan-outs through the session (singletons
+Atoms are built in two passes of session costing (singletons
 for every affected statement x candidate pair -- warm after candidate
 ranking -- then pairs of the per-statement top singletons, kept only
 when the optimizer actually combines them for a strict improvement).
@@ -106,10 +106,10 @@ def build_atom_matrix(
 ) -> List[Atom]:
     """Cost atoms for ``pool`` over the evaluator's workload.
 
-    Two session fan-outs: one batch of every (affected statement,
+    Two passes of session costing: every (affected statement,
     singleton) cost -- deduped by the projected-key cache, so costs the
-    candidate ranking already probed are free -- and one batch of pair
-    costs for each statement's top ``pair_seeds`` singletons.  Pair
+    candidate ranking already probed are free -- then the pair costs
+    for each statement's top ``pair_seeds`` singletons.  Pair
     atoms survive only when the optimizer combines the two indexes for
     a saving strictly better than either alone (otherwise the pair
     column is dominated and only bloats the program).

@@ -328,10 +328,7 @@ def _top_down(
     telemetry = _Telemetry(evaluator)
 
     # Preprocessing: drop candidates with zero/negative benefit (high
-    # maintenance cost, or never used in optimizer plans).  The scan has
-    # no budget checks, so the whole frontier can be scored in one
-    # session fan-out first -- identical traffic, batched.
-    evaluator.prefetch_standalone(candidates)
+    # maintenance cost, or never used in optimizer plans).
     surviving = CandidateSet()
     for candidate in candidates:
         if evaluator.standalone_benefit(candidate) > 0:
@@ -484,11 +481,6 @@ def dynamic_programming_search(
     truncated = _spent(budget)
     items = []
     if truncated is None:
-        if budget is None or not budget.bounded:
-            # Unbounded runs score every candidate anyway: batch the
-            # frontier.  Bounded runs keep the per-candidate scan so an
-            # expiring budget stops exactly where the serial scan would.
-            evaluator.prefetch_standalone(candidates)
         for c in candidates:
             truncated = _spent(budget)
             if truncated is not None:

@@ -18,12 +18,14 @@ translates those names to ``<name_prefix>_<i>`` for display.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
+from repro.core.candidates import CandidateIndex
 from repro.core.config import IndexConfiguration
-from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.session import WhatIfSession
 from repro.query.workload import Workload
+from repro.storage.index import IndexValueType
+from repro.xpath.patterns import parse_pattern
 
 
 @dataclass
@@ -85,27 +87,45 @@ class WhatIfReport:
         return "\n".join(lines)
 
 
+def configuration_from_specs(
+    specs: Iterable[str], collection: str
+) -> IndexConfiguration:
+    """The configuration named by ``PATTERN[:TYPE]`` index specs on
+    ``collection``.  TYPE ``numeric``, ``numerical`` or ``double`` (any
+    case) makes a numeric index; any other TYPE, or none, a string
+    index."""
+    candidates = []
+    for spec in specs:
+        pattern_text, type_text = (
+            spec.rsplit(":", 1) if ":" in spec else (spec, "string")
+        )
+        value_type = (
+            IndexValueType.NUMERIC
+            if type_text.lower() in ("numeric", "numerical", "double")
+            else IndexValueType.STRING
+        )
+        candidates.append(
+            CandidateIndex(parse_pattern(pattern_text), value_type, collection)
+        )
+    return IndexConfiguration(candidates)
+
+
 def analyze(
     database,
     workload: Workload,
     configuration: IndexConfiguration,
     session: Optional[WhatIfSession] = None,
-    optimizer: Optional[Optimizer] = None,
     name_prefix: str = "whatif",
 ) -> WhatIfReport:
     """Evaluate ``configuration`` statement by statement as virtual
     indexes; nothing is built.
 
     Pass the ``session`` of the advisor that produced the configuration
-    to reuse its warm cost cache.  ``optimizer`` is accepted for backward
-    compatibility and adopted into a private session.
+    to reuse its warm cost cache; without one the analysis runs on a
+    fresh session over ``database``.
     """
     if session is None:
-        session = (
-            WhatIfSession.adopt(optimizer)
-            if optimizer is not None
-            else WhatIfSession(database)
-        )
+        session = WhatIfSession(database)
     definitions = session.definitions_for(configuration)
     display = {
         definition.name: f"{name_prefix}_{i}"
@@ -113,26 +133,23 @@ def analyze(
     }
     impacts: List[StatementImpact] = []
     with session.phase("whatif"):
-        with session.evaluating(()) as base_scope, session.evaluating(
-            definitions
-        ) as config_scope:
-            for entry in workload:
-                before = base_scope.result(entry.statement)
-                after = config_scope.result(entry.statement)
-                impacts.append(
-                    StatementImpact(
-                        statement_text=entry.statement.describe(),
-                        frequency=entry.frequency,
-                        cost_before=before.estimated_cost,
-                        cost_after=after.estimated_cost,
-                        used_indexes=tuple(
-                            display.get(name, name)
-                            for name in after.used_indexes
-                        ),
-                        plan_before=before.explain(),
-                        plan_after=after.explain(),
-                    )
+        for entry in workload:
+            before = session.evaluate(entry.statement)
+            after = session.evaluate(entry.statement, definitions)
+            impacts.append(
+                StatementImpact(
+                    statement_text=entry.statement.describe(),
+                    frequency=entry.frequency,
+                    cost_before=before.estimated_cost,
+                    cost_after=after.estimated_cost,
+                    used_indexes=tuple(
+                        display.get(name, name)
+                        for name in after.used_indexes
+                    ),
+                    plan_before=before.explain(),
+                    plan_after=after.explain(),
                 )
+            )
     return WhatIfReport(
         impacts=impacts,
         index_names=[display[d.name] for d in definitions],

@@ -141,9 +141,8 @@ def _live_window_cost(database, workload: Workload) -> float:
     cache, so degraded tuning estimates cannot leak into verification)."""
     session = WhatIfSession(database)
     total = 0.0
-    with session.evaluating(()) as scope:
-        for entry in workload:
-            total += entry.frequency * scope.result(entry.statement).estimated_cost
+    for entry in workload:
+        total += entry.frequency * session.cost(entry.statement)
     return total
 
 

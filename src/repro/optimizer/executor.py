@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import List, NamedTuple, Optional, Set, Tuple
 
-from repro.optimizer.optimizer import OptimizationResult, Optimizer
+from repro.optimizer.optimizer import OptimizationResult
 from repro.optimizer.session import WhatIfSession
 from repro.optimizer.plans import (
     CollectionScan,
@@ -71,7 +71,6 @@ class Executor:
     def __init__(
         self,
         database,
-        optimizer: Optional[Optimizer] = None,
         session: Optional[WhatIfSession] = None,
         use_synopsis: bool = True,
     ) -> None:
@@ -80,15 +79,9 @@ class Executor:
         #: every shard is :class:`repro.cluster.ClusterExecutor`'s job;
         #: use :func:`create_executor` to pick automatically).
         self.database = resolve_database(database)
-        if session is None:
-            session = (
-                WhatIfSession.adopt(optimizer)
-                if optimizer is not None
-                else WhatIfSession(database)
-            )
         #: All planning goes through the session: NORMAL-mode plans are
         #: cached per statement and invalidated on database modification.
-        self.session = session
+        self.session = session or WhatIfSession(database)
         #: Resolve linear paths and residual predicates through the
         #: per-document path synopsis (matcher bitmap, node-id lookup,
         #: typed slot values) instead of a tree walk.  Results are
@@ -97,10 +90,6 @@ class Executor:
         #: ``False`` is the oracle's truth engine.
         self.use_synopsis = use_synopsis
         self._entries_scanned = 0
-
-    @property
-    def optimizer(self) -> Optimizer:
-        return self.session.optimizer
 
     # ------------------------------------------------------------------
     def execute(self, statement: Statement, collect_output: bool = False) -> ExecutionResult:

@@ -27,12 +27,11 @@ seam where that happens.  A session owns:
   hits/misses, configuration evaluations, invalidations, per-phase wall
   time) surfaced by ``Recommendation.to_dict()`` and ``advise --stats``.
 
-Mode switching is exposed as context managers::
-
-    with session.enumerating() as enum:
-        result = enum.candidates(statement)
-    with session.evaluating(configuration) as scope:
-        cost = scope.cost(statement)
+The optimizer's modes are plain methods: :meth:`WhatIfSession.enumerate`
+(Enumerate Indexes), :meth:`WhatIfSession.evaluate` and
+:meth:`WhatIfSession.cost` (Evaluate Indexes), and
+:meth:`WhatIfSession.plan` (normal planning).  No other module calls
+``Optimizer.optimize``.
 """
 
 from __future__ import annotations
@@ -131,40 +130,6 @@ class InstrumentationCounters:
         }
 
 
-class _EnumerationScope:
-    """Bound Enumerate-Indexes mode: yields basic candidates."""
-
-    def __init__(self, session: "WhatIfSession") -> None:
-        self._session = session
-
-    def candidates(self, statement: Statement) -> OptimizationResult:
-        return self._session.enumerate(statement)
-
-
-class _EvaluationScope:
-    """Bound Evaluate-Indexes mode over one virtual configuration."""
-
-    def __init__(
-        self,
-        session: "WhatIfSession",
-        definitions: Tuple[IndexDefinition, ...],
-        use_cache: bool,
-    ) -> None:
-        self._session = session
-        self.definitions = definitions
-        self._use_cache = use_cache
-
-    def cost(self, statement: Statement) -> float:
-        return self._session.cost(
-            statement, self.definitions, use_cache=self._use_cache
-        )
-
-    def result(self, statement: Statement) -> OptimizationResult:
-        return self._session.evaluate(
-            statement, self.definitions, use_cache=self._use_cache
-        )
-
-
 class WhatIfSession:
     """Facade over the optimizer's what-if surface, with shared caching.
 
@@ -178,7 +143,6 @@ class WhatIfSession:
         database: Database,
         constants: Optional[CostConstants] = None,
         *,
-        optimizer: Optional[Optimizer] = None,
         retry_policy: Optional[RetryPolicy] = None,
         fallback_estimator=None,
     ) -> None:
@@ -186,7 +150,7 @@ class WhatIfSession:
         #: here resolves to its primary replica (see
         #: :func:`~repro.storage.database.resolve_database`).
         self.database = database = resolve_database(database)
-        self.optimizer = optimizer or Optimizer(database, constants)
+        self.optimizer = Optimizer(database, constants)
         self.counters = InstrumentationCounters()
         #: Retry/timeout policy around every optimizer round-trip.
         self.retry_policy = retry_policy or RetryPolicy()
@@ -223,15 +187,6 @@ class WhatIfSession:
         #: id(canonical definition) -> its index key, computed once (the
         #: definitions live as long as the session, so ids are stable).
         self._canonical_keys: Dict[int, IndexKey] = {}
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def adopt(cls, optimizer: Optimizer) -> "WhatIfSession":
-        """Wrap an existing optimizer (tests construct optimizers
-        directly; production code should construct sessions)."""
-        return cls(optimizer.database, optimizer=optimizer)
 
     # ------------------------------------------------------------------
     # Identity
@@ -538,9 +493,6 @@ class WhatIfSession:
         pair -- the workhorse of benefit evaluation."""
         return self.evaluate(statement, definitions, use_cache).estimated_cost
 
-    # ------------------------------------------------------------------
-    # Batch entry points
-    # ------------------------------------------------------------------
     def evaluate_batch(
         self,
         tasks: Sequence[Tuple[Statement, Sequence[IndexDefinition]]],
@@ -548,30 +500,11 @@ class WhatIfSession:
     ) -> List[OptimizationResult]:
         """Evaluate many (statement, definitions) pairs: exactly a loop
         over :meth:`evaluate`, with the same cache traffic and counters
-        as the per-pair calls."""
+        as the per-pair calls (the benchmark harness's probes time it)."""
         return [
             self.evaluate(statement, definitions, use_cache)
             for statement, definitions in tasks
         ]
-
-    def cost_batch(
-        self,
-        tasks: Sequence[Tuple[Statement, Sequence[IndexDefinition]]],
-        use_cache: bool = True,
-    ) -> List[float]:
-        """Costs of many (statement, definitions) pairs (see
-        :meth:`evaluate_batch`)."""
-        return [
-            result.estimated_cost
-            for result in self.evaluate_batch(tasks, use_cache)
-        ]
-
-    def enumerate_batch(
-        self, statements: Sequence[Statement]
-    ) -> List[OptimizationResult]:
-        """Enumerate-Indexes mode over many statements (see
-        :meth:`evaluate_batch` for the batching contract)."""
-        return [self.enumerate(statement) for statement in statements]
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -627,21 +560,6 @@ class WhatIfSession:
         )
         self._result_cache[key] = result
         return result
-
-    # ------------------------------------------------------------------
-    # Mode context managers
-    # ------------------------------------------------------------------
-    @contextmanager
-    def enumerating(self):
-        """Enter Enumerate-Indexes mode; the scope yields candidates."""
-        yield _EnumerationScope(self)
-
-    @contextmanager
-    def evaluating(self, candidates: Iterable = (), use_cache: bool = True):
-        """Enter Evaluate-Indexes mode with ``candidates`` (candidate
-        indexes or definitions) visible as virtual indexes."""
-        definitions = self.definitions_for(candidates)
-        yield _EvaluationScope(self, definitions, use_cache)
 
     # ------------------------------------------------------------------
     # Instrumentation

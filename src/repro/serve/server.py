@@ -510,12 +510,8 @@ class AdvisorServer:
         return result
 
     async def _do_whatif(self, statements, patterns, collection, tenant):
-        from repro.core.candidates import CandidateIndex
-        from repro.core.config import IndexConfiguration
-        from repro.core.whatif import analyze
+        from repro.core.whatif import analyze, configuration_from_specs
         from repro.optimizer.session import WhatIfSession
-        from repro.storage.index import IndexValueType
-        from repro.xpath.patterns import parse_pattern
 
         workload = Workload.from_statements(
             [self._parse(text) for text in statements]
@@ -528,27 +524,10 @@ class AdvisorServer:
                 for name in self._statement_collections(entry.statement)
             ]
         )
-        candidates = []
-        for spec in patterns:
-            if ":" in spec:
-                pattern_text, type_text = spec.rsplit(":", 1)
-            else:
-                pattern_text, type_text = spec, "string"
-            value_type = (
-                IndexValueType.NUMERIC
-                if type_text.lower() in ("numeric", "numerical", "double")
-                else IndexValueType.STRING
-            )
-            candidates.append(
-                CandidateIndex(
-                    parse_pattern(pattern_text), value_type, collection
-                )
-            )
+        configuration = configuration_from_specs(patterns, collection)
         snapshot, token, retries, watermark = await self._snapshot(touched)
         session = WhatIfSession(snapshot)
-        report = analyze(
-            snapshot, workload, IndexConfiguration(candidates), session=session
-        )
+        report = analyze(snapshot, workload, configuration, session=session)
         value = {
             "total_benefit": report.total_benefit,
             "unused_indexes": report.unused_indexes(),

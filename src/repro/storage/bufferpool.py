@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.optimizer.executor import ExecutionResult, Executor
-from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.session import WhatIfSession
 from repro.optimizer.plans import (
     CollectionScan,
@@ -118,23 +117,12 @@ class PagedExecutor:
         self,
         database,
         pool: BufferPool,
-        optimizer: Optional[Optimizer] = None,
         session: Optional[WhatIfSession] = None,
     ) -> None:
         self.database = database
         self.pool = pool
-        if session is None:
-            session = (
-                WhatIfSession.adopt(optimizer)
-                if optimizer is not None
-                else WhatIfSession(database)
-            )
-        self.session = session
-        self._executor = Executor(database, session=session)
-
-    @property
-    def optimizer(self) -> Optimizer:
-        return self.session.optimizer
+        self.session = session or WhatIfSession(database)
+        self._executor = Executor(database, session=self.session)
 
     # ------------------------------------------------------------------
     def execute(self, statement: Statement) -> PagedExecutionResult:

@@ -69,7 +69,7 @@ def resolve_database(target) -> "Database":
     primary replica (shard 0, replica 0) -- with one shard and one
     replica that *is* the whole data, which is what makes the cluster
     differential harness exact.  Objects without the protocol method
-    (test doubles, adopted optimizers) pass through unchanged.
+    (test doubles) pass through unchanged.
     """
     resolver = getattr(target, "whatif_database", None)
     if resolver is None:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import IndexAdvisor, Optimizer, Workload
+from repro import IndexAdvisor, WhatIfSession, Workload
 from repro.baselines import DecoupledAdvisor
 from repro.core.benefit import ConfigurationEvaluator
 from repro.storage.index import IndexValueType
@@ -79,7 +79,7 @@ class TestRecommendation:
             budget_bytes=budget, algorithm="greedy_heuristics"
         )
         decoupled_rec = setup.recommend(budget)
-        evaluator = ConfigurationEvaluator(tpox_db, Optimizer(tpox_db), tpox_wl)
+        evaluator = ConfigurationEvaluator(tpox_db, WhatIfSession(tpox_db), tpox_wl)
         assert evaluator.estimated_speedup(
             coupled_rec.configuration
         ) >= evaluator.estimated_speedup(decoupled_rec.configuration)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import IndexAdvisor, Optimizer
+from repro import IndexAdvisor, WhatIfSession
 from repro.core.benefit import ConfigurationEvaluator
 from repro.core.config import IndexConfiguration
 from repro.workloads import tpox
@@ -162,7 +162,7 @@ def test_delta_benefit_equals_benefit_difference(world, indices, extra):
         [candidates[i % len(candidates)] for i in indices]
     )
     candidate = candidates[extra % len(candidates)]
-    evaluator = ConfigurationEvaluator(db, Optimizer(db), workload)
+    evaluator = ConfigurationEvaluator(db, WhatIfSession(db), workload)
     expected = evaluator.benefit(
         config.with_candidate(candidate)
     ) - evaluator.benefit(config)
@@ -185,8 +185,8 @@ def test_delta_benefit_matches_naive_mode(world, indices):
         return
     config = IndexConfiguration(chosen[:-1])
     candidate = chosen[-1]
-    fast = ConfigurationEvaluator(db, Optimizer(db), workload)
-    naive = ConfigurationEvaluator(db, Optimizer(db), workload, naive=True)
+    fast = ConfigurationEvaluator(db, WhatIfSession(db), workload)
+    naive = ConfigurationEvaluator(db, WhatIfSession(db), workload, naive=True)
     expected = naive.benefit(config.with_candidate(candidate)) - naive.benefit(
         config
     )

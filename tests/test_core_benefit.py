@@ -6,18 +6,18 @@ from repro.core.benefit import ConfigurationEvaluator
 from repro.core.candidates import enumerate_basic_candidates
 from repro.core.config import IndexConfiguration
 from repro.core.generalization import generalize_candidates
-from repro.optimizer import Optimizer
+from repro.optimizer.session import WhatIfSession
 from repro.query import Workload
 from repro.storage.index import IndexValueType
 
 
 @pytest.fixture()
 def setup(tpox_db, tpox_wl):
-    optimizer = Optimizer(tpox_db)
-    candidates = enumerate_basic_candidates(optimizer, tpox_wl)
+    session = WhatIfSession(tpox_db)
+    candidates = enumerate_basic_candidates(session, tpox_wl)
     generalize_candidates(candidates)
     candidates.compute_sizes(tpox_db)
-    evaluator = ConfigurationEvaluator(tpox_db, optimizer, tpox_wl)
+    evaluator = ConfigurationEvaluator(tpox_db, session, tpox_wl)
     return candidates, evaluator
 
 
@@ -77,13 +77,12 @@ class TestSubConfigurationDecomposition:
     def test_matches_naive_evaluation(self, tpox_db, tpox_wl):
         """The efficient evaluation must return exactly the same benefit
         as re-optimizing the entire workload."""
-        optimizer = Optimizer(tpox_db)
-        candidates = enumerate_basic_candidates(optimizer, tpox_wl)
+        candidates = enumerate_basic_candidates(WhatIfSession(tpox_db), tpox_wl)
         generalize_candidates(candidates)
         candidates.compute_sizes(tpox_db)
-        fast = ConfigurationEvaluator(tpox_db, Optimizer(tpox_db), tpox_wl)
+        fast = ConfigurationEvaluator(tpox_db, WhatIfSession(tpox_db), tpox_wl)
         naive = ConfigurationEvaluator(
-            tpox_db, Optimizer(tpox_db), tpox_wl, naive=True
+            tpox_db, WhatIfSession(tpox_db), tpox_wl, naive=True
         )
         import itertools
 
@@ -96,28 +95,32 @@ class TestSubConfigurationDecomposition:
                 )
 
     def test_fewer_optimizer_calls_than_naive(self, tpox_db, tpox_wl):
-        optimizer_fast = Optimizer(tpox_db)
-        optimizer_naive = Optimizer(tpox_db)
-        candidates = enumerate_basic_candidates(Optimizer(tpox_db), tpox_wl)
+        session_fast = WhatIfSession(tpox_db)
+        session_naive = WhatIfSession(tpox_db)
+        candidates = enumerate_basic_candidates(WhatIfSession(tpox_db), tpox_wl)
         candidates.compute_sizes(tpox_db)
-        fast = ConfigurationEvaluator(tpox_db, optimizer_fast, tpox_wl)
+        fast = ConfigurationEvaluator(tpox_db, session_fast, tpox_wl)
         naive = ConfigurationEvaluator(
-            tpox_db, optimizer_naive, tpox_wl, naive=True
+            tpox_db, session_naive, tpox_wl, naive=True
         )
         basics = candidates.basics()
         configs = [IndexConfiguration(basics[: i + 1]) for i in range(len(basics))]
         for config in configs:
             fast.benefit(config)
             naive.benefit(config)
-        assert optimizer_fast.calls < optimizer_naive.calls
+        assert (
+            session_fast.counters.optimizer_calls
+            < session_naive.counters.optimizer_calls
+        )
 
     def test_cache_hits_on_repeat(self, setup):
         candidates, evaluator = setup
         config = IndexConfiguration(candidates.basics()[:3])
         evaluator.benefit(config)
-        calls_after_first = evaluator.optimizer.calls
+        calls_after_first = evaluator.session.counters.optimizer_calls
         evaluator.benefit(config)
-        assert evaluator.optimizer.calls == calls_after_first  # fully cached
+        # fully cached
+        assert evaluator.session.counters.optimizer_calls == calls_after_first
 
     def test_subconfigurations_group_by_affected_overlap(self, setup):
         candidates, evaluator = setup
@@ -147,7 +150,7 @@ class TestAffectedSets:
         other_wl = Workload.from_statements(
             ["""for $s in X('SDOC')/Security where $s/Symbol = "Z" return $s"""]
         )
-        evaluator = ConfigurationEvaluator(tpox_db, Optimizer(tpox_db), other_wl)
+        evaluator = ConfigurationEvaluator(tpox_db, WhatIfSession(tpox_db), other_wl)
         assert evaluator.affected_set(symbol) == frozenset({0})
 
     def test_general_candidate_affects_covered_statements(self, setup):

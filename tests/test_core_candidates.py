@@ -7,7 +7,7 @@ from repro.core.candidates import (
     CandidateSet,
     enumerate_basic_candidates,
 )
-from repro.optimizer import Optimizer
+from repro.optimizer.session import WhatIfSession
 from repro.query import Workload
 from repro.storage.index import IndexValueType
 from repro.xpath import parse_pattern
@@ -68,8 +68,7 @@ class TestCandidateSet:
 
 class TestEnumeration:
     def test_tpox_basic_candidates(self, tpox_db, tpox_wl):
-        optimizer = Optimizer(tpox_db)
-        candidates = enumerate_basic_candidates(optimizer, tpox_wl)
+        candidates = enumerate_basic_candidates(WhatIfSession(tpox_db), tpox_wl)
         patterns = {str(c.pattern) for c in candidates}
         # the paper's running-example candidates are present
         assert "/Security/Symbol" in patterns
@@ -78,17 +77,16 @@ class TestEnumeration:
         assert all(not c.general for c in candidates)
 
     def test_affected_sets_point_to_statements(self, tpox_db, tpox_wl):
-        optimizer = Optimizer(tpox_db)
-        candidates = enumerate_basic_candidates(optimizer, tpox_wl)
+        candidates = enumerate_basic_candidates(WhatIfSession(tpox_db), tpox_wl)
         symbol = candidates.get(("/Security/Symbol", IndexValueType.STRING))
         # queries Q1, Q2, Q3 all filter on Symbol
         assert symbol.affected == {0, 1, 2}
 
     def test_one_optimizer_call_per_statement(self, tpox_db, tpox_wl):
-        optimizer = Optimizer(tpox_db)
-        before = optimizer.calls
-        enumerate_basic_candidates(optimizer, tpox_wl)
-        assert optimizer.calls - before == len(tpox_wl)
+        session = WhatIfSession(tpox_db)
+        before = session.optimizer.calls
+        enumerate_basic_candidates(session, tpox_wl)
+        assert session.optimizer.calls - before == len(tpox_wl)
 
     def test_shared_candidates_merge_affected(self, security_db):
         workload = Workload.from_statements(
@@ -97,7 +95,7 @@ class TestEnumeration:
                 """for $s in X('SDOC')/Security where $s/Yield < 9 return $s""",
             ]
         )
-        candidates = enumerate_basic_candidates(Optimizer(security_db), workload)
+        candidates = enumerate_basic_candidates(WhatIfSession(security_db), workload)
         (candidate,) = list(candidates)
         assert candidate.affected == {0, 1}
 
@@ -105,12 +103,12 @@ class TestEnumeration:
         workload = Workload.from_statements(
             ["insert into SDOC value '<Security/>'"]
         )
-        candidates = enumerate_basic_candidates(Optimizer(security_db), workload)
+        candidates = enumerate_basic_candidates(WhatIfSession(security_db), workload)
         assert len(candidates) == 0
 
     def test_delete_statements_produce_candidates(self, security_db):
         workload = Workload.from_statements(
             ['delete from SDOC where /Security/Symbol = "X"']
         )
-        candidates = enumerate_basic_candidates(Optimizer(security_db), workload)
+        candidates = enumerate_basic_candidates(WhatIfSession(security_db), workload)
         assert {str(c.pattern) for c in candidates} == {"/Security/Symbol"}

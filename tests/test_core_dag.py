@@ -81,9 +81,9 @@ class TestDagStructure:
 
     def test_from_generalization_pipeline(self, tpox_db, tpox_wl):
         from repro.core.candidates import enumerate_basic_candidates
-        from repro.optimizer import Optimizer
+        from repro.optimizer.session import WhatIfSession
 
-        candidates = enumerate_basic_candidates(Optimizer(tpox_db), tpox_wl)
+        candidates = enumerate_basic_candidates(WhatIfSession(tpox_db), tpox_wl)
         generalize_candidates(candidates)
         dag = CandidateDag(candidates)
         roots = dag.roots()

@@ -75,7 +75,7 @@ class TestMaintenanceInBenefit:
         """Benefit(X; W) must fall as update frequency rises."""
         from repro.core.benefit import ConfigurationEvaluator
         from repro.core.config import IndexConfiguration
-        from repro.optimizer import Optimizer
+        from repro.optimizer.session import WhatIfSession
         from repro.query import Workload
 
         idx = candidate("/Security/Symbol")
@@ -87,7 +87,7 @@ class TestMaintenanceInBenefit:
             if freq:
                 wl.add("insert into SDOC value '<Security><Symbol>N</Symbol></Security>'", freq)
             evaluator = ConfigurationEvaluator(
-                security_db, Optimizer(security_db), wl
+                security_db, WhatIfSession(security_db), wl
             )
             benefits.append(evaluator.benefit(IndexConfiguration([idx])))
         assert benefits[0] > benefits[1] > benefits[2]
@@ -95,12 +95,12 @@ class TestMaintenanceInBenefit:
     def test_benefit_can_go_negative_under_churn(self, security_db):
         from repro.core.benefit import ConfigurationEvaluator
         from repro.core.config import IndexConfiguration
-        from repro.optimizer import Optimizer
+        from repro.optimizer.session import WhatIfSession
         from repro.query import Workload
 
         idx = candidate("/Security//*")  # big index, no query uses it
         idx.size_bytes = 100000
         wl = Workload.from_statements(["COLLECTION('SDOC')/Security"])
         wl.add("insert into SDOC value '<Security><Symbol>N</Symbol></Security>'", 1000.0)
-        evaluator = ConfigurationEvaluator(security_db, Optimizer(security_db), wl)
+        evaluator = ConfigurationEvaluator(security_db, WhatIfSession(security_db), wl)
         assert evaluator.benefit(IndexConfiguration([idx])) < 0

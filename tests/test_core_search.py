@@ -17,17 +17,17 @@ from repro.core.search import (
     top_down_full,
     top_down_lite,
 )
-from repro.optimizer import Optimizer
+from repro.optimizer.session import WhatIfSession
 from repro.storage.index import IndexValueType
 
 
 @pytest.fixture()
 def searchers_input(tpox_db, tpox_wl):
-    optimizer = Optimizer(tpox_db)
-    candidates = enumerate_basic_candidates(optimizer, tpox_wl)
+    session = WhatIfSession(tpox_db)
+    candidates = enumerate_basic_candidates(session, tpox_wl)
     generalize_candidates(candidates)
     candidates.compute_sizes(tpox_db)
-    evaluator = ConfigurationEvaluator(tpox_db, optimizer, tpox_wl)
+    evaluator = ConfigurationEvaluator(tpox_db, session, tpox_wl)
     all_size = sum(c.size_bytes for c in candidates.basics())
     return candidates, evaluator, all_size
 
@@ -142,11 +142,11 @@ class TestTopDown:
         candidates, evaluator, all_size = None, None, None
         results = {}
         for searcher in (top_down_lite, top_down_full):
-            optimizer = Optimizer(tpox_db)
-            candidates = enumerate_basic_candidates(optimizer, tpox_wl)
+            session = WhatIfSession(tpox_db)
+            candidates = enumerate_basic_candidates(session, tpox_wl)
             generalize_candidates(candidates)
             candidates.compute_sizes(tpox_db)
-            evaluator = ConfigurationEvaluator(tpox_db, optimizer, tpox_wl)
+            evaluator = ConfigurationEvaluator(tpox_db, session, tpox_wl)
             all_size = sum(c.size_bytes for c in candidates.basics())
             results[searcher] = searcher(
                 candidates, evaluator, int(all_size * 0.5)
@@ -249,11 +249,11 @@ class TestExhaustiveOracle:
                 """for $s in X('SDOC')/Security where $s/Yield < 2 return $s""",
             ]
         )
-        optimizer = Optimizer(security_db)
-        candidates = enumerate_basic_candidates(optimizer, workload)
+        session = WhatIfSession(security_db)
+        candidates = enumerate_basic_candidates(session, workload)
         generalize_candidates(candidates)
         candidates.compute_sizes(security_db)
-        evaluator = ConfigurationEvaluator(security_db, optimizer, workload)
+        evaluator = ConfigurationEvaluator(security_db, session, workload)
         all_size = sum(c.size_bytes for c in candidates.basics())
         return candidates, evaluator, all_size
 

@@ -9,6 +9,29 @@ from repro.query import Workload, parse_statement
 
 
 class TestWhatIf:
+    def test_configuration_from_specs(self):
+        """The one ``PATTERN[:TYPE]`` spec parser the CLI and the
+        server's whatif endpoint share."""
+        from repro.core.whatif import configuration_from_specs
+        from repro.storage.index import IndexValueType
+
+        configuration = configuration_from_specs(
+            ["/Security/Yield:numeric", "/Security/PE:DOUBLE",
+             "/Security/Symbol", "/Security/Name:string",
+             "/Security/Price:numerical"],
+            "SDOC",
+        )
+        assert [
+            (str(c.pattern), c.value_type, c.collection)
+            for c in configuration
+        ] == [
+            ("/Security/Yield", IndexValueType.NUMERIC, "SDOC"),
+            ("/Security/PE", IndexValueType.NUMERIC, "SDOC"),
+            ("/Security/Symbol", IndexValueType.STRING, "SDOC"),
+            ("/Security/Name", IndexValueType.STRING, "SDOC"),
+            ("/Security/Price", IndexValueType.NUMERIC, "SDOC"),
+        ]
+
     def test_report_structure(self, tpox_advisor, tpox_db, tpox_wl):
         rec = tpox_advisor.recommend(budget_bytes=40_000, algorithm="greedy_heuristics")
         report = analyze(tpox_db, tpox_wl, rec.configuration)

@@ -10,6 +10,7 @@ from repro import (
     IndexValueType,
     Optimizer,
     OptimizerMode,
+    WhatIfSession,
     Workload,
 )
 from repro.core.benefit import ConfigurationEvaluator
@@ -119,7 +120,7 @@ class TestEvaluatorEdges:
             ["for $s in X('SDOC')/Security where $s/Yield > 5 return $s"]
         )
         evaluator = ConfigurationEvaluator(
-            security_db, Optimizer(security_db), workload
+            security_db, WhatIfSession(security_db), workload
         )
         foreign = CandidateIndex(
             parse_pattern("/Other/Thing"), IndexValueType.STRING, "OTHER"

@@ -301,13 +301,14 @@ class TestJoinIntegration:
     def test_benefit_fast_equals_naive_with_joins(self, join_db):
         from repro.core.benefit import ConfigurationEvaluator
         from repro.core.config import IndexConfiguration
+        from repro.optimizer.session import WhatIfSession
 
         workload = Workload.from_statements([JOIN_TEXT])
         advisor = IndexAdvisor(join_db, workload)
         candidates = list(advisor.candidates)
-        fast = ConfigurationEvaluator(join_db, Optimizer(join_db), workload)
+        fast = ConfigurationEvaluator(join_db, WhatIfSession(join_db), workload)
         naive = ConfigurationEvaluator(
-            join_db, Optimizer(join_db), workload, naive=True
+            join_db, WhatIfSession(join_db), workload, naive=True
         )
         for size in (1, 2, len(candidates)):
             config = IndexConfiguration(candidates[:size])

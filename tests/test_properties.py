@@ -13,7 +13,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import Database, Executor, IndexAdvisor, Optimizer, OptimizerMode, Workload
+from repro import (
+    Database,
+    Executor,
+    IndexAdvisor,
+    OptimizerMode,
+    WhatIfSession,
+    Workload,
+)
 from repro.core.benefit import ConfigurationEvaluator
 from repro.core.config import IndexConfiguration
 from repro.workloads import tpox
@@ -75,8 +82,8 @@ def test_adding_virtual_index_never_hurts(world, indices, extra):
 def test_fast_benefit_equals_naive(world, indices):
     db, workload, __, candidates = world
     config = IndexConfiguration(pick(candidates, indices))
-    fast = ConfigurationEvaluator(db, Optimizer(db), workload)
-    naive = ConfigurationEvaluator(db, Optimizer(db), workload, naive=True)
+    fast = ConfigurationEvaluator(db, WhatIfSession(db), workload)
+    naive = ConfigurationEvaluator(db, WhatIfSession(db), workload, naive=True)
     assert fast.benefit(config) == pytest.approx(naive.benefit(config))
 
 

@@ -270,15 +270,18 @@ def test_random_workloads_reused_session_equals_fresh(
 @settings(max_examples=10, deadline=None)
 @given(picks=_PICKS)
 def test_batch_costs_equal_per_call_costs(picks):
-    """``cost_batch`` returns exactly the per-call costs and leaves the
-    counters where per-call costing leaves them."""
+    """``evaluate_batch`` returns exactly the per-call costs and leaves
+    the counters where per-call costing leaves them."""
     statements = [_PROPERTY_WL.entries[i].statement for i in picks]
 
     per_call = WhatIfSession(_PROPERTY_DB)
     per_call_costs = [per_call.cost(s) for s in statements]
 
     batch = WhatIfSession(_PROPERTY_DB)
-    batch_costs = batch.cost_batch([(s, ()) for s in statements])
+    batch_costs = [
+        result.estimated_cost
+        for result in batch.evaluate_batch([(s, ()) for s in statements])
+    ]
 
     assert batch_costs == per_call_costs
     assert batch.counters.optimizer_calls == per_call.counters.optimizer_calls

@@ -201,9 +201,7 @@ def test_any_interleaving_stays_bit_identical(ops, snapshot_every_step):
 
 
 def _probe(database):
-    session = WhatIfSession(database)
-    with session.evaluating(()) as scope:
-        scope.result(WORKLOAD.entries[0].statement)
+    WhatIfSession(database).evaluate(WORKLOAD.entries[0].statement)
 
 
 @settings(max_examples=10, deadline=None)

@@ -271,14 +271,6 @@ def test_cached_and_naive_benefits_agree(picks):
 # ---------------------------------------------------------------------------
 # Construction discipline
 # ---------------------------------------------------------------------------
-def test_adopt_wraps_existing_optimizer(tpox_db):
-    from repro.optimizer.optimizer import Optimizer
-
-    optimizer = Optimizer(tpox_db)
-    session = WhatIfSession.adopt(optimizer)
-    assert session.optimizer is optimizer
-
-
 def test_no_production_optimizer_construction_outside_session():
     """Grep-clean acceptance: ``Optimizer(`` is constructed in exactly one
     production module -- the session layer."""
@@ -296,13 +288,149 @@ def test_no_production_optimizer_construction_outside_session():
     assert offenders == [], offenders
 
 
+def test_no_production_optimizer_call_outside_session():
+    """Grep-clean acceptance: ``Optimizer.optimize`` is called in exactly
+    one production module -- the session layer, behind its cache, retry
+    policy and fault sites."""
+    import pathlib
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+    offenders = [
+        f"{path.name}:{lineno}: {line.strip()}"
+        for path in src.rglob("*.py")
+        if path.relative_to(src).as_posix() != "optimizer/session.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if ".optimize(" in line
+    ]
+    assert offenders == [], offenders
+
+
+def _optimizer(database):
+    from repro.optimizer.optimizer import Optimizer
+
+    return Optimizer(database)
+
+
+def test_analyze_takes_no_optimizer(tpox_db, tpox_wl):
+    with pytest.raises(TypeError):
+        whatif.analyze(
+            tpox_db, tpox_wl, IndexConfiguration(),
+            optimizer=_optimizer(tpox_db),
+        )
+
+
+def test_executors_take_no_optimizer(tpox_db):
+    from repro.optimizer.executor import Executor
+    from repro.storage.bufferpool import BufferPool, PagedExecutor
+
+    with pytest.raises(TypeError):
+        Executor(tpox_db, optimizer=_optimizer(tpox_db))
+    with pytest.raises(TypeError):
+        PagedExecutor(
+            tpox_db, BufferPool(100_000), optimizer=_optimizer(tpox_db)
+        )
+
+
+def test_session_takes_no_optimizer(tpox_db):
+    with pytest.raises(TypeError):
+        WhatIfSession(tpox_db, optimizer=_optimizer(tpox_db))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["adopt", "cost_batch", "enumerate_batch", "evaluating", "enumerating"],
+)
+def test_session_has_one_entry_point_per_mode(name):
+    """The session's modes are ``enumerate``, ``evaluate``/``cost``,
+    ``plan`` and the harness's ``evaluate_batch`` loop -- no adopted
+    optimizers, scope objects or second batch paths."""
+    assert not hasattr(WhatIfSession, name)
+
+
+# ---------------------------------------------------------------------------
+# What the deleted batch paths promised
+# ---------------------------------------------------------------------------
+def _counts(evaluator):
+    counters = evaluator.session.counters
+    return (
+        counters.optimizer_calls,
+        counters.cache_hits,
+        counters.cache_misses,
+        counters.evaluations,
+        evaluator.evaluations,
+    )
+
+
+def test_ranked_candidates_cost_what_a_standalone_loop_costs(
+    tpox_db, tpox_wl, fault_free
+):
+    """On a fresh session, ranking the frontier makes exactly the
+    optimizer calls, cache traffic and evaluations of one
+    ``standalone_benefit`` call per sized candidate."""
+    candidates = IndexAdvisor(tpox_db, tpox_wl).candidates
+    ranked = ConfigurationEvaluator(tpox_db, WhatIfSession(tpox_db), tpox_wl)
+    looped = ConfigurationEvaluator(tpox_db, WhatIfSession(tpox_db), tpox_wl)
+
+    order = ranked.ranked_positive_candidates(candidates)
+    benefits = [
+        (looped.standalone_benefit(c), c)
+        for c in candidates
+        if c.size_bytes > 0
+    ]
+
+    assert _counts(ranked) == _counts(looped)
+    assert _counts(ranked)[0] > 0
+    positive = sorted(
+        ((b, c) for b, c in benefits if b > 0),
+        key=lambda pair: pair[0] / pair[1].size_bytes,
+        reverse=True,
+    )
+    assert order == [c for _, c in positive]
+
+
+def test_reconcile_costs_affected_statements_only(
+    tpox_db, tpox_wl, fault_free
+):
+    """Reconciliation optimizes at most the affected statements twice
+    (base and configured) and scores what a raw-workload evaluator
+    scores."""
+    from repro.core.benefit import reconcile_configuration
+
+    workload = Workload(list(tpox_wl.entries))
+    workload.add(
+        "insert into SDOC value "
+        "'<Security><Symbol>N</Symbol><Yield>3</Yield></Security>'",
+        5.0,
+    )
+    config = IndexAdvisor(tpox_db, workload).recommend(
+        budget_bytes=BUDGET
+    ).configuration
+    assert len(config) > 0
+    session = WhatIfSession(tpox_db)
+    reconciled = reconcile_configuration(session, workload, config)
+
+    assert 0 < reconciled["affected_statements"] < len(workload)
+    assert reconciled["maintenance"] > 0
+    assert (
+        session.counters.optimizer_calls
+        <= 2 * reconciled["affected_statements"]
+    )
+    evaluator = ConfigurationEvaluator(
+        tpox_db, WhatIfSession(tpox_db), workload
+    )
+    assert reconciled["benefit"] == pytest.approx(
+        evaluator.benefit(config), rel=1e-9, abs=1e-9
+    )
+    assert reconciled["maintenance"] == pytest.approx(
+        evaluator.maintenance(config), rel=1e-9, abs=1e-9
+    )
+
+
 def test_public_candidate_maintenance(tpox_db, tpox_wl):
     advisor = IndexAdvisor(tpox_db, tpox_wl)
     candidate = next(iter(advisor.candidates))
-    charge = advisor.evaluator.candidate_maintenance(candidate)
-    assert charge >= 0.0
-    # the deprecated underscore alias stays wired to the public method
-    assert advisor.evaluator._candidate_maintenance(candidate) == charge
+    assert advisor.evaluator.candidate_maintenance(candidate) >= 0.0
+    assert not hasattr(advisor.evaluator, "_candidate_maintenance")
 
 
 # ---------------------------------------------------------------------------

@@ -111,10 +111,10 @@ class TestSyntheticGenerator:
         """Synthetic queries must expose indexable patterns (Table III
         depends on this)."""
         from repro.core.candidates import enumerate_basic_candidates
-        from repro.optimizer import Optimizer
+        from repro.optimizer.session import WhatIfSession
 
         wl = synthetic.synthetic_workload(tpox_db, "SDOC", 10, seed=6)
-        candidates = enumerate_basic_candidates(Optimizer(tpox_db), wl)
+        candidates = enumerate_basic_candidates(WhatIfSession(tpox_db), wl)
         assert len(candidates) >= 5
 
     def test_empty_collection_rejected(self):
