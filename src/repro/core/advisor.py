@@ -46,6 +46,10 @@ from repro.robustness.errors import AdvisorError, FatalAdvisorError
 from repro.storage.database import Database, resolve_database
 
 
+def _bound(value: Optional[float]) -> str:
+    return "-" if value is None else f"{value:.2f}"
+
+
 @dataclass
 class Recommendation:
     """A recommended index configuration plus provenance."""
@@ -119,6 +123,11 @@ class Recommendation:
             **(
                 {"compression": dict(self.compression_stats)}
                 if self.compression_stats
+                else {}
+            ),
+            **(
+                {"ilp": dict(self.search.ilp)}
+                if self.search.algorithm == "ilp"
                 else {}
             ),
             **(
@@ -197,6 +206,15 @@ class Recommendation:
                 f"{storage.get('stats_rescans', 0)} stats rescans, "
                 f"{storage.get('stats_delta_applies', 0)} delta applies, "
                 f"{storage.get('summary_rebuilds', 0)} summary rebuilds"
+            )
+        gap = self.search.ilp
+        if self.search.algorithm == "ilp" and gap:
+            lines.append(
+                f"  ilp               : {gap['nodes']} nodes, "
+                f"root bound {_bound(gap['root_bound'])}, final bound "
+                f"{_bound(gap['final_bound'])}, objective "
+                f"{_bound(gap['objective'])}, "
+                + ("proven" if gap["proven"] else "not proven")
             )
         compression = self.compression_stats
         if compression:

@@ -14,19 +14,26 @@ member candidates ``j in k``) and candidates ``j`` (size ``size_j``,
 frequency-weighted maintenance charge ``m_j``)::
 
     maximize   sum_k w_k x_k  -  sum_j m_j y_j
-    subject to sum_{k in atoms(s)} x_k <= 1          for every s
-               x_k <= y_j                            for every k, j in k
+    subject to sum_{k in atoms(s)} x_k <= 1             for every s
+               sum_{k in atoms(s), j in k} x_k <= y_j   for every s, j
                sum_j size_j y_j <= budget_bytes
                x, y binary
+
+A statement picks at most one atom, so one link row per (statement,
+candidate) states the same integer program as one row ``x_k <= y_j``
+per (atom, member) would, with fewer rows and a relaxation at least as
+tight.
 
 Atoms are built in two passes of session costing (singletons
 for every affected statement x candidate pair -- warm after candidate
 ranking -- then pairs of the per-statement top singletons, kept only
 when the optimizer actually combines them for a strict improvement).
-The relaxation is solved with a primal simplex that pivots over the
-tableau's non-zeros only (pure python, no dependencies), integrality
-restored by best-first branch and bound on the ``y`` variables, both
-under the PR 3 :class:`SearchBudget` -- an
+The relaxation is solved by a simplex that pivots over the tableau's
+non-zeros only (pure python, no dependencies), integrality restored by
+best-first branch and bound on the ``y`` variables: the root is solved
+cold, and every child re-optimises a copy of its parent's final
+tableau with a dual simplex.  Both run under the
+:class:`SearchBudget` -- an
 expiring deadline or call budget abandons the program and falls back to
 :func:`~repro.core.search.greedy_search_with_heuristics`, preserving
 anytime semantics.  The chosen configuration's *true* benefit is then
@@ -39,13 +46,14 @@ pinned by ``tests/test_ilp.py``).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import compress
 from typing import (
     Dict,
     FrozenSet,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -190,8 +198,259 @@ def build_atom_matrix(
 
 
 # ---------------------------------------------------------------------------
-# Sparse-pivot primal simplex (pure python)
+# List-row simplex tableau (pure python)
 # ---------------------------------------------------------------------------
+
+class _Tableau:
+    """A simplex tableau for ``maximize objective . v`` subject to
+    ``A v <= bounds, v >= 0``, kept between solves.
+
+    One dense list per constraint over the structural, slack and cut
+    columns; the right-hand sides, the reduced-cost row and the
+    objective value live apart, so pricing is one ``min`` over the cost
+    row.  Built on the slack basis; :meth:`primal` solves it from there,
+    and a branch-and-bound child re-optimises a copy of its parent's
+    final tableau with :meth:`dual` after :meth:`shift` or :meth:`cut`
+    applied its one branching bound.
+
+    Every pivot goes through :meth:`_pivot`.  The atom program's
+    tableaus are almost empty, so a pivot updates only the pivot row's
+    non-zero columns, and only in rows whose entering-column entry is
+    non-zero.  Every skipped update is ``x - f * 0.0``, which is ``x``
+    for finite ``f``: a primal solve from the slack basis equals the
+    full-width tableau method's float for float (``tests/test_ilp.py``
+    keeps that method as the oracle).
+    """
+
+    __slots__ = ("body", "rhs", "cost", "value", "basis", "structural")
+
+    def __init__(
+        self,
+        objective: Sequence[float],
+        rows: Sequence[Sequence[Tuple[int, float]]],
+        bounds: Sequence[float],
+    ) -> None:
+        n = len(objective)
+        m = len(rows)
+        width = n + m
+        self.body: List[List[float]] = []
+        for i, row in enumerate(rows):
+            line = [0.0] * width
+            for column, coefficient in row:
+                line[column] = coefficient
+            line[n + i] = 1.0
+            self.body.append(line)
+        self.rhs = list(bounds)
+        self.cost = [-coefficient for coefficient in objective]
+        self.cost.extend([0.0] * m)
+        self.value = 0.0
+        self.basis = list(range(n, width))
+        self.structural = n
+
+    def copy(self) -> "_Tableau":
+        twin = _Tableau.__new__(_Tableau)
+        twin.body = [line[:] for line in self.body]
+        twin.rhs = self.rhs[:]
+        twin.cost = self.cost[:]
+        twin.value = self.value
+        twin.basis = self.basis[:]
+        twin.structural = self.structural
+        return twin
+
+    def values(self) -> List[float]:
+        """The structural variables' values at the current basis."""
+        values = [0.0] * self.structural
+        for i, variable in enumerate(self.basis):
+            if variable < self.structural:
+                values[variable] = self.rhs[i]
+        return values
+
+    def _pivot(
+        self,
+        leaving: int,
+        entering: int,
+        touched: List[Tuple[int, List[float], float]],
+    ) -> None:
+        pivot_row = self.body[leaving]
+        inverse = 1.0 / pivot_row[entering]
+        pivot_entries = [
+            (column, pivot_row[column] * inverse)
+            for column in compress(range(len(pivot_row)), pivot_row)
+        ]
+        for column, scaled in pivot_entries:
+            pivot_row[column] = scaled
+        rhs = self.rhs
+        pivot_rhs = rhs[leaving] = rhs[leaving] * inverse
+        for i, line, factor in touched:
+            if i != leaving:
+                for column, scaled in pivot_entries:
+                    line[column] -= factor * scaled
+                rhs[i] -= factor * pivot_rhs
+        cost = self.cost
+        factor = cost[entering]
+        for column, scaled in pivot_entries:
+            cost[column] -= factor * scaled
+        self.value -= factor * pivot_rhs
+        self.basis[leaving] = entering
+
+    def primal(self, limit: int) -> Optional[int]:
+        """Primal simplex from a feasible basis (non-negative
+        right-hand sides) to optimality; returns the iterations used, or
+        ``None`` when the program is unbounded or ``limit`` iterations
+        did not reach the optimum.
+
+        Dantzig pricing (first most-negative reduced cost) with a switch
+        to Bland's rule (which cannot cycle) once the pivot count passes
+        twice the tableau width."""
+        cost = self.cost
+        rhs = self.rhs
+        basis = self.basis
+        bland_after = 2 * len(cost)
+        for iteration in range(limit):
+            entering = -1
+            if iteration < bland_after:
+                most_negative = min(cost) if cost else 0.0
+                if most_negative < -1e-9:
+                    entering = cost.index(most_negative)
+            else:
+                for column, reduced in enumerate(cost):
+                    if reduced < -1e-9:
+                        entering = column
+                        break
+            if entering < 0:
+                return iteration
+            # Rows with a non-zero in the entering column, in row order
+            # (the ratio test's tie-break depends on that order).
+            touched = [
+                (i, line, line[entering])
+                for i, line in enumerate(self.body)
+                if line[entering]
+            ]
+            leaving = -1
+            best_ratio = float("inf")
+            for i, _, coefficient in touched:
+                if coefficient > 1e-9:
+                    ratio = rhs[i] / coefficient
+                    if ratio < best_ratio - 1e-12 or (
+                        abs(ratio - best_ratio) <= 1e-12
+                        and (leaving < 0 or basis[i] < basis[leaving])
+                    ):
+                        best_ratio = ratio
+                        leaving = i
+            if leaving < 0:
+                return None  # unbounded: malformed program
+            self._pivot(leaving, entering, touched)
+        return None
+
+    def dual(self, limit: int) -> Optional[int]:
+        """Dual simplex from a dual-feasible basis (non-negative reduced
+        costs) to primal feasibility; returns the pivots used, or
+        ``None`` when the program is infeasible or ``limit`` pivots did
+        not reach feasibility.
+
+        The most negative right-hand side leaves (after twice the
+        tableau width, the negative row with the lowest basic variable,
+        Bland-style); the entering column minimises reduced cost over
+        minus the leaving row's negative entry, lowest column on a
+        tie.
+
+        Entries below 1e-12 in magnitude in the leaving row or the
+        entering column are rounding residue: they are zeroed instead
+        of updating other rows, and the entering column is left an
+        exact unit column, so re-solves keep the tableau as sparse as
+        the cold solve left it (:meth:`settle`).  Warm nodes are pinned
+        to the cold solve of the same node within 1e-9
+        (``tests/test_ilp.py``), not float for float."""
+        body = self.body
+        rhs = self.rhs
+        cost = self.cost
+        basis = self.basis
+        bland_after = 2 * len(cost)
+        for iteration in range(limit):
+            most_negative = min(rhs) if rhs else 0.0
+            if most_negative >= -1e-9:
+                return iteration
+            if iteration < bland_after:
+                leaving = rhs.index(most_negative)
+            else:
+                leaving = min(
+                    (basis[i], i) for i, value in enumerate(rhs) if value < -1e-9
+                )[1]
+            row = body[leaving]
+            entering = -1
+            best_ratio = float("inf")
+            for column in compress(range(len(row)), row):
+                coefficient = row[column]
+                if coefficient < -1e-9:
+                    ratio = cost[column] / -coefficient
+                    if ratio < best_ratio - 1e-12:
+                        best_ratio = ratio
+                        entering = column
+                elif -1e-12 < coefficient < 1e-12:
+                    row[column] = 0.0
+            if entering < 0:
+                return None  # no column can restore the row: infeasible
+            touched = []
+            for i, line in enumerate(body):
+                coefficient = line[entering]
+                if coefficient:
+                    if -1e-12 < coefficient < 1e-12:
+                        line[entering] = 0.0
+                    else:
+                        touched.append((i, line, coefficient))
+            self._pivot(leaving, entering, touched)
+            for i, line, _ in touched:
+                line[entering] = 0.0
+            row[entering] = 1.0
+            cost[entering] = 0.0
+        return None
+
+    def settle(self) -> None:
+        """Make every basic column an exact unit column, clearing the
+        rounding residue pivots leave there (which would otherwise make
+        every later pivot touch those rows)."""
+        cost = self.cost
+        body = self.body
+        for i, variable in enumerate(self.basis):
+            for line in body:
+                if line[variable]:
+                    line[variable] = 0.0
+            body[i][variable] = 1.0
+            cost[variable] = 0.0
+
+    def shift(self, slack: int, delta: float) -> None:
+        """Add ``delta`` to the original right-hand side of the row
+        whose slack column is ``slack``: the current right-hand sides
+        and objective move along that column."""
+        rhs = self.rhs
+        for i, line in enumerate(self.body):
+            coefficient = line[slack]
+            if coefficient:
+                rhs[i] += delta * coefficient
+        self.value += delta * self.cost[slack]
+
+    def cut(self, column: int) -> None:
+        """Append the row ``-v[column] <= -1`` with its own slack,
+        expressed in the current basis (so the slack is basic, possibly
+        at a negative value for :meth:`dual` to repair)."""
+        for line in self.body:
+            line.append(0.0)
+        self.cost.append(0.0)
+        slack = len(self.cost) - 1
+        if column in self.basis:
+            i = self.basis.index(column)
+            line = self.body[i][:]
+            line[column] = 0.0
+            value = self.rhs[i] - 1.0
+        else:
+            line = [0.0] * len(self.cost)
+            line[column] = -1.0
+            value = -1.0
+        line[slack] = 1.0
+        self.body.append(line)
+        self.rhs.append(value)
+        self.basis.append(slack)
+
 
 def solve_lp(
     objective: Sequence[float],
@@ -202,107 +461,20 @@ def solve_lp(
 
     ``rows`` holds each constraint as sparse ``(column, coefficient)``
     pairs; every bound must be non-negative, so the slack basis is
-    feasible and a single-phase primal simplex suffices.  Dantzig
-    pricing (first most-negative reduced cost) with a switch to Bland's
-    rule (which cannot cycle) once the pivot count passes twice the
-    tableau size; returns ``None`` if the iteration limit is still
-    exceeded.
-
-    The atom program's tableaus are almost empty (about two non-zeros
-    per constraint row), so a pivot updates only the pivot row's
-    non-zero columns, and only in rows whose entering-column entry is
-    non-zero.  Every skipped update is ``x - f * 0.0``, which is ``x``
-    for finite ``f``: the result equals the full-width tableau
-    method's float for float (``tests/test_ilp.py`` keeps that method as
-    the oracle).
+    feasible and a single-phase primal simplex suffices.  Returns the
+    optimum and the structural values, or ``None`` if the program is
+    unbounded or the simplex exceeds ``SIMPLEX_ITERATION_LIMIT``
+    iterations.
     """
-    n = len(objective)
-    m = len(rows)
-    width = n + m
-    # One list per constraint over structural + slack columns; the
-    # right-hand sides, the cost row and its corner (the objective
-    # value) live apart so pricing is one ``min`` over the cost row.
-    body: List[List[float]] = []
-    for i, row in enumerate(rows):
-        line = [0.0] * width
-        for column, coefficient in row:
-            line[column] = coefficient
-        line[n + i] = 1.0
-        body.append(line)
-    rhs = list(bounds)
-    cost = [-coefficient for coefficient in objective]
-    cost.extend([0.0] * m)
-    value = 0.0
-    basis = list(range(n, width))
-    columns = range(width)
-
-    bland_after = 2 * (m + n)
-    for iteration in range(SIMPLEX_ITERATION_LIMIT):
-        entering = -1
-        if iteration < bland_after:
-            most_negative = min(cost) if cost else 0.0
-            if most_negative < -1e-9:
-                entering = cost.index(most_negative)
-        else:
-            for column, reduced in enumerate(cost):
-                if reduced < -1e-9:
-                    entering = column
-                    break
-        if entering < 0:
-            values = [0.0] * n
-            for i, variable in enumerate(basis):
-                if variable < n:
-                    values[variable] = rhs[i]
-            return value, values
-        # Rows with a non-zero in the entering column, in row order (the
-        # ratio test's tie-break depends on that order).
-        touched = [
-            (i, line, line[entering])
-            for i, line in enumerate(body)
-            if line[entering]
-        ]
-        leaving = -1
-        best_ratio = float("inf")
-        for i, _, coefficient in touched:
-            if coefficient > 1e-9:
-                ratio = rhs[i] / coefficient
-                if ratio < best_ratio - 1e-12 or (
-                    abs(ratio - best_ratio) <= 1e-12
-                    and (leaving < 0 or basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
-        if leaving < 0:
-            return None  # unbounded: malformed program
-        pivot_row = body[leaving]
-        inverse = 1.0 / pivot_row[entering]
-        pivot_entries = [
-            (column, pivot_row[column] * inverse)
-            for column in compress(columns, pivot_row)
-        ]
-        for column, scaled in pivot_entries:
-            pivot_row[column] = scaled
-        pivot_rhs = rhs[leaving] = rhs[leaving] * inverse
-        for i, line, factor in touched:
-            if i != leaving:
-                for column, scaled in pivot_entries:
-                    line[column] -= factor * scaled
-                rhs[i] -= factor * pivot_rhs
-        factor = cost[entering]
-        for column, scaled in pivot_entries:
-            cost[column] -= factor * scaled
-        value -= factor * pivot_rhs
-        basis[leaving] = entering
-    return None
+    tableau = _Tableau(objective, rows, bounds)
+    if tableau.primal(SIMPLEX_ITERATION_LIMIT) is None:
+        return None
+    return tableau.value, tableau.values()
 
 
 # ---------------------------------------------------------------------------
 # Branch and bound over the y (candidate) variables
 # ---------------------------------------------------------------------------
-
-#: A node's relaxation: (LP bound, fractional y value per free candidate).
-_Relaxation = Tuple[float, Dict[int, float]]
-
 
 def _mask(candidates: Iterable[int]) -> int:
     """Bit mask of a set of candidate (pool) indices."""
@@ -312,14 +484,67 @@ def _mask(candidates: Iterable[int]) -> int:
     return mask
 
 
+class _Layout(NamedTuple):
+    """Where a cold-built tableau keeps each free candidate: its ``y``
+    column, the slack column of its ``y <= 1`` row, and the objective
+    constant of the candidates the cold node had forced in.  Shared by
+    every node warm-started from that tableau."""
+
+    y_column: Dict[int, int]
+    unit_slack: Dict[int, int]
+    constant: float
+
+
+class _Node(NamedTuple):
+    """A solved node: its LP bound, the fractional ``y`` of its free
+    candidates, and the final tableau its children warm-start from
+    (``None`` when no atom was usable, so nothing was solved)."""
+
+    bound: float
+    fractional: Dict[int, float]
+    tableau: Optional[_Tableau] = None
+    layout: Optional[_Layout] = None
+
+    @classmethod
+    def of(
+        cls, tableau: _Tableau, layout: _Layout, y_order: List[int]
+    ) -> "_Node":
+        """The node an optimal ``tableau`` laid out by ``layout``
+        solves, reporting the candidates of ``y_order``."""
+        values = tableau.values()
+        return cls(
+            tableau.value + layout.constant,
+            {j: values[layout.y_column[j]] for j in y_order},
+            tableau,
+            layout,
+        )
+
+
+@dataclass
+class GapReport:
+    """What branch and bound proved: the root LP bound, the final bound
+    (the largest bound still open, or the incumbent's value once none
+    is), the incumbent's model objective, the nodes explored, and
+    whether the tree closed -- every open node was explored or pruned
+    within ``MAX_NODES``, and no node was dropped by the simplex giving
+    up."""
+
+    root_bound: Optional[float] = None
+    final_bound: Optional[float] = None
+    objective: Optional[float] = None
+    nodes: int = 0
+    proven: bool = False
+
+
 class _Program:
     """The cost-atom program for one pool, compiled once per search.
 
     Everything a node's relaxation needs that does not depend on the
-    node -- per-atom savings, members and member bit masks, the atoms
-    of each statement row in row order -- is laid out here;
-    :meth:`relax` derives a node's LP from it by masking out the atoms
-    and candidates the node fixes.
+    node -- per-atom savings, member bit masks, the atoms of each
+    statement row and of each (statement, candidate) link row in row
+    order -- is laid out here.  :meth:`relax` derives a node's LP from
+    it by masking out the atoms and candidates the node fixes and solves
+    it cold; :meth:`child` re-optimises the parent's tableau instead.
     """
 
     def __init__(
@@ -338,70 +563,87 @@ class _Program:
         for index, atom in enumerate(self.atoms):
             self.by_statement.setdefault(atom.statement, []).append(index)
         self._savings = [atom.saving for atom in self.atoms]
-        self._members = [atom.members for atom in self.atoms]
         self._member_masks = [_mask(atom.members) for atom in self.atoms]
+        # (saving, member mask) per atom, per statement in the order
+        # ``objective`` sums them.
+        self._scored = [
+            [(self._savings[index], self._member_masks[index]) for index in indices]
+            for indices in self.by_statement.values()
+        ]
         self._statement_rows = [
             self.by_statement[statement]
             for statement in sorted(self.by_statement)
         ]
+        links: Dict[Tuple[int, int], List[int]] = {}
+        for index, atom in enumerate(self.atoms):
+            for j in atom.members:
+                links.setdefault((atom.statement, j), []).append(index)
+        #: One link row per (statement, candidate), in that order: the
+        #: candidate and the statement's atoms holding it.
+        self._links = [(j, links[(s, j)]) for s, j in sorted(links)]
 
     def objective(self, chosen: Set[int]) -> float:
         """Model objective of an integral candidate set."""
+        outside = ~_mask(chosen)
         total = 0.0
-        for indices in self.by_statement.values():
+        for scored in self._scored:
             best = 0.0
-            for index in indices:
-                atom = self.atoms[index]
-                if atom.saving > best and all(
-                    j in chosen for j in atom.members
-                ):
-                    best = atom.saving
+            for saving, members in scored:
+                if saving > best and not members & outside:
+                    best = saving
             total += best
         return total - sum(self.maintenance[j] for j in chosen)
 
-    def size_of(self, chosen: Set[int]) -> int:
+    def size_of(self, chosen: Iterable[int]) -> int:
         return sum(self.sizes[j] for j in chosen)
 
-    # -- one node's LP relaxation ------------------------------------
-    def relax(
+    def _free(
         self, fixed_zero: FrozenSet[int], fixed_one: FrozenSet[int]
-    ) -> Optional[_Relaxation]:
-        """LP bound of the node where ``fixed_one`` candidates are
-        forced in and ``fixed_zero`` out.  Returns ``(bound, fractional
-        y values for the free candidates)``, or ``None`` when the node
-        is infeasible (forced sizes already bust the budget) or the
-        simplex gave up.  Callers prune a ``None`` node; after a
-        give-up that can discard the subtree holding the program's
-        optimum, which costs quality, not correctness: the incumbent
-        stays feasible and :func:`ilp_search` never returns less than
-        the greedy configuration's true benefit.
-
-        Columns are the usable atoms in atom order, then the free
-        candidates in index order; rows are the statement rows in
-        statement order, each usable atom's link rows, the budget row
-        and the unit bounds -- the order the pivot sequence depends on.
-        """
-        remaining = self.budget_bytes - sum(
-            self.sizes[j] for j in fixed_one
-        )
-        if remaining < 0:
-            return None
-        constant = -sum(self.maintenance[j] for j in fixed_one)
+    ) -> Tuple[List[int], List[int]]:
+        """The node's usable atoms (no member forced out), in atom
+        order, and its free candidates (members of a usable atom not
+        forced in), in index order."""
         zero_mask = _mask(fixed_zero)
         usable = [
             index
             for index, mask in enumerate(self._member_masks)
             if not mask & zero_mask
         ]
-        if not usable:
-            return constant, {}
         free_mask = 0
         for index in usable:
             free_mask |= self._member_masks[index]
         free_mask &= ~_mask(fixed_one)
-        y_order = [
+        return usable, [
             j for j in range(len(self.pool)) if free_mask >> j & 1
         ]
+
+    # -- one node's LP relaxation ------------------------------------
+    def relax(
+        self, fixed_zero: FrozenSet[int], fixed_one: FrozenSet[int]
+    ) -> Optional[_Node]:
+        """Solve the LP relaxation of the node where ``fixed_one``
+        candidates are forced in and ``fixed_zero`` out, cold: from the
+        slack basis.  ``None`` when the node is infeasible (forced sizes
+        already bust the budget) or the simplex gave up.  Callers prune
+        a ``None`` node; after a give-up that can discard the subtree
+        holding the program's optimum, which costs quality, not
+        correctness: the incumbent stays feasible and
+        :func:`ilp_search` never returns less than the greedy
+        configuration's true benefit.
+
+        Columns are the usable atoms in atom order, then the free
+        candidates in index order; rows are the statement rows in
+        statement order, the (statement, candidate) link rows, the
+        budget row and the unit bounds -- the order the pivot sequence
+        depends on.
+        """
+        remaining = self.budget_bytes - self.size_of(fixed_one)
+        if remaining < 0:
+            return None
+        constant = -sum(self.maintenance[j] for j in fixed_one)
+        usable, y_order = self._free(fixed_zero, fixed_one)
+        if not usable:
+            return _Node(constant, {})
         atom_column = {index: column for column, index in enumerate(usable)}
         y_column = {j: len(usable) + slot for slot, j in enumerate(y_order)}
 
@@ -417,27 +659,66 @@ class _Program:
             if row:
                 rows.append(row)
         bounds = [1.0] * len(rows)
-        for column, index in enumerate(usable):
-            for j in self._members[index]:
-                if j in y_column:
-                    rows.append([(column, 1.0), (y_column[j], -1.0)])
+        for j, indices in self._links:
+            if j in y_column:
+                row = [
+                    (atom_column[index], 1.0)
+                    for index in indices
+                    if index in atom_column
+                ]
+                if row:
+                    row.append((y_column[j], -1.0))
+                    rows.append(row)
         bounds.extend([0.0] * (len(rows) - len(bounds)))
+        unit_slack: Dict[int, int] = {}
         if y_order:
             rows.append(
                 [(y_column[j], float(self.sizes[j])) for j in y_order]
             )
             bounds.append(float(remaining))
             for j in y_order:
+                unit_slack[j] = len(objective) + len(rows)
                 rows.append([(y_column[j], 1.0)])
             bounds.extend([1.0] * len(y_order))
-        solved = solve_lp(objective, rows, bounds)
-        if solved is None:
+        tableau = _Tableau(objective, rows, bounds)
+        if tableau.primal(SIMPLEX_ITERATION_LIMIT) is None:
             return None
-        value, values = solved
-        fractional = {
-            j: values[y_column[j]] for j in y_order
-        }
-        return value + constant, fractional
+        tableau.settle()
+        return _Node.of(
+            tableau, _Layout(y_column, unit_slack, constant), y_order
+        )
+
+    def child(
+        self,
+        parent: _Node,
+        branch_on: int,
+        forced_in: bool,
+        fixed_zero: FrozenSet[int],
+        fixed_one: FrozenSet[int],
+    ) -> Optional[_Node]:
+        """Solve the child of ``parent`` that forces ``branch_on`` in
+        or out (its fixings are ``fixed_zero``/``fixed_one``, and its
+        forced sizes must fit the budget).
+
+        A copy of the parent's final tableau takes the one new bound --
+        ``y <= 0`` moves the right-hand side of ``y``'s ``<= 1`` row,
+        ``y >= 1`` appends a cut row -- and is re-optimised by the dual
+        simplex and a primal clean-up.  If that exceeds
+        ``SIMPLEX_ITERATION_LIMIT`` pivots the child is solved cold by
+        :meth:`relax`; ``None`` means that gave up too."""
+        layout = parent.layout
+        tableau = parent.tableau.copy()
+        if forced_in:
+            tableau.cut(layout.y_column[branch_on])
+        else:
+            tableau.shift(layout.unit_slack[branch_on], -1.0)
+        pivots = tableau.dual(SIMPLEX_ITERATION_LIMIT)
+        if (
+            pivots is None
+            or tableau.primal(SIMPLEX_ITERATION_LIMIT - pivots) is None
+        ):
+            return self.relax(fixed_zero, fixed_one)
+        return _Node.of(tableau, layout, self._free(fixed_zero, fixed_one)[1])
 
     # -- rounding ----------------------------------------------------
     def round_to_incumbent(
@@ -465,72 +746,104 @@ def _branch_and_bound(
     program: _Program,
     budget: Optional[SearchBudget],
     seed: Optional[Set[int]] = None,
+    report: Optional[GapReport] = None,
 ) -> Tuple[Set[int], float]:
     """Best-first branch and bound; returns the best integral candidate
-    set and its model objective.  Raises :class:`_BudgetSpent` when the
-    anytime budget expires mid-tree (the caller falls back)."""
+    set and its model objective, and fills ``report`` (also when it
+    raises).  The root is solved cold, every child warm from its
+    parent's tableau.  Raises :class:`_BudgetSpent` when the anytime
+    budget expires mid-tree (the caller falls back)."""
+    if report is None:
+        report = GapReport()
     best_set: Set[int] = set(seed or ())
     if program.size_of(best_set) > program.budget_bytes:
         best_set = set()
-    best_value = program.objective(best_set)
-    counter = 0
-    # A heap entry ends with the node's relaxation when it is already
-    # known -- only the root's, solved here so it is solved once --
-    # or ``None``: children are solved when (and if) they are popped.
+    best_value = report.objective = program.objective(best_set)
     root = program.relax(frozenset(), frozenset())
     if root is None:
         return best_set, best_value
+    report.root_bound = root.bound
+    counter = 0
+    # A heap entry is a node still to explore: its parent's bound, a
+    # tie-break, its fixings, and either its parent plus the branch that
+    # makes it (solved when, and if, it is popped) or -- for the root
+    # only, solved above so it is solved once -- itself and ``None``.
     heap: List[
         Tuple[
-            float, int, FrozenSet[int], FrozenSet[int], Optional[_Relaxation]
+            float,
+            int,
+            FrozenSet[int],
+            FrozenSet[int],
+            _Node,
+            Optional[Tuple[int, bool]],
         ]
-    ] = [(-root[0], counter, frozenset(), frozenset(), root)]
+    ] = [(-root.bound, counter, frozenset(), frozenset(), root, None)]
     explored = 0
-    while heap and explored < MAX_NODES:
-        reason = _spent(budget)
-        if reason is not None:
-            raise _BudgetSpent(reason)
-        negative_bound, _, fixed_zero, fixed_one, solved = heapq.heappop(heap)
-        if -negative_bound <= best_value + EPS:
-            continue  # the bound can no longer beat the incumbent
-        explored += 1
-        if solved is None:
-            solved = program.relax(fixed_zero, fixed_one)
-        if solved is None:
-            continue
-        bound, fractional = solved
-        if bound <= best_value + EPS:
-            continue
-        incumbent = program.round_to_incumbent(fixed_one, fractional)
-        value = program.objective(incumbent)
-        if value > best_value + EPS:
-            best_value = value
-            best_set = incumbent
-        branch_on = -1
-        most_fractional = 1e-6
-        for j, value_j in sorted(fractional.items()):
-            distance = min(value_j, 1.0 - value_j)
-            if distance > most_fractional:
-                most_fractional = distance
-                branch_on = j
-        if branch_on < 0:
-            # Integral relaxation: the rounding above captured it.
-            continue
-        for child_zero, child_one in (
-            (fixed_zero | {branch_on}, fixed_one),
-            (fixed_zero, fixed_one | {branch_on}),
-        ):
-            counter += 1
-            heapq.heappush(
-                heap,
-                (
-                    -bound,
-                    counter,
-                    frozenset(child_zero),
-                    frozenset(child_one),
-                    None,
-                ),
+    gave_up = False
+    try:
+        while heap and explored < MAX_NODES:
+            reason = _spent(budget)
+            if reason is not None:
+                raise _BudgetSpent(reason)
+            negative_bound, _, fixed_zero, fixed_one, carried, branch = (
+                heapq.heappop(heap)
             )
+            if -negative_bound <= best_value + EPS:
+                continue  # the bound can no longer beat the incumbent
+            explored += 1
+            if branch is None:
+                node: Optional[_Node] = carried
+            elif program.size_of(fixed_one) > program.budget_bytes:
+                continue  # forced sizes bust the budget: infeasible
+            else:
+                node = program.child(carried, *branch, fixed_zero, fixed_one)
+                if node is None:
+                    gave_up = True
+                    continue
+            bound, fractional = node.bound, node.fractional
+            if bound <= best_value + EPS:
+                continue
+            incumbent = program.round_to_incumbent(fixed_one, fractional)
+            value = program.objective(incumbent)
+            if value > best_value + EPS:
+                best_value = value
+                best_set = incumbent
+            branch_on = -1
+            most_fractional = 1e-6
+            for j, value_j in sorted(fractional.items()):
+                distance = min(value_j, 1.0 - value_j)
+                if distance > most_fractional:
+                    most_fractional = distance
+                    branch_on = j
+            if branch_on < 0:
+                # Integral relaxation: the rounding above captured it.
+                continue
+            for child_zero, child_one, forced_in in (
+                (fixed_zero | {branch_on}, fixed_one, False),
+                (fixed_zero, fixed_one | {branch_on}, True),
+            ):
+                counter += 1
+                heapq.heappush(
+                    heap,
+                    (
+                        -bound,
+                        counter,
+                        frozenset(child_zero),
+                        frozenset(child_one),
+                        node,
+                        (branch_on, forced_in),
+                    ),
+                )
+    finally:
+        # Entries the loop would skip unexplored cannot hold a better
+        # set; whatever else is open bounds what the tree left unproven.
+        open_bounds = [
+            -entry[0] for entry in heap if -entry[0] > best_value + EPS
+        ]
+        report.final_bound = max(open_bounds, default=best_value)
+        report.objective = best_value
+        report.nodes = explored
+        report.proven = not open_bounds and not gave_up
     return best_set, best_value
 
 
@@ -553,9 +866,12 @@ def ilp_search(
     warm caches instead (the result is flagged truncated with the
     budget's reason).  Never worse than greedy: the final configuration
     is whichever of the ILP solution and the greedy solution has the
-    higher true (optimizer-evaluated) benefit.
+    higher true (optimizer-evaluated) benefit.  The result's ``ilp``
+    field carries the branch and bound's :class:`GapReport`, as far as
+    the program got.
     """
     telemetry = _Telemetry(evaluator)
+    report = GapReport()
 
     seed: Optional[Set[int]] = None
     resumed = False
@@ -583,7 +899,7 @@ def ilp_search(
                     seed = {index_of[c.key] for c in resolved}
                     resumed = True
         with evaluator.session.phase("ilp-solve"):
-            chosen, _ = _branch_and_bound(program, budget, seed)
+            chosen, _ = _branch_and_bound(program, budget, seed, report)
         ilp_config = IndexConfiguration(
             sorted(
                 (pool[j] for j in chosen),
@@ -598,7 +914,7 @@ def ilp_search(
         fallback = greedy_search_with_heuristics(
             candidates, evaluator, budget_bytes, budget=budget
         )
-        return telemetry.finish(
+        result = telemetry.finish(
             "ilp",
             fallback.configuration,
             budget_bytes,
@@ -606,6 +922,8 @@ def ilp_search(
             truncated=spent.reason,
             resumed=resumed,
         )
+        result.ilp = asdict(report)
+        return result
 
     greedy = greedy_search_with_heuristics(
         candidates, evaluator, budget_bytes, budget=budget
@@ -616,7 +934,7 @@ def ilp_search(
         config, benefit = ilp_config, ilp_benefit
     if budget is not None:
         budget.note_best("ilp", budget_bytes, config, benefit=benefit)
-    return telemetry.finish(
+    result = telemetry.finish(
         "ilp",
         config,
         budget_bytes,
@@ -624,3 +942,5 @@ def ilp_search(
         truncated=greedy.truncated_reason,
         resumed=resumed or greedy.resumed,
     )
+    result.ilp = asdict(report)
+    return result

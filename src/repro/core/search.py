@@ -67,6 +67,10 @@ class SearchResult:
     truncated_reason: Optional[str] = None
     #: True when the search was seeded from an on-disk checkpoint.
     resumed: bool = False
+    #: What the ``ilp`` search's branch and bound proved (root and
+    #: final bound, incumbent objective, nodes, proven); empty for every
+    #: other algorithm.
+    ilp: Dict = field(default_factory=dict)
 
     @property
     def general_count(self) -> int:

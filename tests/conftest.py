@@ -6,10 +6,17 @@ import os
 import signal
 
 import pytest
+from hypothesis import settings
 
 from repro import Database, IndexAdvisor, Workload
 from repro.workloads import synthetic, tpox, xmark
 from repro.xmlmodel.serializer import serialize
+
+
+#: A deeper hypothesis run for CI's dedicated differential steps
+#: (``--hypothesis-profile=ci-deep``); tests that pin their own
+#: ``max_examples`` keep it.
+settings.register_profile("ci-deep", max_examples=2000, deadline=None)
 
 
 @pytest.fixture(autouse=True)

@@ -6,13 +6,16 @@ random workloads -- by construction (the searcher returns the better of
 the two true benefits), so these tests pin that the construction
 actually holds end to end.
 
-The LP engine has its own differential: ``solve_lp`` pivots over the
+The LP engine has its own differentials.  A cold solve pivots over the
 tableau's non-zeros only and must return, float for float, what the
-full-width tableau loop it replaced returns.  That loop and the
-per-node LP builder it was fed by live on here as the oracles
-(``_dense_solve_lp``, ``_reference_lp``).
+full-width tableau loop it replaced returns; a warm-started child must
+match the cold solve of the same node within 1e-9.  The full-width loop,
+the per-atom link rows it was once fed, and the ``Atom`` walk the model
+objective once was live on here as oracles (``_dense_solve_lp``,
+``_reference_lp``, ``_reference_objective``).
 """
 
+from contextlib import contextmanager
 from types import SimpleNamespace
 from unittest import mock
 
@@ -28,12 +31,15 @@ from repro.core.generalization import generalize_candidates
 from repro.core.ilp import (
     SIMPLEX_ITERATION_LIMIT,
     Atom,
+    GapReport,
     _branch_and_bound,
     _Program,
+    _Tableau,
     build_atom_matrix,
     ilp_search,
     solve_lp,
 )
+from repro.core.advisor import IndexAdvisor
 from repro.core.search import ALGORITHMS, greedy_search_with_heuristics
 from repro.optimizer.session import WhatIfSession
 from repro.robustness.budget import SearchBudget
@@ -133,10 +139,10 @@ def _dense_solve_lp(objective, rows, bounds):
 
 
 def _reference_lp(program, fixed_zero, fixed_one):
-    """``(objective, rows, bounds)`` of a node, built the way
-    ``_Program.relax`` built it until PR 15: one walk over the ``Atom``
-    objects per node.  The row and column order is the contract -- the
-    pivot sequence depends on it."""
+    """``(objective, rows, bounds)`` of a node with one link row per
+    (atom, member), the program ``_Program`` solved before its link rows
+    were aggregated per (statement, candidate).  Its bound can only be
+    looser."""
     remaining = program.budget_bytes - sum(
         program.sizes[j] for j in fixed_one
     )
@@ -174,24 +180,115 @@ def _reference_lp(program, fixed_zero, fixed_one):
     return objective, rows, bounds
 
 
+def _aggregated_lp(program, fixed_zero, fixed_one):
+    """``(objective, rows, bounds, y columns)`` of a node with one link
+    row per (statement, candidate), from one walk over the ``Atom``
+    objects.  The row and column order is the contract -- the pivot
+    sequence depends on it: usable atoms then free candidates; statement
+    rows, link rows by (statement, candidate), the budget row, the unit
+    bounds."""
+    remaining = program.budget_bytes - sum(
+        program.sizes[j] for j in fixed_one
+    )
+    usable = [
+        atom
+        for atom in program.atoms
+        if not any(j in fixed_zero for j in atom.members)
+    ]
+    y_order = sorted(
+        {j for atom in usable for j in atom.members} - set(fixed_one)
+    )
+    y_column = {j: len(usable) + slot for slot, j in enumerate(y_order)}
+    objective = [atom.saving for atom in usable] + [
+        -program.maintenance[j] for j in y_order
+    ]
+    per_statement = {}
+    links = {}
+    for column, atom in enumerate(usable):
+        per_statement.setdefault(atom.statement, []).append(column)
+        for j in atom.members:
+            if j in y_column:
+                links.setdefault((atom.statement, j), []).append(column)
+    rows = [
+        [(column, 1.0) for column in per_statement[statement]]
+        for statement in sorted(per_statement)
+    ]
+    bounds = [1.0] * len(rows)
+    for statement, j in sorted(links):
+        rows.append(
+            [(column, 1.0) for column in links[(statement, j)]]
+            + [(y_column[j], -1.0)]
+        )
+        bounds.append(0.0)
+    if y_order:
+        rows.append([(y_column[j], float(program.sizes[j])) for j in y_order])
+        bounds.append(float(remaining))
+        for j in y_order:
+            rows.append([(y_column[j], 1.0)])
+            bounds.append(1.0)
+    return objective, rows, bounds, y_column
+
+
+def _reference_objective(program, chosen):
+    """``_Program.objective`` as it was before it read bit masks: one
+    walk over the ``Atom`` objects per call."""
+    total = 0.0
+    for indices in program.by_statement.values():
+        best = 0.0
+        for index in indices:
+            atom = program.atoms[index]
+            if atom.saving > best and all(j in chosen for j in atom.members):
+                best = atom.saving
+        total += best
+    return total - sum(program.maintenance[j] for j in chosen)
+
+
 def _program(sizes, atoms, maintenance, budget_bytes):
     """A ``_Program`` over stand-in candidates (only sizes matter)."""
     pool = [SimpleNamespace(size_bytes=size) for size in sizes]
     return _Program(pool, atoms, maintenance, budget_bytes)
 
 
-class _SolverSpy:
-    """Stands in for ``ilp.solve_lp``: records every LP, solves it with
-    the real engine and checks the answer against the dense oracle."""
+@contextmanager
+def _solves():
+    """Record every node ``_Program`` solves while the block runs: cold
+    (``relax``: the root, or a warm child's fallback) and warm
+    (``child``), each as ``(program, fixed_zero, fixed_one, solved)``.
+    Check them after the block: the oracles solve nodes too."""
+    log = SimpleNamespace(cold=[], warm=[])
+    relax, child = _Program.relax, _Program.child
 
-    def __init__(self):
-        self.lps = []
-
-    def __call__(self, objective, rows, bounds):
-        self.lps.append((objective, rows, bounds))
-        solved = solve_lp(objective, rows, bounds)
-        assert solved == _dense_solve_lp(objective, rows, bounds)
+    def cold(program, fixed_zero, fixed_one):
+        solved = relax(program, fixed_zero, fixed_one)
+        log.cold.append((program, fixed_zero, fixed_one, solved))
         return solved
+
+    def warm(program, parent, branch_on, forced_in, fixed_zero, fixed_one):
+        solved = child(
+            program, parent, branch_on, forced_in, fixed_zero, fixed_one
+        )
+        log.warm.append((program, fixed_zero, fixed_one, solved))
+        return solved
+
+    with mock.patch.object(_Program, "relax", cold), mock.patch.object(
+        _Program, "child", warm
+    ):
+        yield log
+
+
+def _assert_warm_is_cold(warm):
+    """Every warm node's bound within 1e-9 (relative) of ``relax`` on the
+    same node, with the same fractional keys."""
+    for program, fixed_zero, fixed_one, solved in warm:
+        cold = program.relax(fixed_zero, fixed_one)
+        if cold is None:
+            assert solved is None
+            continue
+        assert solved is not None
+        assert abs(solved.bound - cold.bound) <= 1e-9 * max(
+            1.0, abs(cold.bound)
+        )
+        assert solved.fractional.keys() == cold.fractional.keys()
 
 
 #: Few distinct values, so equal reduced costs and equal ratios -- the
@@ -328,24 +425,32 @@ class TestSolveLpDifferential:
     @settings(max_examples=300, deadline=None)
     @given(_atom_programs())
     def test_atom_program_nodes(self, drawn):
+        """A node solved cold is the dense oracle's answer on the
+        aggregated LP, float for float, and bounds no looser than the
+        per-atom LP."""
         program, fixed_zero, fixed_one = drawn
-        spy = _SolverSpy()
-        with mock.patch.object(ilp, "solve_lp", spy):
-            solved = program.relax(fixed_zero, fixed_one)
+        solved = program.relax(fixed_zero, fixed_one)
         forced = sum(program.sizes[j] for j in fixed_one)
         if forced > program.budget_bytes:
-            assert solved is None and not spy.lps
+            assert solved is None
             return
-        objective, rows, bounds = _reference_lp(program, fixed_zero, fixed_one)
+        constant = -sum(program.maintenance[j] for j in fixed_one)
+        objective, rows, bounds, y_column = _aggregated_lp(
+            program, fixed_zero, fixed_one
+        )
         if not objective:
-            assert not spy.lps  # every atom masked out: nothing to solve
-            assert solved == (
-                -sum(program.maintenance[j] for j in fixed_one),
-                {},
-            )
+            # Every atom masked out: nothing to solve.
+            assert (solved.bound, solved.fractional) == (constant, {})
             return
-        assert spy.lps == [(objective, rows, bounds)]
-        assert solved is not None
+        value, values = _dense_solve_lp(objective, rows, bounds)
+        assert (solved.bound, solved.fractional) == (
+            value + constant,
+            {j: values[column] for j, column in y_column.items()},
+        )
+        per_atom, _ = _dense_solve_lp(
+            *_reference_lp(program, fixed_zero, fixed_one)
+        )
+        assert value <= per_atom + 1e-9
 
     @settings(max_examples=300, deadline=None)
     @given(_small_lps())
@@ -353,25 +458,79 @@ class TestSolveLpDifferential:
         assert solve_lp(*lp) == _dense_solve_lp(*lp)
 
     def test_every_lp_of_the_suite_searches(self, tpox_inputs, xmark_db):
-        """The LPs branch and bound really builds -- the shape the
-        benchmark's ``advise_sweep`` block replays a few hundred of."""
-        spy = _SolverSpy()
-        with mock.patch.object(ilp, "solve_lp", spy):
+        """The LPs branch and bound really solves cold -- the roots of
+        the shape the benchmark's ``advise_sweep`` block replays -- equal
+        the dense oracle; everything below a root is warm-started."""
+        with _solves() as log:
             for candidates, evaluator, all_size in (
                 tpox_inputs,
                 _inputs(xmark_db, xmark.xmark_workload(seed=7)),
             ):
                 for fraction in (0.1, 0.2, 0.35, 0.5, 1.0):
                     ilp_search(candidates, evaluator, int(all_size * fraction))
-        assert len(spy.lps) > 100
-        assert max(len(rows) for _, rows, _ in spy.lps) > 50
+        assert len(log.cold) == 10  # one root per search, no fallback
+        assert len(log.warm) > 100
+        sizes = []
+        for program, fixed_zero, fixed_one, solved in log.cold:
+            objective, rows, bounds, y_column = _aggregated_lp(
+                program, fixed_zero, fixed_one
+            )
+            value, values = _dense_solve_lp(objective, rows, bounds)
+            assert (solved.bound, solved.fractional) == (
+                value,
+                {j: values[column] for j, column in y_column.items()},
+            )
+            sizes.append(len(rows))
+        assert max(sizes) > 50
+
+
+class TestWarmStartDifferential:
+    """Every warm-started node against ``relax`` (a cold solve) on the
+    same node.  CI re-runs this class under ``--hypothesis-profile
+    ci-deep``."""
+
+    @settings(deadline=None)
+    @given(_atom_programs())
+    def test_atom_programs(self, drawn):
+        program, fixed_zero, fixed_one = drawn
+        # The tree branch and bound walks...
+        with _solves() as log:
+            _branch_and_bound(program, None)
+        assert len(log.cold) == 1  # the root; no warm child fell back
+        _assert_warm_is_cold(log.warm)
+        # ...and the drawn fixings, one bound at a time from the root.
+        node = program.relax(frozenset(), frozenset())
+        zero, one = frozenset(), frozenset()
+        for j in sorted(fixed_zero | fixed_one):
+            if j not in node.fractional:
+                break  # not free here: branch and bound never fixes it
+            forced_in = j in fixed_one
+            if forced_in:
+                one = one | {j}
+            else:
+                zero = zero | {j}
+            if program.size_of(one) > program.budget_bytes:
+                assert program.relax(zero, one) is None
+                break
+            node = program.child(node, j, forced_in, zero, one)
+            _assert_warm_is_cold([(program, zero, one, node)])
+
+    def test_suite_programs(self, tpox_inputs, xmark_db):
+        with _solves() as log:
+            for candidates, evaluator, all_size in (
+                tpox_inputs,
+                _inputs(xmark_db, xmark.xmark_workload(seed=7)),
+            ):
+                for fraction in (0.1, 0.2, 0.35, 0.5, 1.0):
+                    ilp_search(candidates, evaluator, int(all_size * fraction))
+        assert len(log.warm) > 100
+        _assert_warm_is_cold(log.warm)
 
 
 class TestBranchAndBound:
     def test_integral_root_is_solved_exactly_once(self):
         # Everything fits: the root relaxation is integral, so the tree
-        # is the root -- and the root must not be solved again when it
-        # is popped.
+        # is the root -- solved cold once, and not again when popped.
         atoms = [
             Atom(0, (0,), 5.0),
             Atom(0, (0, 1), 9.0),
@@ -379,24 +538,122 @@ class TestBranchAndBound:
             Atom(2, (2,), 3.0),
         ]
         program = _program([10, 10, 10], atoms, [0.5, 0.5, 0.5], 100)
-        spy = _SolverSpy()
-        with mock.patch.object(ilp, "solve_lp", spy):
+        with _solves() as log:
             chosen, value = _branch_and_bound(program, None)
-        assert len(spy.lps) == 1
+        assert len(log.cold) == 1
+        assert not log.warm
         assert chosen == {0, 1, 2}
         assert value == pytest.approx(9.0 + 4.0 + 3.0 - 1.5)
 
-    def test_fractional_root_branches(self):
+    @staticmethod
+    def _two_of_one_fit():
         # Two 6-byte candidates under a 10-byte budget: the root takes
         # one whole and 2/3 of the other, branching closes the gap.
         atoms = [Atom(0, (0,), 6.0), Atom(1, (1,), 5.0)]
-        program = _program([6, 6], atoms, [0.0, 0.0], 10)
-        spy = _SolverSpy()
-        with mock.patch.object(ilp, "solve_lp", spy):
+        return _program([6, 6], atoms, [0.0, 0.0], 10)
+
+    def test_fractional_root_branches(self):
+        program = self._two_of_one_fit()
+        with _solves() as log:
             chosen, value = _branch_and_bound(program, None)
-        assert len(spy.lps) > 1
+        assert len(log.cold) == 1  # the root; every child is warm
+        assert len(log.warm) == 3
         assert chosen == {0}
         assert value == pytest.approx(6.0)
+
+    def test_over_budget_forced_in_child_is_pruned_as_cold(self):
+        # Forcing both candidates in needs 12 bytes of 10: the tree
+        # reaches that node, and prunes it before any solve -- as
+        # ``relax`` finds it infeasible; warm-solving it anyway, the
+        # dual simplex finds it infeasible and the cold fallback agrees.
+        program = self._two_of_one_fit()
+        both = frozenset({0, 1})
+        with _solves() as log:
+            warm_tree = _branch_and_bound(program, None)
+        assert all(
+            program.size_of(fixed_one) <= program.budget_bytes
+            for _, _, fixed_one, _ in log.warm
+        )
+        assert program.relax(frozenset(), both) is None
+        root = program.relax(frozenset(), frozenset())
+        forced = program.child(root, 1, True, frozenset(), frozenset({1}))
+        tableau = forced.tableau.copy()
+        tableau.cut(forced.layout.y_column[0])
+        assert tableau.dual(SIMPLEX_ITERATION_LIMIT) is None
+        assert program.child(forced, 0, True, frozenset(), both) is None
+        with mock.patch.object(
+            _Program,
+            "child",
+            lambda program, parent, j, forced_in, zero, one: program.relax(
+                zero, one
+            ),
+        ):
+            cold_tree = _branch_and_bound(program, None)
+        assert warm_tree == cold_tree
+
+    def test_gap_report_of_a_closed_tree(self):
+        program = self._two_of_one_fit()
+        report = GapReport()
+        chosen, value = _branch_and_bound(program, None, report=report)
+        assert report.proven
+        assert report.root_bound == pytest.approx(6.0 + 5.0 * 4.0 / 6.0)
+        assert report.final_bound == report.objective == value
+        # The root, both of its children, and both children of the
+        # forced-in one (the over-budget node counts as explored).
+        assert report.nodes == 5
+
+    def test_gap_report_of_a_node_capped_tree(self, monkeypatch):
+        monkeypatch.setattr(ilp, "MAX_NODES", 1)
+        program = self._two_of_one_fit()
+        report = GapReport()
+        chosen, value = _branch_and_bound(program, None, report=report)
+        assert not report.proven
+        assert report.nodes == 1
+        assert report.objective == value
+        assert report.final_bound >= report.objective
+        assert report.final_bound == report.root_bound
+
+    def test_warm_limit_falls_back_cold_and_still_beats_greedy(
+        self, tpox_inputs, monkeypatch
+    ):
+        # Every warm re-solve exceeds the pivot limit: each child is
+        # solved cold instead, and ``ilp`` still never loses to greedy.
+        monkeypatch.setattr(_Tableau, "dual", lambda tableau, limit: None)
+        candidates, evaluator, all_size = tpox_inputs
+        for fraction in (0.2, 0.5):
+            budget_bytes = int(all_size * fraction)
+            with _solves() as log:
+                result = ilp_search(candidates, evaluator, budget_bytes)
+            assert len(log.cold) == 1 + len(log.warm) > 1
+            greedy = greedy_search_with_heuristics(
+                candidates, evaluator, budget_bytes
+            )
+            assert result.benefit >= greedy.benefit
+
+    def test_simplex_giving_up_still_beats_greedy(
+        self, tpox_inputs, monkeypatch
+    ):
+        # Not even the root solves: nothing is proven, and ``ilp``
+        # returns at least greedy's benefit.
+        monkeypatch.setattr(ilp, "SIMPLEX_ITERATION_LIMIT", 2)
+        candidates, evaluator, all_size = tpox_inputs
+        budget_bytes = all_size // 2
+        result = ilp_search(candidates, evaluator, budget_bytes)
+        greedy = greedy_search_with_heuristics(
+            candidates, evaluator, budget_bytes
+        )
+        assert result.benefit >= greedy.benefit
+        assert result.ilp["root_bound"] is None
+        assert not result.ilp["proven"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_atom_programs(), st.data())
+    def test_objective_reads_masks_as_the_atom_walk(self, drawn, data):
+        program = drawn[0]
+        chosen = data.draw(st.sets(st.integers(0, len(program.pool) - 1)))
+        assert program.objective(chosen) == _reference_objective(
+            program, chosen
+        )
 
     # Chosen keys and model objective of ``_branch_and_bound`` recorded
     # at the parent of PR 15 (identical under PYTHONHASHSEED 0, 12345
@@ -572,6 +829,27 @@ class TestIlpSearch:
         phases = evaluator.session.stats()["phase_seconds"]
         assert phases["ilp-atoms"] >= 0.0
         assert phases["ilp-solve"] > 0.0
+
+    def test_recommendation_carries_the_gap_block(self, tpox_db, tpox_wl):
+        advisor = IndexAdvisor(tpox_db, tpox_wl)
+        budget_bytes = 200_000
+        recommendation = advisor.recommend(budget_bytes, algorithm="ilp")
+        block = recommendation.to_dict()["ilp"]
+        assert block == recommendation.search.ilp
+        assert set(block) == {
+            "root_bound",
+            "final_bound",
+            "objective",
+            "nodes",
+            "proven",
+        }
+        assert 1 <= block["nodes"] <= ilp.MAX_NODES
+        assert block["root_bound"] >= block["final_bound"] - 1e-9
+        assert block["final_bound"] >= block["objective"]
+        assert "  ilp               : " in recommendation.stats_report()
+        greedy = advisor.recommend(budget_bytes, algorithm="greedy_heuristics")
+        assert "ilp" not in greedy.to_dict()
+        assert "  ilp  " not in greedy.stats_report()
 
     def test_deadline_falls_back_to_greedy_truncated(self, tpox_inputs):
         candidates, evaluator, all_size = tpox_inputs
