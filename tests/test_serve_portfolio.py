@@ -262,3 +262,89 @@ def test_evaluate_faults_never_escape_a_tournament(rate, seed):
     assert winner.degraded == lane_flags(winner)[
         [s["winner"] for s in winner.portfolio_stats["strategies"]].index(True)
     ]
+
+
+# ---------------------------------------------------------------------------
+# The served recommend is the ILP search
+# ---------------------------------------------------------------------------
+
+#: What a served recommend must share with a fresh ILP advisor.
+PARITY_KEYS = ("indexes", "benefit", "size_bytes", "budget_bytes", "degraded")
+
+PARITY_STATEMENTS = 30
+
+
+def pool_sample(database, seed):
+    """A 30-statement sample of a read-only Zipfian stream, the way the
+    serve journeys draw their recommend requests, kept to the statements
+    whose collections ``database`` holds."""
+    import random
+
+    from repro.query.model import JoinQuery
+    from repro.query.parser import parse_statement
+    from repro.workloads.stream import synthetic_stream
+
+    securities = len(database.collections.get("SDOC", ())) or 60
+    pool = []
+    for entry in synthetic_stream(
+        300, seed=seed, num_securities=securities, update_fraction=0.0
+    ):
+        statement = entry.statement
+        names = (
+            [statement.left.collection, statement.right.collection]
+            if isinstance(statement, JoinQuery)
+            else [statement.collection]
+        )
+        if set(names) <= set(database.collections):
+            pool.append(statement.describe())
+    return random.Random(seed).sample(pool, PARITY_STATEMENTS)
+
+
+def parity_projection(data):
+    projection = {key: data[key] for key in PARITY_KEYS}
+    # the tournament's winner may be a lane that tied with ilp and
+    # picked the same indexes in another order
+    projection["indexes"] = sorted(
+        projection["indexes"], key=lambda index: sorted(index.items())
+    )
+    return projection
+
+
+@pytest.mark.parametrize("fraction", [0.1, 0.3, 0.6])
+@pytest.mark.parametrize("case", ["tpox_db", "xmark_db", "mixed_db"])
+def test_served_recommend_equals_a_fresh_ilp_advisor(
+    case, fraction, request, fault_free
+):
+    import asyncio
+
+    from repro.serve import AdvisorServer
+    from tests.fault_projection import assert_same_advice
+
+    database = request.getfixturevalue(case)
+    texts = pool_sample(database, seed=11)
+    snapshot = SnapshotStore().snapshot(database)
+    basics = sum(
+        candidate.size_bytes
+        for candidate in IndexAdvisor(
+            snapshot, Workload.from_statements(texts),
+            session=WhatIfSession(snapshot),
+        ).candidates.basics()
+    )
+    budget = max(1, int(basics * fraction))
+
+    async def served():
+        async with AdvisorServer(database) as server:
+            return await server.recommend(texts, budget)
+
+    response = asyncio.run(asyncio.wait_for(served(), timeout=120))
+    assert response.ok, response.error
+    snapshot = SnapshotStore().snapshot(database)
+    fresh = IndexAdvisor(
+        snapshot, Workload.from_statements(texts),
+        session=WhatIfSession(snapshot),
+    ).recommend(budget, algorithm="ilp")
+    assert_same_advice(
+        parity_projection(response.value),
+        parity_projection(fresh.to_dict()),
+        f"{case} at {fraction} of the basics",
+    )
