@@ -235,15 +235,6 @@ def cmd_recommend(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.mode is not None:
-        if shards > 1 or replicas > 1 or args.divergent:
-            print(
-                "error: --mode portfolio search runs on a plain database; "
-                "drop --shards/--replicas/--divergent",
-                file=sys.stderr,
-            )
-            return 2
-        return _recommend_portfolio(args, db, workload)
     if shards > 1 or replicas > 1 or args.divergent:
         return _recommend_cluster(args, db, workload, shards, replicas)
     advisor = IndexAdvisor(db, workload, compress=args.compress)
@@ -263,52 +254,6 @@ def cmd_recommend(args: argparse.Namespace) -> int:
             print(recommendation.stats_report())
     if args.create:
         names = advisor.create_indexes(recommendation)
-        save_database(db, args.dbdir)
-        if not args.json:
-            print(f"\ncreated {len(names)} indexes and saved the database")
-    return 0
-
-
-def _recommend_portfolio(
-    args: argparse.Namespace, db: Database, workload: Workload
-) -> int:
-    """The ``recommend --mode`` path: race several strategies under one
-    deadline (docs/serving.md) and report the winner with per-strategy
-    telemetry."""
-    import json
-
-    from repro.serve.portfolio import DEFAULT_STRATEGIES, run_portfolio
-
-    strategies = (
-        tuple(s for s in args.strategies.split(",") if s)
-        if args.strategies
-        else DEFAULT_STRATEGIES
-    )
-    recommendation = run_portfolio(
-        db,
-        workload,
-        args.budget,
-        mode=args.mode,
-        strategies=strategies,
-        deadline_seconds=args.deadline,
-        optimizer_call_budget=args.call_budget,
-        seed=args.portfolio_seed,
-    )
-    if args.json:
-        print(json.dumps(recommendation.to_dict(), indent=2))
-    else:
-        print(recommendation.report())
-        if args.stats:
-            print()
-            print(recommendation.stats_report())
-    if args.create:
-        names = []
-        for candidate in recommendation.configuration:
-            definition = candidate.definition(
-                db.catalog.fresh_name("xmlidx"), virtual=False
-            )
-            db.create_index(definition)
-            names.append(definition.name)
         save_database(db, args.dbdir)
         if not args.json:
             print(f"\ncreated {len(names)} indexes and saved the database")
@@ -502,7 +447,7 @@ def _latency_percentile(values, fraction: float) -> float:
 def cmd_server(args: argparse.Namespace) -> int:
     """Drive a workload file through the concurrent serving front end
     (docs/serving.md): queries and DML run as concurrent requests,
-    every ``--recommend-every``-th request is a portfolio recommend."""
+    every ``--recommend-every``-th request is a recommend."""
     import asyncio
     import json
 
@@ -558,9 +503,7 @@ def cmd_server(args: argparse.Namespace) -> int:
             search_call_quota=args.quota,
             deadline_seconds=args.deadline,
         ),
-        mode=args.mode,
         deadline_seconds=args.deadline,
-        seed=args.seed,
     )
 
     async def run():
@@ -842,23 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="tune each replica on its own similarity-partitioned "
              "workload slice instead of one uniform configuration",
     )
-    p.add_argument(
-        "--mode", default=None,
-        choices=("retry", "tournament", "evolutionary"),
-        help="portfolio search: run several strategies on one what-if "
-             "pass under one deadline (retry: first untruncated success; "
-             "tournament: best benefit wins; evolutionary: tournament "
-             "generations with seeded-perturbed variants)",
-    )
-    p.add_argument(
-        "--strategies", default=None, metavar="A,B,...",
-        help="comma-separated portfolio strategies "
-             "(default greedy,greedy_heuristics,ilp)",
-    )
-    p.add_argument(
-        "--portfolio-seed", type=int, default=0, metavar="N",
-        help="seed of the evolutionary mode's perturbed variants",
-    )
     p.set_defaults(func=cmd_recommend)
 
     p = sub.add_parser(
@@ -942,7 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Drive a workload file through the concurrent serving front "
             "end: lock-free epoch-gated reads, per-collection serialized "
-            "writers, and portfolio recommends raced under a deadline "
+            "writers, and ILP recommends bounded by a deadline "
             "(docs/serving.md)."
         ),
     )
@@ -962,13 +888,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--recommend-every", type=int, default=0, metavar="K",
-        help="inject a portfolio recommend after every K requests "
+        help="inject a recommend after every K requests "
              "(0 = never)",
-    )
-    p.add_argument(
-        "--mode", default="tournament",
-        choices=("retry", "tournament", "evolutionary"),
-        help="portfolio mode of the interleaved recommends",
     )
     p.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
@@ -984,7 +905,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="round-robin requests across these tenant names "
              "(default: one 'default' tenant)",
     )
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--json", action="store_true",
         help="emit the serving summary as JSON",

@@ -78,10 +78,9 @@ class Recommendation:
     #: reconciliation pass's full-workload re-score of the winning
     #: configuration); empty when the advisor tuned uncompressed.
     compression_stats: Dict = field(default_factory=dict)
-    #: Per-strategy telemetry of a serving-layer portfolio run (mode,
-    #: winner, and one record per strategy variant: benefit, size,
-    #: optimizer calls, elapsed, truncation/error); empty when the
-    #: recommendation came from a single direct search.
+    #: ``{"optimizer_calls_total": ...}`` of a served recommend (every
+    #: optimizer call its attempts made -- what admission charges);
+    #: empty when the recommendation came from a direct search.
     portfolio_stats: Dict = field(default_factory=dict)
 
     @property
@@ -269,31 +268,6 @@ class Recommendation:
                 ):
                     lines.append(
                         f"  replica {label:<9}: {count} statements routed"
-                    )
-        portfolio = self.portfolio_stats
-        if portfolio:
-            lines.append(
-                f"  portfolio         : {portfolio.get('mode', '?')} mode, "
-                f"winner {portfolio.get('winner', '?')} "
-                f"({portfolio.get('strategies_failed', 0)} of "
-                f"{len(portfolio.get('strategies', []))} strategies failed)"
-            )
-            for strategy in portfolio.get("strategies", []):
-                label = strategy.get("label", "?")
-                if strategy.get("error"):
-                    lines.append(
-                        f"  strategy {label:<9}: failed "
-                        f"({strategy['error']})"
-                    )
-                else:
-                    lines.append(
-                        f"  strategy {label:<9}: benefit "
-                        f"{strategy.get('benefit', 0.0):.2f}, "
-                        f"{strategy.get('size_bytes', 0)} bytes, "
-                        f"{strategy.get('optimizer_calls', 0)} calls, "
-                        f"{strategy.get('elapsed_seconds', 0.0) * 1000:.0f} ms"
-                        + (" [truncated]" if strategy.get("truncated") else "")
-                        + (" [winner]" if strategy.get("winner") else "")
                     )
         return "\n".join(lines)
 

@@ -76,14 +76,6 @@ class ConfigurationEvaluator:
         self._standalone_cache: Dict[CandidateKey, float] = {}
         self._maintenance_cache: Dict[CandidateKey, float] = {}
         self._affected_cache: Dict[CandidateKey, FrozenSet[int]] = {}
-        #: How many fallback estimates this evaluator's costs read: one
-        #: per degraded session result (fresh or cached) and one per
-        #: cached benefit derived from one.  Searches sharing the
-        #: evaluator diff it to learn whether *they* used a fallback.
-        self.fallback_reads = 0
-        #: Keys of sub-configuration and standalone entries derived from
-        #: a fallback estimate.
-        self._degraded: set = set()
         #: Ranked positive candidates per candidate set (searchers share
         #: the scan/sort across repeated searches on one evaluator).
         self._ranked_cache: "weakref.WeakKeyDictionary" = (
@@ -136,7 +128,6 @@ class ConfigurationEvaluator:
         self._standalone_cache.clear()
         self._maintenance_cache.clear()
         self._ranked_cache.clear()
-        self._degraded.clear()
         # affected sets depend only on statement patterns, which do not
         # change with data -- but keep the contract simple and safe.
         self._affected_cache.clear()
@@ -157,9 +148,8 @@ class ConfigurationEvaluator:
 
     def costs(self, tasks, use_cache: bool = True) -> List[float]:
         """Costs of (statement, definitions) pairs through the session's
-        batch entry point, counting the fallback estimates among them."""
+        batch entry point."""
         results = self.session.evaluate_batch(tasks, use_cache)
-        self.fallback_reads += sum(1 for result in results if result.degraded)
         return [result.estimated_cost for result in results]
 
     # ------------------------------------------------------------------
@@ -192,14 +182,10 @@ class ConfigurationEvaluator:
         plain greedy, top down lite, and dynamic programming)."""
         self._refresh()
         key = candidate.key
-        if key in self._standalone_cache:
-            self._served(key)
-        else:
-            reads = self.fallback_reads
+        if key not in self._standalone_cache:
             self._standalone_cache[key] = self.benefit(
                 IndexConfiguration([candidate])
             )
-            self._settle(key, reads)
         return self._standalone_cache[key]
 
     def ranked_positive_candidates(self, candidates) -> List[CandidateIndex]:
@@ -305,25 +291,9 @@ class ConfigurationEvaluator:
             affected = sorted(
                 set().union(*(self.affected_set(c) for c in group))
             )
-            reads = self.fallback_reads
             cached = self._evaluate_group(group, affected)
             self._subconfig_cache[key] = cached
-            self._settle(key, reads)
-        else:
-            self._served(key)
         return cached
-
-    def _served(self, key) -> None:
-        """A cached entry was read: count a fallback read when it was
-        derived from a fallback estimate."""
-        if self._degraded and key in self._degraded:
-            self.fallback_reads += 1
-
-    def _settle(self, key, reads: int) -> None:
-        """A cached entry was computed: mark it degraded when computing
-        it read a fallback estimate (the count moved past ``reads``)."""
-        if self.fallback_reads != reads:
-            self._degraded.add(key)
 
     # ------------------------------------------------------------------
     # Delta evaluation (the search hot path)

@@ -590,13 +590,3 @@ ALGORITHMS: Dict[str, Callable] = {
     "exhaustive": exhaustive_search,
     "ilp": _ilp_search,
 }
-
-#: Strategies the serving layer's portfolio modes may race against one
-#: deadline (docs/serving.md).  All are anytime (deadline-safe) and score
-#: benefits with the same full-workload evaluator, so their results are
-#: directly comparable and the portfolio can return the max.
-PORTFOLIO_ALGORITHMS: Tuple[str, ...] = (
-    "greedy",
-    "greedy_heuristics",
-    "ilp",
-)

@@ -110,9 +110,8 @@ class SearchBudget:
 
     def remaining_seconds(self) -> Optional[float]:
         """Wall-clock left on the deadline (``None`` when unbounded,
-        floored at 0).  The serving layer's portfolio mode uses this to
-        hand later sequential attempts only what is left of the request
-        deadline."""
+        floored at 0).  The served recommend uses this to hand its
+        fallback attempt only what is left of the request deadline."""
         if self.deadline_seconds is None:
             return None
         return max(

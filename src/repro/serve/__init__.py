@@ -13,19 +13,14 @@ into a service (ROADMAP north-star, AIM-style supervised multi-tenancy):
   ``SearchBudget`` admission control with typed rejection
   (:class:`~repro.robustness.errors.AdmissionRejected`) when the budget
   pool is exhausted.
-* :func:`~repro.serve.portfolio.run_portfolio` -- CoPhy-style portfolio
-  search: multiple strategies raced under one deadline
-  (``retry`` / ``tournament`` / ``evolutionary`` modes), best result
-  wins, per-strategy telemetry in ``Recommendation.to_dict()``.
+* :func:`~repro.serve.portfolio.run_portfolio` -- the served
+  recommend: one ILP search on the request's snapshot, with one
+  ``greedy_heuristics`` attempt behind it when the ILP attempt fails.
 
 See docs/serving.md for the endpoint contracts and epoch-gate semantics.
 """
 
-from repro.serve.portfolio import (
-    DEFAULT_STRATEGIES,
-    PORTFOLIO_MODES,
-    run_portfolio,
-)
+from repro.serve.portfolio import run_portfolio
 from repro.serve.requests import Response
 from repro.serve.scheduler import SeededScheduler
 from repro.serve.server import AdvisorServer
@@ -38,6 +33,4 @@ __all__ = [
     "Response",
     "SeededScheduler",
     "run_portfolio",
-    "PORTFOLIO_MODES",
-    "DEFAULT_STRATEGIES",
 ]

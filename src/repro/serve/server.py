@@ -24,7 +24,7 @@ Concurrency model (docs/serving.md):
   over the store's shared, read-only cloned collections, so a request
   at unchanged epochs copies nothing, one after a write re-clones the
   written collection's lists (never pickles it) and a multi-second
-  portfolio search never races live DML (reproducible at its epoch
+  recommend search never races live DML (reproducible at its epoch
   token).  storage/snapshots.py states the sharing contract.
 
 Engine steps run inline on the event loop, atomic between cooperative
@@ -58,7 +58,7 @@ from repro.robustness.errors import (
     FatalAdvisorError,
 )
 from repro.robustness.faults import maybe_inject
-from repro.serve.portfolio import DEFAULT_STRATEGIES, run_portfolio
+from repro.serve.portfolio import run_portfolio
 from repro.serve.requests import (
     DmlValue,
     JournalEntry,
@@ -89,10 +89,6 @@ def normalized_recommendation(recommendation) -> Dict:
     data = recommendation.to_dict()
     data.pop("elapsed_seconds", None)
     data.get("session", {}).pop("phase_seconds", None)
-    portfolio = data.get("portfolio")
-    if portfolio:
-        for strategy in portfolio.get("strategies", []):
-            strategy.pop("elapsed_seconds", None)
     return data
 
 
@@ -122,11 +118,8 @@ class AdvisorServer:
         *,
         tenants: Optional[Dict[str, TenantPolicy]] = None,
         default_policy: TenantPolicy = TenantPolicy(),
-        mode: str = "tournament",
-        strategies: Sequence[str] = DEFAULT_STRATEGIES,
         deadline_seconds: Optional[float] = None,
         scheduler: Optional[Callable] = None,
-        seed: int = 0,
     ) -> None:
         self.database = resolve_database(database)
         self.gate = EpochGate(self.database)
@@ -134,11 +127,8 @@ class AdvisorServer:
         #: read-only snapshots over its shared cloned collections.
         self.snapshots = SnapshotStore()
         self.admission = AdmissionController(tenants, default_policy)
-        self.mode = mode
-        self.strategies = tuple(strategies)
         self.deadline_seconds = deadline_seconds
         self.scheduler = scheduler
-        self.seed = seed
         self._reset_statements()
         self._writer_locks: Dict[str, asyncio.Lock] = {}
         self._seq = 0
@@ -414,19 +404,15 @@ class AdvisorServer:
         statements: Sequence[str],
         budget_bytes: int,
         tenant: str = "default",
-        mode: Optional[str] = None,
-        strategies: Optional[Sequence[str]] = None,
         deadline_seconds: Optional[float] = None,
-        seed: Optional[int] = None,
     ) -> Response:
-        """Portfolio-search an index configuration on an epoch
-        snapshot; per-strategy telemetry rides the response value."""
+        """Search an index configuration on an epoch snapshot with one
+        ILP search (serve/portfolio.py)."""
         return await self._handle(
             "recommend",
             tenant,
             lambda: self._do_recommend(
-                statements, budget_bytes, tenant, mode, strategies,
-                deadline_seconds, seed,
+                statements, budget_bytes, tenant, deadline_seconds
             ),
         )
 
@@ -552,8 +538,7 @@ class AdvisorServer:
         return self._shared(key, value), token, retries, watermark
 
     async def _do_recommend(
-        self, statements, budget_bytes, tenant, mode, strategies,
-        deadline_seconds, seed,
+        self, statements, budget_bytes, tenant, deadline_seconds
     ):
         workload = Workload.from_statements(
             [self._parse(text) for text in statements]
@@ -577,15 +562,12 @@ class AdvisorServer:
             snapshot,
             workload,
             budget_bytes,
-            mode=mode or self.mode,
-            strategies=tuple(strategies or self.strategies),
             deadline_seconds=deadline,
             optimizer_call_budget=call_quota,
-            seed=self.seed if seed is None else seed,
         )
         self.admission.charge_calls(
             tenant,
-            recommendation.portfolio_stats.get("optimizer_calls_total", 0),
+            recommendation.portfolio_stats["optimizer_calls_total"],
         )
         value = self._shared(
             ("recommend", tuple(statements), budget_bytes),
@@ -617,10 +599,7 @@ class AdvisorServer:
                 request["statements"],
                 request["budget_bytes"],
                 tenant=tenant,
-                mode=request.get("mode"),
-                strategies=request.get("strategies"),
                 deadline_seconds=request.get("deadline_seconds"),
-                seed=request.get("seed"),
             )
         return self._error(
             str(kind), tenant, ValueError(f"unknown request kind {kind!r}"),

@@ -54,9 +54,8 @@ What is copied, what is shared, and who may write, stated once:
 * The **shell** -- catalog, modification/epoch counters, rescan
   counters, the ``collections`` / ``indexes`` / ``_statistics`` dicts
   and one :class:`~repro.storage.index.PathIndex` wrapper per built
-  index -- is private to each snapshot.  ``catalog.fresh_name``, the
-  ``_name_counter`` save/restore of the portfolio, virtual-index DDL in
-  the catalog and ``runstats`` on a collection without statistics all
+  index -- is private to each snapshot.  ``catalog.fresh_name``,
+  virtual-index DDL in the catalog and ``runstats`` on a collection without statistics all
   stay inside the snapshot that did them.
 * The **parts** -- a ``Collection`` with its own ``documents`` list, an
   own entry list per built index, and an own ``DataStatistics`` (every

@@ -1,20 +1,19 @@
-"""The portfolio's one what-if pass: every lane searches on one shared
-advisor, and that must change nothing but timing and call counters.
+"""The served recommend is one ILP search on the request's snapshot.
 
-* **differential** -- each lane's (configuration, ``repr(benefit)``,
-  size, DDL) equals what a fresh advisor on a fresh snapshot returns for
-  the same strategy, budget and knobs, over TPoX, XMark and mixed
-  workloads in every mode at two budgets;
-* **deadline** -- lanes share what is left of the portfolio's deadline
-  fairly, leftovers roll forward, and a portfolio whose deadline ran
-  out still reports every lane, truncated ones flagged;
-* **chaos** -- ``optimizer.evaluate`` faults never escape a tournament,
-  and a lane is flagged ``degraded`` exactly when it read a fallback
-  estimate (the shared session makes one lane's fallback readable by
-  the next).
+* **parity** -- a served recommend equals a fresh
+  ``IndexAdvisor.recommend(algorithm="ilp")`` on the same database:
+  configuration, DDL, benefit, size, optimizer calls and the ``ilp``
+  block, over TPoX, XMark and mixed databases at three budgets;
+* **deadline** -- a recommend whose deadline ran out still answers,
+  truncated and within budget;
+* **attempts** -- a failed ``ilp`` attempt is followed by exactly one
+  ``greedy_heuristics`` attempt with what is left of the deadline and
+  the same call budget; both failing is one typed error;
+* **chaos** -- ``optimizer.evaluate`` faults never escape a recommend,
+  and it is flagged ``degraded`` exactly when it read a fallback
+  estimate.
 """
 
-import re
 import time
 
 import pytest
@@ -25,11 +24,12 @@ import repro.serve.portfolio as portfolio_module
 from repro.core.advisor import IndexAdvisor
 from repro.optimizer.session import WhatIfSession
 from repro.query.workload import Workload
+from repro.robustness.errors import ConfigError, FatalAdvisorError
 from repro.robustness.faults import FaultInjector, FaultRule, injected
 from repro.serve import run_portfolio
 from repro.storage.snapshots import SnapshotStore
-from repro.workloads import tpox, xmark
-from repro.xmlmodel.serializer import serialize
+from repro.workloads import tpox
+
 
 def tpox_case():
     database = tpox.build_database(
@@ -40,129 +40,16 @@ def tpox_case():
     )
 
 
-def xmark_case():
-    database = xmark.build_database(
-        num_items=20, num_persons=20, num_auctions=20, seed=3
-    )
-    return database, xmark.xmark_workload(seed=3)
-
-
-def mixed_case():
+def test_an_expired_recommend_answers_truncated_within_budget():
     database, workload = tpox_case()
-    for name, collection in xmark_case()[0].collections.items():
-        database.create_collection(name)
-        for document in collection:
-            database.insert_document(name, serialize(document.root))
-    return database, Workload(
-        list(workload.entries) + list(xmark.xmark_workload(seed=3).entries)
-    )
-
-
-CASES = {"tpox": tpox_case, "xmark": xmark_case, "mixed": mixed_case}
-
-
-def capture_lanes(monkeypatch):
-    """Record every lane's ``recommend`` call and result."""
-    lanes = []
-    original = IndexAdvisor.recommend
-
-    def recording(self, budget_bytes, **knobs):
-        recommendation = original(self, budget_bytes, **knobs)
-        lanes.append((budget_bytes, knobs, recommendation))
-        return recommendation
-
-    monkeypatch.setattr(IndexAdvisor, "recommend", recording)
-    return lanes, original
-
-
-def summary(recommendation):
-    return (
-        [candidate.key for candidate in recommendation.configuration],
-        repr(recommendation.search.benefit),
-        recommendation.search.size_bytes,
-        [re.sub(r"xmlidx_\d+", "NAME", ddl) for ddl in recommendation.ddl],
-    )
-
-
-@pytest.mark.parametrize("budget_fraction", [0.2, 1.0])
-@pytest.mark.parametrize("mode", ["retry", "tournament", "evolutionary"])
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_each_lane_equals_a_fresh_advisor(
-    case, mode, budget_fraction, monkeypatch, fault_free
-):
-    # Fault-free: a process-wide random schedule would draw different
-    # faults for a lane and its fresh twin, so a fallback estimate in
-    # one of them is no divergence of the shared advisor.
-    database, workload = CASES[case]()
-    total = sum(
-        c.size_bytes
-        for c in IndexAdvisor(
-            database, workload, session=WhatIfSession(database)
-        ).all_index_configuration()
-    )
-    budget = max(1, int(total * budget_fraction))
-    lanes, original = capture_lanes(monkeypatch)
-    winner = run_portfolio(
-        SnapshotStore().snapshot(database), workload, budget,
-        mode=mode, seed=5,
-    )
-    assert len(lanes) == len(winner.portfolio_stats["strategies"])
-    for lane_budget, knobs, shared in lanes:
-        fresh_database = CASES[case]()[0]
-        snapshot = SnapshotStore().snapshot(fresh_database)
-        fresh = original(
-            IndexAdvisor(
-                snapshot,
-                Workload(list(workload.entries)),
-                session=WhatIfSession(snapshot),
-            ),
-            lane_budget,
-            **knobs,
-        )
-        assert summary(shared) == summary(fresh), knobs["algorithm"]
-        if shared is winner:
-            assert winner.ddl == fresh.ddl
-
-
-def test_lanes_get_a_fair_share_and_leftovers_roll_forward(monkeypatch):
-    given_deadlines = []
-
-    def instant_lane(advisor, spec, budget_bytes, deadline, calls, degraded):
-        given_deadlines.append(deadline)
-        return portfolio_module.VariantOutcome(spec, error="skipped")
-
-    monkeypatch.setattr(portfolio_module, "_run_variant", instant_lane)
-    database, workload = tpox_case()
-    with pytest.raises(Exception, match="every portfolio strategy failed"):
-        run_portfolio(
-            database, workload, 50_000, mode="evolutionary",
-            deadline_seconds=60.0, generations=2,
-        )
-    # 3 base + 3 perturbed lanes; each returned at once, so lane i got
-    # what was left over the lanes still to run
-    assert len(given_deadlines) == 6
-    for index, deadline in enumerate(given_deadlines):
-        assert deadline == pytest.approx(60.0 / (6 - index), rel=0.02)
-
-
-def test_expired_tournament_reports_every_lane_truncated():
-    database, workload = tpox_case()
-    deadline = 1e-6  # spent before the shared phase finishes
+    deadline = 1e-6  # spent before candidate enumeration finishes
     started = time.perf_counter()
-    winner = run_portfolio(
-        database, workload, 50_000, mode="tournament",
-        deadline_seconds=deadline,
+    recommendation = run_portfolio(
+        database, workload, 50_000, deadline_seconds=deadline
     )
-    elapsed = time.perf_counter() - started
-    assert elapsed < deadline + 2.0
-    strategies = winner.portfolio_stats["strategies"]
-    assert [s["algorithm"] for s in strategies] == [
-        "greedy", "greedy_heuristics", "ilp"
-    ]
-    # every lane that was not faulted (serve.portfolio chaos) truncated
-    assert all(s["truncated"] for s in strategies if "error" not in s)
-    assert winner.truncated
-    assert winner.search.size_bytes <= 50_000
+    assert time.perf_counter() - started < deadline + 2.0
+    assert recommendation.truncated
+    assert recommendation.search.size_bytes <= 50_000
 
 
 def test_portfolio_rejects_a_non_positive_budget():
@@ -173,72 +60,112 @@ def test_portfolio_rejects_a_non_positive_budget():
 
 
 # ---------------------------------------------------------------------------
-# Chaos: which lanes read a fallback estimate
+# The attempt ladder: ilp, then one greedy_heuristics attempt
 # ---------------------------------------------------------------------------
 
-def watch_lanes(monkeypatch):
-    """Per lane: (algorithm, fallback estimates the session had made
-    before the lane, after it)."""
-    seen = []
+def record_attempts(monkeypatch, fail=lambda algorithm: None, pause=0.0):
+    """Record each attempt's algorithm, deadline and call budget; an
+    attempt for which ``fail(algorithm)`` returns an exception raises
+    it after ``pause`` seconds."""
+    attempts = []
     original = IndexAdvisor.recommend
 
-    def watching(self, budget_bytes, **knobs):
-        before = self.session.counters.degraded_estimates
-        try:
-            return original(self, budget_bytes, **knobs)
-        finally:
-            seen.append(
-                (
-                    knobs["algorithm"],
-                    before,
-                    self.session.counters.degraded_estimates,
-                )
-            )
+    def recording(self, budget_bytes, algorithm, **knobs):
+        attempts.append((algorithm, knobs))
+        error = fail(algorithm)
+        if error is not None:
+            time.sleep(pause)
+            raise error
+        return original(self, budget_bytes, algorithm=algorithm, **knobs)
 
-    monkeypatch.setattr(IndexAdvisor, "recommend", watching)
-    return seen
+    monkeypatch.setattr(IndexAdvisor, "recommend", recording)
+    return attempts
 
 
-def lane_flags(winner):
-    return [s["degraded"] for s in winner.portfolio_stats["strategies"]]
-
-
-def test_a_fault_free_tournament_degrades_no_lane(fault_free):
+@pytest.mark.parametrize("deadline", [None, 60.0, 0.01])
+def test_the_fallback_gets_what_is_left_and_the_same_call_budget(
+    deadline, monkeypatch, fault_free
+):
+    attempts = record_attempts(
+        monkeypatch,
+        fail=lambda a: FatalAdvisorError("boom") if a == "ilp" else None,
+        pause=0.02,
+    )
     database, workload = tpox_case()
-    winner = run_portfolio(database, workload, 50_000)
-    assert lane_flags(winner) == [False, False, False]
+    recommendation = run_portfolio(
+        database, workload, 50_000,
+        deadline_seconds=deadline, optimizer_call_budget=400,
+    )
+    assert [a for a, _ in attempts] == ["ilp", "greedy_heuristics"]
+    (_, first), (_, second) = attempts
+    assert first["optimizer_call_budget"] == 400
+    assert second["optimizer_call_budget"] == 400
+    if deadline is None:
+        assert first["deadline_seconds"] is None
+        assert second["deadline_seconds"] is None
+    elif deadline > 1.0:
+        assert first["deadline_seconds"] <= deadline
+        assert second["deadline_seconds"] < first["deadline_seconds"] - 0.01
+    else:
+        # spent while the ilp attempt failed: floored, not zero
+        assert second["deadline_seconds"] == portfolio_module._EXPIRED_SECONDS
+        assert recommendation.truncated
+    assert recommendation.search.algorithm == "greedy_heuristics"
+    assert any(
+        "ilp attempt failed (FatalAdvisorError: boom)" in line
+        for line in recommendation.diagnostics
+    )
 
 
-def test_a_shared_phase_fallback_degrades_every_lane():
-    """Every attempt of the first evaluation -- a base cost, computed in
-    the shared phase -- fails: every lane starts from that estimate."""
+def test_a_successful_ilp_attempt_is_the_only_attempt(
+    monkeypatch, fault_free
+):
+    attempts = record_attempts(monkeypatch)
+    database, workload = tpox_case()
+    recommendation = run_portfolio(database, workload, 50_000)
+    assert [a for a, _ in attempts] == ["ilp"]
+    assert not any("attempt failed" in d for d in recommendation.diagnostics)
+
+
+@pytest.mark.parametrize(
+    "errors, raised",
+    [
+        ((FatalAdvisorError("a"), FatalAdvisorError("b")), FatalAdvisorError),
+        ((RuntimeError("a"), ConfigError("b")), ConfigError),
+        ((ConfigError("a"), RuntimeError("b")), ConfigError),
+    ],
+)
+def test_both_attempts_failing_raise_one_typed_error(
+    errors, raised, monkeypatch, fault_free
+):
+    by_algorithm = dict(zip(("ilp", "greedy_heuristics"), errors))
+    record_attempts(monkeypatch, fail=by_algorithm.get)
+    database, workload = tpox_case()
+    with pytest.raises(raised) as excinfo:
+        run_portfolio(database, workload, 50_000)
+    assert "ilp: a" in str(excinfo.value)
+    assert "greedy_heuristics: b" in str(excinfo.value)
+
+
+# ---------------------------------------------------------------------------
+# Chaos: whether the recommend read a fallback estimate
+# ---------------------------------------------------------------------------
+
+def test_a_fault_free_recommend_is_not_degraded(fault_free):
+    database, workload = tpox_case()
+    recommendation = run_portfolio(database, workload, 50_000)
+    assert recommendation.to_dict()["degraded"] is False
+
+
+def test_a_recommend_that_read_a_fallback_is_degraded():
+    """Every attempt of the first evaluation -- a base cost -- fails:
+    the search starts from that fallback estimate."""
     database, workload = tpox_case()
     rules = [FaultRule(site="optimizer.evaluate", at={0, 1, 2})]
     with injected(FaultInjector(rules, seed=1)):
-        winner = run_portfolio(database, workload, 50_000)
-    assert winner.session_stats["degraded_estimates"] == 1
-    assert lane_flags(winner) == [True, True, True]
-
-
-def test_a_fallback_in_the_last_lane_degrades_only_that_lane(
-    monkeypatch, fault_free
-):
-    # The lanes before ilp must run fault-free whatever the environment's
-    # schedule, or they may read a fallback of their own.
-    injector = FaultInjector([FaultRule(site="optimizer.evaluate")], seed=1)
-    original = IndexAdvisor.recommend
-
-    def faulting_ilp(self, budget_bytes, **knobs):
-        if knobs["algorithm"] != "ilp":
-            return original(self, budget_bytes, **knobs)
-        with injected(injector):
-            return original(self, budget_bytes, **knobs)
-
-    monkeypatch.setattr(IndexAdvisor, "recommend", faulting_ilp)
-    database, workload = tpox_case()
-    winner = run_portfolio(database, workload, 50_000)
-    assert injector.calls["optimizer.evaluate"] > 0  # ilp costed afresh
-    assert lane_flags(winner) == [False, False, True]
+        recommendation = run_portfolio(database, workload, 50_000)
+    assert recommendation.session_stats["degraded_estimates"] == 1
+    assert recommendation.to_dict()["degraded"] is True
 
 
 @settings(max_examples=8, deadline=None)
@@ -246,22 +173,15 @@ def test_a_fallback_in_the_last_lane_degrades_only_that_lane(
     rate=st.floats(min_value=0.0, max_value=0.9),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_evaluate_faults_never_escape_a_tournament(rate, seed):
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        seen = watch_lanes(monkeypatch)
-        database, workload = tpox_case()
-        rules = [FaultRule(site="optimizer.evaluate", rate=rate)]
-        with injected(FaultInjector(rules, seed=seed)):
-            winner = run_portfolio(database, workload, 50_000)
-    shared = seen[0][1]
-    for (algorithm, before, after), degraded in zip(seen, lane_flags(winner)):
-        if shared or after > before:
-            assert degraded, algorithm  # made or started from a fallback
-        if after == 0:
-            assert not degraded, algorithm  # no fallback existed yet
-    assert winner.degraded == lane_flags(winner)[
-        [s["winner"] for s in winner.portfolio_stats["strategies"]].index(True)
-    ]
+def test_evaluate_faults_never_escape_a_recommend(rate, seed):
+    database, workload = tpox_case()
+    rules = [FaultRule(site="optimizer.evaluate", rate=rate)]
+    with injected(FaultInjector(rules, seed=seed)):
+        recommendation = run_portfolio(database, workload, 50_000)
+    assert recommendation.degraded == (
+        recommendation.session_stats["degraded_estimates"] > 0
+    )
+    assert recommendation.search.size_bytes <= 50_000
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +189,10 @@ def test_evaluate_faults_never_escape_a_tournament(rate, seed):
 # ---------------------------------------------------------------------------
 
 #: What a served recommend must share with a fresh ILP advisor.
-PARITY_KEYS = ("indexes", "benefit", "size_bytes", "budget_bytes", "degraded")
+PARITY_KEYS = (
+    "algorithm", "budget_bytes", "degraded", "indexes", "ddl", "benefit",
+    "size_bytes", "optimizer_calls", "ilp",
+)
 
 PARITY_STATEMENTS = 30
 
@@ -301,19 +224,14 @@ def pool_sample(database, seed):
 
 
 def parity_projection(data):
-    projection = {key: data[key] for key in PARITY_KEYS}
-    # the tournament's winner may be a lane that tied with ilp and
-    # picked the same indexes in another order
-    projection["indexes"] = sorted(
-        projection["indexes"], key=lambda index: sorted(index.items())
-    )
-    return projection
+    return {key: data[key] for key in PARITY_KEYS}
 
 
+@pytest.mark.parametrize("seed", [11, 1229, 7])
 @pytest.mark.parametrize("fraction", [0.1, 0.3, 0.6])
 @pytest.mark.parametrize("case", ["tpox_db", "xmark_db", "mixed_db"])
 def test_served_recommend_equals_a_fresh_ilp_advisor(
-    case, fraction, request, fault_free
+    case, fraction, seed, request, fault_free
 ):
     import asyncio
 
@@ -321,7 +239,7 @@ def test_served_recommend_equals_a_fresh_ilp_advisor(
     from tests.fault_projection import assert_same_advice
 
     database = request.getfixturevalue(case)
-    texts = pool_sample(database, seed=11)
+    texts = pool_sample(database, seed)
     snapshot = SnapshotStore().snapshot(database)
     basics = sum(
         candidate.size_bytes
@@ -346,5 +264,5 @@ def test_served_recommend_equals_a_fresh_ilp_advisor(
     assert_same_advice(
         parity_projection(response.value),
         parity_projection(fresh.to_dict()),
-        f"{case} at {fraction} of the basics",
+        f"{case} at {fraction} of the basics, seed {seed}",
     )

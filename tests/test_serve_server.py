@@ -1,6 +1,7 @@
 """Unit tests of the serving front end: the epoch gate, tenant
-admission, typed responses, the portfolio modes, and typed configuration
-errors (a ``config`` response / CLI exit 2, never a bare traceback)."""
+admission, typed responses, the served recommend, and typed
+configuration errors (a ``config`` response / CLI exit 2, never a bare
+traceback)."""
 
 import asyncio
 import json
@@ -15,7 +16,6 @@ from repro.serve import (
     TenantPolicy,
     run_portfolio,
 )
-from repro.serve.portfolio import perturbed_specs
 from repro.serve.requests import Response
 from repro.serve.server import normalized_recommendation, serial_order
 from repro.storage.database import EpochGate
@@ -303,21 +303,23 @@ class TestEndpoints:
         assert response.value["total_benefit"] >= 0.0
         assert len(response.value["impacts"]) == len(QUERY_TEXTS)
 
-    def test_recommend_carries_portfolio_telemetry(self):
+    def test_recommend_is_an_ilp_search_with_its_call_total(
+        self, fault_free
+    ):
         db = small_database()
 
         async def scenario():
-            async with AdvisorServer(db, mode="tournament") as server:
+            async with AdvisorServer(db) as server:
                 return await server.recommend(QUERY_TEXTS, BUDGET)
 
         response = run(scenario())
         assert response.ok
-        portfolio = response.value["portfolio"]
-        assert portfolio["mode"] == "tournament"
-        assert {s["algorithm"] for s in portfolio["strategies"]} == {
-            "greedy", "greedy_heuristics", "ilp"
+        assert response.value["algorithm"] == "ilp"
+        assert response.value["portfolio"] == {
+            "optimizer_calls_total": response.value["session"][
+                "optimizer_calls"
+            ]
         }
-        assert any(s.get("winner") for s in portfolio["strategies"])
         # wall-clock fields are stripped from the comparable value
         assert "elapsed_seconds" not in response.value
         json.dumps(response.to_dict())
@@ -711,140 +713,29 @@ class TestStatementTable:
 
 
 # ---------------------------------------------------------------------------
-# Portfolio modes
-# ---------------------------------------------------------------------------
-
-class TestPortfolio:
-    def test_tournament_beats_every_standalone_strategy(self):
-        from repro.core.advisor import IndexAdvisor
-        from repro.optimizer.session import WhatIfSession
-
-        winner = run_portfolio(
-            small_database(),
-            Workload(SMALL_WORKLOAD.entries),
-            BUDGET,
-            mode="tournament",
-        )
-        for algorithm in ("greedy", "greedy_heuristics", "ilp"):
-            db = small_database()
-            standalone = IndexAdvisor(
-                db,
-                Workload(SMALL_WORKLOAD.entries),
-                session=WhatIfSession(db),
-            ).recommend(BUDGET, algorithm=algorithm)
-            assert (
-                winner.search.benefit
-                >= standalone.search.benefit - 1e-9
-            )
-        assert winner.search.size_bytes <= BUDGET
-        assert winner.portfolio_stats["winner"]
-
-    def test_retry_mode_stops_at_first_clean_success(self):
-        winner = run_portfolio(
-            small_database(),
-            Workload(SMALL_WORKLOAD.entries),
-            BUDGET,
-            mode="retry",
-        )
-        # the first untruncated success ended the ladder: fault-free that
-        # is greedy alone; only lanes a serve.portfolio fault took down
-        # ran before it
-        strategies = winner.portfolio_stats["strategies"]
-        assert [s["label"] for s in strategies] == [
-            "greedy", "greedy_heuristics", "ilp"
-        ][: len(strategies)]
-        assert all("error" in s for s in strategies[:-1])
-        assert not strategies[-1]["truncated"]
-
-    def test_evolutionary_population_is_seed_deterministic(self):
-        first = perturbed_specs(("greedy", "ilp"), seed=3, generation=1,
-                                population=4)
-        again = perturbed_specs(("greedy", "ilp"), seed=3, generation=1,
-                                population=4)
-        other = perturbed_specs(("greedy", "ilp"), seed=4, generation=1,
-                                population=4)
-        assert first == again
-        assert first != other
-        for spec in first:
-            assert 0.05 <= spec.beta <= 0.25
-            assert 0.85 <= spec.budget_fraction <= 1.0
-
-    def test_evolutionary_result_at_least_base_strategies(self):
-        winner = run_portfolio(
-            small_database(),
-            Workload(SMALL_WORKLOAD.entries),
-            BUDGET,
-            mode="evolutionary",
-            seed=11,
-            generations=2,
-        )
-        strategies = winner.portfolio_stats["strategies"]
-        base = [s for s in strategies if s["generation"] == 0]
-        assert len(base) == 3
-        assert all(
-            winner.search.benefit >= s["benefit"] - 1e-9
-            for s in strategies
-            if "benefit" in s
-        )
-        assert winner.search.size_bytes <= BUDGET
-
-    def test_rejects_unknown_mode_and_strategy(self):
-        workload = Workload(SMALL_WORKLOAD.entries)
-        with pytest.raises(ValueError, match="portfolio mode"):
-            run_portfolio(small_database(), workload, BUDGET, mode="best")
-        with pytest.raises(ValueError, match="strategy"):
-            run_portfolio(
-                small_database(), workload, BUDGET,
-                strategies=("greedy", "quantum"),
-            )
-
-    def test_ddl_matches_a_standalone_run(self):
-        """Concurrent lanes must not leak racy catalog names into the
-        winner's DDL: it is re-derived as if its search ran alone."""
-        from repro.core.advisor import IndexAdvisor
-        from repro.optimizer.session import WhatIfSession
-
-        winner = run_portfolio(
-            small_database(),
-            Workload(SMALL_WORKLOAD.entries),
-            BUDGET,
-            mode="tournament",
-        )
-        algorithm = winner.search.algorithm
-        db = small_database()
-        standalone = IndexAdvisor(
-            db,
-            Workload(SMALL_WORKLOAD.entries),
-            session=WhatIfSession(db),
-        ).recommend(BUDGET, algorithm=algorithm)
-        assert winner.ddl == standalone.ddl
-
-
-# ---------------------------------------------------------------------------
 # The ConfigError bugfix (satellite): junk env inside a request task
 # ---------------------------------------------------------------------------
 
 class TestConfigErrorPropagation:
-    def test_portfolio_raises_config_error_when_all_lanes_hit_it(
-        self, monkeypatch
+    def test_portfolio_raises_config_error_when_both_attempts_hit_it(
+        self, monkeypatch, fault_free
     ):
-        import repro.serve.portfolio as portfolio_module
+        from repro.core.advisor import IndexAdvisor
 
-        def doomed_lane(advisor, spec, *args, **kwargs):
-            return portfolio_module.VariantOutcome(
-                spec,
-                error="invalid REPRO_DEADLINE value 'lots'",
-                error_type="ConfigError",
-            )
+        attempts = []
 
-        monkeypatch.setattr(portfolio_module, "_run_variant", doomed_lane)
-        with pytest.raises(ConfigError):
+        def doomed(self, budget_bytes, algorithm, **knobs):
+            attempts.append(algorithm)
+            raise ConfigError("invalid REPRO_DEADLINE value 'lots'")
+
+        monkeypatch.setattr(IndexAdvisor, "recommend", doomed)
+        with pytest.raises(ConfigError, match="lots"):
             run_portfolio(
                 small_database(),
                 Workload(SMALL_WORKLOAD.entries),
                 BUDGET,
-                mode="retry",
             )
+        assert attempts == ["ilp", "greedy_heuristics"]
 
 
 class TestInlineExecution:
@@ -892,16 +783,72 @@ class TestInlineExecution:
 
 
 def test_normalized_recommendation_strips_wall_clock():
-    winner = run_portfolio(
+    recommendation = run_portfolio(
         small_database(),
         Workload(SMALL_WORKLOAD.entries),
         BUDGET,
-        mode="tournament",
     )
-    data = normalized_recommendation(winner)
+    data = normalized_recommendation(recommendation)
     assert "elapsed_seconds" not in data
     assert "phase_seconds" not in data["session"]
-    assert all(
-        "elapsed_seconds" not in s for s in data["portfolio"]["strategies"]
-    )
+    assert set(data["portfolio"]) == {"optimizer_calls_total"}
     json.dumps(data)
+
+
+class TestPortfolioKnobsAreGone:
+    """The served recommend is one ILP search: the portfolio's modes,
+    strategy lists and seeds are no longer options anywhere."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["recommend", "--budget", "1000", "--mode", "retry"],
+            ["recommend", "--budget", "1000", "--strategies", "greedy"],
+            ["recommend", "--budget", "1000", "--portfolio-seed", "3"],
+            ["server", "--mode", "tournament"],
+            ["server", "--seed", "3"],
+        ],
+    )
+    def test_cli_flags_are_unrecognized(self, argv, tmp_path, capsys):
+        from repro.cli import main
+
+        command, flags = argv[0], argv[1:]
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, str(tmp_path / "db"), "--workload",
+                  str(tmp_path / "wl.xq"), *flags])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_library_keywords_raise_type_error(self):
+        workload = Workload(SMALL_WORKLOAD.entries)
+        with pytest.raises(TypeError):
+            AdvisorServer(small_database(), mode="tournament")
+        with pytest.raises(TypeError):
+            run_portfolio(small_database(), workload, BUDGET, mode="retry")
+        server = AdvisorServer(small_database())
+        with pytest.raises(TypeError):
+            server.recommend(QUERY_TEXTS, BUDGET, mode="retry")
+
+    def test_serve_no_longer_exports_the_modes(self):
+        import repro.serve
+
+        assert not hasattr(repro.serve, "PORTFOLIO_MODES")
+        assert "PORTFOLIO_MODES" not in repro.serve.__all__
+
+    def test_stale_request_keys_are_ignored(self, fault_free):
+        request = {
+            "kind": "recommend",
+            "statements": QUERY_TEXTS,
+            "budget_bytes": BUDGET,
+        }
+        stale = {**request, "mode": "evolutionary",
+                 "strategies": ["greedy"], "seed": 9}
+
+        async def serve(payload):
+            async with AdvisorServer(small_database()) as server:
+                return await server.dispatch(payload)
+
+        plain, keyed = run(serve(request)), run(serve(stale))
+        assert plain.ok and keyed.ok
+        assert keyed.comparable() == plain.comparable()
+        assert keyed.value["portfolio"]["optimizer_calls_total"] > 0

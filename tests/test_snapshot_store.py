@@ -666,9 +666,7 @@ class TestServeConsumer:
         either."""
 
         async def scenario():
-            async with AdvisorServer(
-                build_database(), mode="tournament"
-            ) as server:
+            async with AdvisorServer(build_database()) as server:
                 first = await server.recommend(QUERY_TEXTS, BUDGET)
                 warm = server.snapshots.stats()["clones"]
                 second = await server.recommend(QUERY_TEXTS, BUDGET)
@@ -681,9 +679,9 @@ class TestServeConsumer:
         assert stats["compositions"] == 2  # one per request, from cache
 
     def test_served_recommend_composes_one_snapshot_from_held_parts(self):
-        """A tournament recommend takes one snapshot, which its lanes
-        share; at unchanged epochs it clones no collection, and after a
-        write exactly the touched collection is cloned once."""
+        """A served recommend takes one snapshot; at unchanged epochs it
+        clones no collection, and after a write exactly the touched
+        collection is cloned once."""
 
         async def scenario():
             async with AdvisorServer(build_database()) as server:
