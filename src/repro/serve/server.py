@@ -18,14 +18,19 @@ Concurrency model (docs/serving.md):
   each commit gets a global sequence number and a journal entry, which
   together let any concurrent schedule be replayed serially
   (tests/test_serve_differential.py).
-* **Advise-class reads** (``whatif``, ``recommend``) run against an
+* **Advise-class reads** (``whatif``, ``recommend``) are answered from
+  the server's table when it holds a complete answer to the same
+  request at the touched collections' current state (epochs,
+  statistics stamps and the catalog's stamp): no snapshot, advisor,
+  optimizer call or search.  Otherwise they run against an
   epoch-consistent *snapshot* taken atomically under the gate by the
   :class:`~repro.storage.snapshots.SnapshotStore` -- a private shell
   over the store's shared, read-only cloned collections, so a request
   at unchanged epochs copies nothing, one after a write re-clones the
   written collection's lists (never pickles it) and a multi-second
   recommend search never races live DML (reproducible at its epoch
-  token).  storage/snapshots.py states the sharing contract.
+  token).  The lookup and the snapshot are one gated step.
+  storage/snapshots.py states the sharing contract.
 
 Engine steps run inline on the event loop, atomic between cooperative
 yield points; a :class:`~repro.serve.scheduler.SeededScheduler` hooked
@@ -71,10 +76,10 @@ from repro.storage.database import EpochGate, resolve_database
 from repro.storage.snapshots import SnapshotStore
 
 #: Distinct statement texts one server keeps parsed -- and, for served
-#: queries, planned -- at once, and the most served values it holds for
-#: sharing.  A new text arriving at a full table replaces the table, the
-#: held values and the executor together, so nothing the server holds
-#: per statement grows past this bound.
+#: queries, planned -- at once, and the most served values it holds
+#: (advise answers among them).  A new text arriving at a full table
+#: replaces the table, the held values and the executor together, so
+#: nothing the server holds per statement grows past this bound.
 STATEMENT_TABLE_LIMIT = 1024
 
 #: Torn reads one request retries before it fails; a read refused by an
@@ -170,8 +175,10 @@ class AdvisorServer:
         belong to it."""
         #: text -> its parsed, immutable statement.
         self._statements: Dict[str, Statement] = {}
-        #: request key -> the value served for it last (see _shared).
-        self._values: Dict[object, object] = {}
+        #: request key -> (state, value): the value served for it last
+        #: and, for a complete advise answer, the state it answers
+        #: (``None`` otherwise; see _shared and _advise_read).
+        self._values: Dict[object, Tuple[object, object]] = {}
         self._executor = Executor(self.database)
 
     def _parse(self, text: str) -> Statement:
@@ -186,19 +193,23 @@ class AdvisorServer:
             self._statements[text] = statement
         return statement
 
-    def _shared(self, key, value):
-        """``value``, or the equal value served last under ``key``.
-        Callers keep responses by the thousand, so an answer that did
-        not change is handed out as the object they already hold, the
-        way the statistics digest is shared -- the work that produced
-        ``value`` is done either way.  At most ``STATEMENT_TABLE_LIMIT``
-        values are held."""
+    def _shared(self, key, value, state=None):
+        """``value``, or the equal value served last under ``key``, now
+        held under ``key`` at ``state``.  Callers keep responses by the
+        thousand, so an answer that did not change is handed out as the
+        object they already hold, the way the statistics digest is
+        shared.  A ``state`` makes the value the answer at that state
+        (_advise_read serves it again without redoing the work).  At
+        most ``STATEMENT_TABLE_LIMIT`` values are held."""
         held = self._values.get(key)
-        if held == value:
-            return held
-        if held is None and len(self._values) >= STATEMENT_TABLE_LIMIT:
-            self._values = {}
-        self._values[key] = value
+        if held is None:
+            if len(self._values) >= STATEMENT_TABLE_LIMIT:
+                self._values = {}
+        elif held[1] == value:
+            if held[0] == state:
+                return held[1]
+            value = held[1]
+        self._values[key] = (state, value)
         return value
 
     # ------------------------------------------------------------------
@@ -274,14 +285,31 @@ class AdvisorServer:
                 )
             await self._read_backoff(retries, "serve.read.retry")
 
-    async def _snapshot(self, collections):
-        """An epoch-consistent, read-only database snapshot for
-        advise-class reads, taken atomically under the gate from the
-        snapshot store (see storage/snapshots.py for what it shares)."""
-        (snapshot,), token, retries, watermark = await self._gated_read(
-            collections, [lambda: self.snapshots.snapshot(self.database)]
+    async def _advise_read(self, key, collections):
+        """The one gated step of an advise request: ``((value, state,
+        snapshot), token, retries, watermark)``.  ``value`` is the
+        answer held for ``key`` at ``state`` -- the collections' (epoch,
+        statistics stamp) pairs and the catalog's stamp, all an advise
+        answer depends on (a recommendation's DDL mints its index names
+        from the catalog) -- and ``snapshot`` is ``None``; on a miss
+        ``value`` is ``None`` and ``snapshot`` is an epoch-consistent,
+        read-only database snapshot from the snapshot store to compute
+        the answer on (see storage/snapshots.py for what it shares)."""
+
+        def step():
+            state = (
+                self._epoch_stamps(collections, self.database),
+                self.database.catalog.stamp,
+            )
+            held_state, value = self._values.get(key, (None, None))
+            if held_state == state:
+                return value, state, None
+            return None, state, self.snapshots.snapshot(self.database)
+
+        (found,), token, retries, watermark = await self._gated_read(
+            collections, [step]
         )
-        return snapshot, token, retries, watermark
+        return found, token, retries, watermark
 
     def _bump(self, counter: str, by: int = 1) -> None:
         self.counters[counter] = self.counters.get(counter, 0) + by
@@ -298,6 +326,17 @@ class AdvisorServer:
             return [statement.left.collection, statement.right.collection]
         return [statement.collection]
 
+    @staticmethod
+    def _epoch_stamps(names, database) -> Tuple:
+        """Each named collection's ``(epoch, statistics stamp)``."""
+        return tuple(
+            (
+                database.collection_epochs.get(name, 0),
+                database.runstats(name).mutation_stamp,
+            )
+            for name in names
+        )
+
     def _stats_fingerprint(self, collections, database=None) -> Dict:
         """Deterministic per-collection statistics digest; returned with
         every read so a response is a *configuration/statistics pair*
@@ -309,13 +348,10 @@ class AdvisorServer:
         must not modify it."""
         database = database if database is not None else self.database
         names = tuple(sorted(set(collections)))
-        statistics = [database.runstats(name) for name in names]
-        state = tuple(
-            (database.collection_epochs.get(name, 0), stats.mutation_stamp)
-            for name, stats in zip(names, statistics)
-        )
+        state = self._epoch_stamps(names, database)
         held = self._fingerprints.get(names)
         if held is None or held[0] != state:
+            statistics = [database.runstats(name) for name in names]
             held = self._fingerprints[names] = (
                 state,
                 {
@@ -511,7 +547,13 @@ class AdvisorServer:
             ]
         )
         configuration = configuration_from_specs(patterns, collection)
-        snapshot, token, retries, watermark = await self._snapshot(touched)
+        key = ("whatif", collection, tuple(statements), tuple(patterns))
+        (held, state, snapshot), token, retries, watermark = (
+            await self._advise_read(key, touched)
+        )
+        if snapshot is None:
+            self._bump("advice_hits")
+            return held, token, retries, watermark
         session = WhatIfSession(snapshot)
         report = analyze(snapshot, workload, configuration, session=session)
         value = {
@@ -534,8 +576,9 @@ class AdvisorServer:
         value["statistics"] = self._stats_fingerprint(
             touched, database=snapshot
         )
-        key = ("whatif", collection, tuple(statements), tuple(patterns))
-        return self._shared(key, value), token, retries, watermark
+        if session.is_degraded:
+            state = None
+        return self._shared(key, value, state), token, retries, watermark
 
     async def _do_recommend(
         self, statements, budget_bytes, tenant, deadline_seconds
@@ -557,7 +600,13 @@ class AdvisorServer:
             if deadline_seconds is None
             else deadline_seconds,
         )
-        snapshot, token, retries, watermark = await self._snapshot(touched)
+        key = ("recommend", tuple(statements), budget_bytes)
+        (held, state, snapshot), token, retries, watermark = (
+            await self._advise_read(key, touched)
+        )
+        if snapshot is None:
+            self._bump("advice_hits")
+            return held, token, retries, watermark
         recommendation = run_portfolio(
             snapshot,
             workload,
@@ -569,10 +618,18 @@ class AdvisorServer:
             tenant,
             recommendation.portfolio_stats["optimizer_calls_total"],
         )
-        value = self._shared(
-            ("recommend", tuple(statements), budget_bytes),
-            normalized_recommendation(recommendation),
-        )
+        # Only a complete answer is held: a deadline, a call quota or a
+        # fault that shaped this one must not be served to a later
+        # request (an ``ilp`` answer also means no attempt failed).
+        value = normalized_recommendation(recommendation)
+        if (
+            value["truncated"]
+            or value["degraded"]
+            or value["algorithm"] != "ilp"
+            or value["diagnostics"]
+        ):
+            state = None
+        value = self._shared(key, value, state)
         return value, token, retries, watermark
 
     # ------------------------------------------------------------------
@@ -643,6 +700,9 @@ class AdvisorServer:
                 "statements": len(self._statements),
                 "planned": self._executor.session.statement_count,
                 "values": len(self._values),
+                "advice": sum(
+                    state is not None for state, _ in self._values.values()
+                ),
                 "limit": STATEMENT_TABLE_LIMIT,
             },
             "epochs": dict(sorted(self.database.collection_epochs.items())),

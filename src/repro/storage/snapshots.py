@@ -1,8 +1,8 @@
 """The epoch-keyed snapshot engine: :class:`SnapshotStore`.
 
-Every advise/whatif request on the serve path and every per-cycle
-tuning pass needs a consistent copy of the database that live DML
-cannot touch.  Documents
+Every advise/whatif request on the serve path that the server cannot
+answer from a held answer, and every per-cycle tuning pass, needs a
+consistent copy of the database that live DML cannot touch.  Documents
 never change after insert and index entries are tuples of ids, so such a
 copy does not have to copy the data: the store keeps exactly **one
 generation** per ``(database, collection)``, keyed by ``(database,

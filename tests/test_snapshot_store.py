@@ -648,8 +648,10 @@ class TestServeConsumer:
     def test_server_snapshot_is_store_backed_and_bit_identical(self):
         async def scenario():
             async with AdvisorServer(build_database()) as server:
-                snapshot, _token, _retries, _seq = await server._snapshot(
-                    list(server.database.collections)
+                (_, _, snapshot), _token, _retries, _seq = (
+                    await server._advise_read(
+                        None, list(server.database.collections)
+                    )
                 )
                 return server, snapshot
 
@@ -661,9 +663,10 @@ class TestServeConsumer:
         self, fault_free
     ):
         """The serve-path headline: after the first advise request warms
-        the store, repeats re-clone nothing.  The two responses are
-        compared value for value, so no fault schedule may draw into
-        either."""
+        the store, a repeat at unchanged epochs is answered from the
+        server's table and composes no snapshot at all.  The two
+        responses are compared value for value, so no fault schedule may
+        draw into either."""
 
         async def scenario():
             async with AdvisorServer(build_database()) as server:
@@ -674,14 +677,15 @@ class TestServeConsumer:
 
         first, second, warm, stats = _run(scenario())
         assert first.ok and second.ok
-        assert first.value == second.value
+        assert first.value is second.value
         assert stats["clones"] == warm
-        assert stats["compositions"] == 2  # one per request, from cache
+        assert stats["compositions"] == 1  # the repeat takes no snapshot
 
     def test_served_recommend_composes_one_snapshot_from_held_parts(self):
-        """A served recommend takes one snapshot; at unchanged epochs it
-        clones no collection, and after a write exactly the touched
-        collection is cloned once."""
+        """A served recommend takes one snapshot; a repeat at unchanged
+        epochs is answered from the server's table and composes nothing,
+        and after a write the recommend composes exactly one snapshot
+        that clones the written collection once."""
 
         async def scenario():
             async with AdvisorServer(build_database()) as server:
@@ -698,7 +702,7 @@ class TestServeConsumer:
                 return stats
 
         warm, steady, written = _run(scenario())
-        assert steady["compositions"] == warm["compositions"] + 1
+        assert steady["compositions"] == warm["compositions"]
         assert steady["clones"] == warm["clones"]
         assert written["compositions"] == steady["compositions"] + 1
         assert written["clones"] == steady["clones"] + 1
