@@ -445,8 +445,8 @@ def _latency_percentile(values, fraction: float) -> float:
 
 
 def cmd_server(args: argparse.Namespace) -> int:
-    """Drive a workload file through the concurrent serving front end
-    (docs/serving.md): queries and DML run as concurrent requests,
+    """Drive a workload file through the serving front end
+    (docs/serving.md): queries and DML run as requests in file order,
     every ``--recommend-every``-th request is a recommend."""
     import asyncio
     import json
@@ -509,7 +509,7 @@ def cmd_server(args: argparse.Namespace) -> int:
     async def run():
         await server.start()
         try:
-            return await server.run_schedule(schedule, clients=args.clients)
+            return await server.run_schedule(schedule)
         finally:
             await server.stop()
 
@@ -519,7 +519,6 @@ def cmd_server(args: argparse.Namespace) -> int:
         by_kind.setdefault(response.kind, []).append(response)
     summary = {
         "requests": len(responses),
-        "clients": args.clients,
         "kinds": {
             kind: {
                 "count": len(group),
@@ -541,10 +540,7 @@ def cmd_server(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(summary, indent=2))
     else:
-        print(
-            f"served {summary['requests']} requests "
-            f"({args.clients} clients)"
-        )
+        print(f"served {summary['requests']} requests")
         for kind, block in summary["kinds"].items():
             print(
                 f"  {kind:<10}: {block['ok']}/{block['count']} ok, "
@@ -556,12 +552,7 @@ def cmd_server(args: argparse.Namespace) -> int:
                     else ""
                 )
             )
-        gate = summary["server"]["gate"]
-        print(
-            f"  gate      : {gate['reads_validated']} validated, "
-            f"{gate['reads_torn']} torn, {gate['reads_refused']} refused, "
-            f"{gate['writes_gated']} writes"
-        )
+        print(f"  writes    : {summary['server']['writes']}")
     config_failures = [
         r for r in responses if not r.ok and r.code == "config"
     ]
@@ -864,11 +855,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "server",
-        help="serve a workload concurrently (query/dml/recommend)",
+        help="serve a workload through the front end (query/dml/recommend)",
         description=(
-            "Drive a workload file through the concurrent serving front "
-            "end: lock-free epoch-gated reads, per-collection serialized "
-            "writers, and ILP recommends bounded by a deadline "
+            "Drive a workload file through the serving front end: atomic "
+            "requests, each stamped with its epochs and write watermark, "
+            "and ILP recommends bounded by a deadline "
             "(docs/serving.md)."
         ),
     )
@@ -876,15 +867,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workload", required=True,
         help="workload file (';' separated); queries and DML become "
-             "concurrent requests",
+             "requests",
     )
     p.add_argument(
         "--budget", type=int, default=200_000,
         help="disk budget (bytes) of the interleaved recommends",
-    )
-    p.add_argument(
-        "--clients", type=int, default=4,
-        help="concurrent client tasks driving the schedule",
     )
     p.add_argument(
         "--recommend-every", type=int, default=0, metavar="K",

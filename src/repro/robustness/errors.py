@@ -74,10 +74,9 @@ class ConfigError(AdvisorError, ValueError):
 
 class AdmissionRejected(AdvisorError):
     """A serving-layer request was refused admission: the tenant's
-    budget pool is exhausted (optimizer-call quota spent) or its
-    concurrent in-flight limit is reached.  Typed so front ends map it
-    to a ``rejected`` response instead of a stack trace; carries the
-    tenant and the machine-readable reason."""
+    budget pool is exhausted (optimizer-call quota spent).  Typed so
+    front ends map it to a ``rejected`` response instead of a stack
+    trace; carries the tenant and the machine-readable reason."""
 
     def __init__(
         self,

@@ -11,7 +11,7 @@ code                meaning
 ==================  =========================================================
 ``rejected``        admission control refused the request (typed
                     :class:`~repro.robustness.errors.AdmissionRejected`:
-                    tenant budget pool exhausted or in-flight limit hit)
+                    tenant optimizer-call quota exhausted)
 ``config``          a :class:`~repro.robustness.errors.ConfigError`
                     surfaced inside the request (junk ``REPRO_*`` env or
                     server option); the CLI maps this onto exit code 2
@@ -118,12 +118,12 @@ class DmlValue(_SlotValue):
 class Response:
     """One endpoint result.
 
-    ``epoch`` is the validated epoch token the read observed (sorted
+    ``epoch`` is the epoch token the request was served at (sorted
     ``(collection, epoch)`` pairs; writes carry the single post-commit
     pair).  ``seq`` is the global write sequence number for writes, and
     for reads the *watermark*: how many writes had committed when the
-    read validated -- the exact position a serial replay must execute
-    the read at (tests/test_serve_differential.py).
+    read ran -- the exact position a serial replay must execute the read
+    at (tests/test_serve_differential.py).
 
     A server hands out one of these per request and callers keep them by
     the thousand, so the layout is ``__slots__`` (a hand-written
@@ -143,7 +143,6 @@ class Response:
         "code",
         "epoch",
         "seq",
-        "retries",
         "elapsed_seconds",
     )
 
@@ -157,7 +156,6 @@ class Response:
         code: Optional[str] = None,
         epoch: Optional[Tuple[Tuple[str, int], ...]] = None,
         seq: Optional[int] = None,
-        retries: int = 0,
         elapsed_seconds: float = 0.0,
     ) -> None:
         self.kind = kind
@@ -168,7 +166,6 @@ class Response:
         self.code = code
         self.epoch = epoch
         self.seq = seq
-        self.retries = retries
         self.elapsed_seconds = elapsed_seconds
 
     def __repr__(self) -> str:
@@ -202,16 +199,12 @@ class Response:
                 else None
             ),
             "seq": self.seq,
-            "retries": self.retries,
             "elapsed_seconds": self.elapsed_seconds,
         }
 
     def comparable(self) -> Dict:
         """The schedule-invariant projection compared bit-for-bit by the
-        differential tests: everything except wall-clock latency and the
-        retry count (both depend on physical interleaving, not on the
-        serialization order the epoch token pins)."""
+        differential tests: everything except wall-clock latency."""
         data = self.to_dict()
         data.pop("elapsed_seconds")
-        data.pop("retries")
         return data

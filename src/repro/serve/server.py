@@ -1,41 +1,39 @@
 """The asyncio serving front end: :class:`AdvisorServer`.
 
-Concurrency model (docs/serving.md):
+Concurrency model (docs/serving.md): **every request is atomic.**  Engine
+steps run inline on the event loop and a request body never suspends,
+so requests interleave only between one another and no request can see
+another half done.  Each response carries the epochs of the collections
+it touched and a watermark ``seq``: a write's global commit sequence
+number, or for a read the number of writes committed before it.  The
+commit journal (``seq``, statement text, collection, post-commit epoch,
+rows) plus those watermarks replay any concurrent schedule serially,
+bit for bit (tests/test_serve_differential.py) -- by construction, since
+concurrent clients can only change the order of whole requests.
 
-* **Reads** (``query``, ``whatif``, ``recommend``) are lock-free and
-  optimistic: take an :class:`~repro.storage.database.EpochGate` token
-  over the collections touched, do the work, validate that no write
-  moved the epochs, retry on a torn read.  Reads never change the
-  database or its statistics -- statistics are primed at
-  :meth:`AdvisorServer.start` and dirty summaries are rebuilt on the
-  write path, so a read never perturbs the storage counters the
-  differential tests pin.  What a read may fill is the server's own
-  bounded statement table: each distinct text is parsed once, and one
-  executor's what-if session keeps each served query's plan until a
-  write moves an epoch the query reads (``STATEMENT_TABLE_LIMIT``).
-* **Writes** (``dml``) are serialized per collection by an
-  ``asyncio.Lock`` and bracketed by the gate's writer critical section;
-  each commit gets a global sequence number and a journal entry, which
-  together let any concurrent schedule be replayed serially
-  (tests/test_serve_differential.py).
-* **Advise-class reads** (``whatif``, ``recommend``) are answered from
-  the server's table when it holds a complete answer to the same
-  request at the touched collections' current state (epochs,
-  statistics stamps and the catalog's stamp): no snapshot, advisor,
-  optimizer call or search.  Otherwise they run against an
-  epoch-consistent *snapshot* taken atomically under the gate by the
-  :class:`~repro.storage.snapshots.SnapshotStore` -- a private shell
-  over the store's shared, read-only cloned collections, so a request
-  at unchanged epochs copies nothing, one after a write re-clones the
-  written collection's lists (never pickles it) and a multi-second
-  recommend search never races live DML (reproducible at its epoch
-  token).  The lookup and the snapshot are one gated step.
+* **Reads** (``query``) never change the database or its statistics --
+  statistics are primed at :meth:`AdvisorServer.start` and dirty
+  summaries are rebuilt on the write path, so a read never perturbs the
+  storage counters the differential tests pin.  What a read may fill is
+  the server's own bounded statement table: each distinct text is parsed
+  once, and one executor's what-if session keeps each served query's
+  plan until a write moves an epoch the query reads
+  (``STATEMENT_TABLE_LIMIT``).
+* **Writes** (``dml``) apply, rebuild dirty summaries and journal.
+* **Advise requests** (``whatif``, ``recommend``) are answered from the
+  server's table when it holds a complete answer to the same request at
+  the touched collections' current state (epochs, statistics stamps and
+  the catalog's stamp): no snapshot, advisor, optimizer call or search.
+  Otherwise they run on a read-only *snapshot* from the
+  :class:`~repro.storage.snapshots.SnapshotStore` -- a private shell over
+  the store's shared cloned collections, so a request at unchanged
+  epochs copies nothing and one after a write re-clones the written
+  collection's lists.  The snapshot keeps the advisor off the live
+  database: a recommendation mints its DDL's index names through the
+  catalog, which on the live database would move the catalog stamp and
+  invalidate the very answer just held, and the what-if work would
+  touch the live counters the differential tests pin.
   storage/snapshots.py states the sharing contract.
-
-Engine steps run inline on the event loop, atomic between cooperative
-yield points; a :class:`~repro.serve.scheduler.SeededScheduler` hooked
-into those points gives the deterministic adversarial interleavings the
-property tests shrink.
 
 Every endpoint returns a typed :class:`~repro.serve.requests.Response`
 and never raises -- see requests.py for the error-code taxonomy.
@@ -43,7 +41,6 @@ and never raises -- see requests.py for the error-code taxonomy.
 
 from __future__ import annotations
 
-import asyncio
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -60,7 +57,6 @@ from repro.robustness.errors import (
     AdmissionRejected,
     AdvisorError,
     ConfigError,
-    FatalAdvisorError,
 )
 from repro.robustness.faults import maybe_inject
 from repro.serve.portfolio import run_portfolio
@@ -82,18 +78,19 @@ from repro.storage.snapshots import SnapshotStore
 #: nothing the server holds per statement grows past this bound.
 STATEMENT_TABLE_LIMIT = 1024
 
-#: Torn reads one request retries before it fails; a read refused by an
-#: active writer may be refused 16 times as often.
-READ_RETRY_LIMIT = 64
-
 
 def normalized_recommendation(recommendation) -> Dict:
-    """``Recommendation.to_dict()`` minus wall-clock fields -- the
-    schedule-invariant projection the differential tests compare
-    (latency lives in ``Response.elapsed_seconds``)."""
+    """``Recommendation.to_dict()`` minus wall-clock fields (latency
+    lives in ``Response.elapsed_seconds``) and minus the session's
+    database-wide ``generation`` and ``storage`` counters, which a write
+    to a collection the request never reads would move -- the
+    schedule-invariant projection the differential tests compare and
+    the advice table holds."""
     data = recommendation.to_dict()
     data.pop("elapsed_seconds", None)
-    data.get("session", {}).pop("phase_seconds", None)
+    session = data.get("session", {})
+    for key in ("phase_seconds", "generation", "storage"):
+        session.pop(key, None)
     return data
 
 
@@ -124,18 +121,18 @@ class AdvisorServer:
         tenants: Optional[Dict[str, TenantPolicy]] = None,
         default_policy: TenantPolicy = TenantPolicy(),
         deadline_seconds: Optional[float] = None,
-        scheduler: Optional[Callable] = None,
     ) -> None:
         self.database = resolve_database(database)
+        #: Hands out each response's epoch token.  Requests are atomic,
+        #: so the server opens no read or write section on it and its
+        #: read/write counters stay 0.
         self.gate = EpochGate(self.database)
         #: Epoch-keyed snapshot engine: advise-class reads run on
         #: read-only snapshots over its shared cloned collections.
         self.snapshots = SnapshotStore()
         self.admission = AdmissionController(tenants, default_policy)
         self.deadline_seconds = deadline_seconds
-        self.scheduler = scheduler
         self._reset_statements()
-        self._writer_locks: Dict[str, asyncio.Lock] = {}
         self._seq = 0
         #: Commit journal of every write: ``seq``, statement text,
         #: collection, post-commit epoch, rows -- the replay script of
@@ -215,101 +212,23 @@ class AdvisorServer:
     # ------------------------------------------------------------------
     # Execution plumbing
     # ------------------------------------------------------------------
-    async def _yield(self, site: str) -> None:
-        """A cooperative yield point; the seeded scheduler hooks in
-        here to explore adversarial interleavings deterministically."""
-        if self.scheduler is not None:
-            await self.scheduler(site)
-        else:
-            await asyncio.sleep(0)
-
-    async def _read_backoff(self, attempt: int, site: str) -> None:
-        """Bounded adaptive backoff between optimistic-read retries.
-
-        A refused or torn read used to spin straight back into the gate
-        (one bare yield per attempt), so under write pressure readers
-        burned their retry budget re-colliding with the same writer --
-        a contended replay recorded 32 torn + 54 refused against only
-        40 validated reads.  Now each retry waits exponentially longer
-        (capped): under the seeded scheduler the wait is a deterministic
-        ladder of extra yield points (still a pure function of the
-        seed), otherwise a short real sleep.  Every wait is counted on
-        the gate (``reads_backoff_waits``)."""
-        self.gate.note_backoff()
-        steps = 1 << min(max(attempt, 1) - 1, 3)  # 1, 2, 4, 8, 8, ...
-        if self.scheduler is not None:
-            for _ in range(steps):
-                await self.scheduler(site)
-        else:
-            await asyncio.sleep(min(0.0002 * steps, 0.005))
-
-    async def _gated_read(self, collections, steps: Sequence[Callable]):
-        """Optimistic multi-step read: returns ``(step_results, token,
-        retries, watermark)`` where the token validated across all
-        steps and the watermark is the global write sequence at
-        validation time (the serial-replay position)."""
-        collections = sorted(set(collections))
-        retries = 0
-        refused = 0
-        while True:
-            token = self.gate.read_view(collections)
-            if token is None:
-                refused += 1
-                if refused > READ_RETRY_LIMIT * 16:
-                    raise FatalAdvisorError(
-                        f"read starved behind writers on {collections}",
-                        phase="serve.read",
-                    )
-                await self._read_backoff(refused, "serve.read.refused")
-                continue
-            results = []
-            torn = False
-            try:
-                for index, step in enumerate(steps):
-                    if index:
-                        await self._yield("serve.read.step")
-                    results.append(step())
-            except Exception:
-                if self.gate.validate(token):
-                    raise  # the failure is real, not a torn-read artifact
-                torn = True
-            if not torn and self.gate.validate(token):
-                return results, token, retries, self._seq
-            retries += 1
-            self._bump("read_retries")
-            if retries > READ_RETRY_LIMIT:
-                raise FatalAdvisorError(
-                    f"read kept tearing after {retries} retries on "
-                    f"{collections}",
-                    phase="serve.read",
-                )
-            await self._read_backoff(retries, "serve.read.retry")
-
-    async def _advise_read(self, key, collections):
-        """The one gated step of an advise request: ``((value, state,
-        snapshot), token, retries, watermark)``.  ``value`` is the
-        answer held for ``key`` at ``state`` -- the collections' (epoch,
-        statistics stamp) pairs and the catalog's stamp, all an advise
-        answer depends on (a recommendation's DDL mints its index names
-        from the catalog) -- and ``snapshot`` is ``None``; on a miss
-        ``value`` is ``None`` and ``snapshot`` is an epoch-consistent,
+    def _advise_read(self, key, collections):
+        """The lookup of an advise request: ``(value, state, snapshot)``.
+        ``value`` is the answer held for ``key`` at ``state`` -- the
+        collections' (epoch, statistics stamp) pairs and the catalog's
+        stamp, all an advise answer depends on (a recommendation's DDL
+        mints its index names from the catalog) -- and ``snapshot`` is
+        ``None``; on a miss ``value`` is ``None`` and ``snapshot`` is a
         read-only database snapshot from the snapshot store to compute
         the answer on (see storage/snapshots.py for what it shares)."""
-
-        def step():
-            state = (
-                self._epoch_stamps(collections, self.database),
-                self.database.catalog.stamp,
-            )
-            held_state, value = self._values.get(key, (None, None))
-            if held_state == state:
-                return value, state, None
-            return None, state, self.snapshots.snapshot(self.database)
-
-        (found,), token, retries, watermark = await self._gated_read(
-            collections, [step]
+        state = (
+            self._epoch_stamps(collections, self.database),
+            self.database.catalog.stamp,
         )
-        return found, token, retries, watermark
+        held_state, value = self._values.get(key, (None, None))
+        if held_state == state:
+            return value, state, None
+        return None, state, self.snapshots.snapshot(self.database)
 
     def _bump(self, counter: str, by: int = 1) -> None:
         self.counters[counter] = self.counters.get(counter, 0) + by
@@ -370,20 +289,17 @@ class AdvisorServer:
     # Request wrapper: typed responses, never raises
     # ------------------------------------------------------------------
     async def _handle(self, kind: str, tenant: str, fn: Callable) -> Response:
+        """Run the request body ``fn`` to completion -- it never
+        suspends, so no other request can see it half done -- and wrap
+        its ``(value, epoch, seq)`` in a :class:`Response`."""
         started = time.perf_counter()
         self._bump(f"{kind}_requests")
         try:
             maybe_inject("serve.request")
             with self.admission.admit(tenant, kind):
-                value, epoch, retries, seq = await fn()
+                value, epoch, seq = fn()
             response = Response(
-                kind,
-                True,
-                tenant=tenant,
-                value=value,
-                epoch=epoch,
-                seq=seq,
-                retries=retries,
+                kind, True, tenant=tenant, value=value, epoch=epoch, seq=seq
             )
         except AdmissionRejected as exc:
             response = self._error(kind, tenant, exc, "rejected")
@@ -412,13 +328,13 @@ class AdvisorServer:
     # Endpoints
     # ------------------------------------------------------------------
     async def query(self, text: str, tenant: str = "default") -> Response:
-        """Execute one read statement lock-free under the epoch gate."""
+        """Execute one read statement."""
         return await self._handle(
             "query", tenant, lambda: self._do_query(text)
         )
 
     async def dml(self, text: str, tenant: str = "default") -> Response:
-        """Apply one insert/delete, serialized per collection."""
+        """Apply one insert/delete and journal it."""
         return await self._handle("dml", tenant, lambda: self._do_dml(text))
 
     async def whatif(
@@ -455,7 +371,7 @@ class AdvisorServer:
     # ------------------------------------------------------------------
     # Endpoint bodies
     # ------------------------------------------------------------------
-    async def _do_query(self, text: str):
+    def _do_query(self, text: str):
         statement = self._parse(text)
         if isinstance(statement, (InsertStatement, DeleteStatement)):
             raise ValueError(
@@ -464,27 +380,22 @@ class AdvisorServer:
         collections = self._check_collections(
             self._statement_collections(statement)
         )
-
-        def run():
-            return self._executor.execute(statement, collect_output=True)
-
-        (result, fingerprint), token, retries, watermark = (
-            await self._gated_read(
-                collections,
-                [run, lambda: self._stats_fingerprint(collections)],
-            )
-        )
+        result = self._executor.execute(statement, collect_output=True)
         value = QueryValue(
             result.rows,
             result.docs_examined,
             result.used_indexes,
             result.index_entries_scanned,
             tuple(result.output),
-            fingerprint,
+            self._stats_fingerprint(collections),
         )
-        return self._shared(text, value), token, retries, watermark
+        return (
+            self._shared(text, value),
+            self.gate.epochs(collections),
+            self._seq,
+        )
 
-    async def _do_dml(self, text: str):
+    def _do_dml(self, text: str):
         statement = parse_statement(text)
         if not isinstance(statement, (InsertStatement, DeleteStatement)):
             raise ValueError(
@@ -492,46 +403,29 @@ class AdvisorServer:
             )
         collection = statement.collection
         self._check_collections([collection])
-        lock = self._writer_locks.setdefault(collection, asyncio.Lock())
-        async with lock:
-            self.gate.begin_write(collection)
-            try:
-                await self._yield("serve.write.begin")
-                result = self._apply_dml(statement, collection)
-                await self._yield("serve.write.commit")
-            finally:
-                self.gate.end_write(collection)
-            seq = self._seq
-            self._seq += 1
-            token = self.gate.epochs([collection])
-            self.journal.append(
-                JournalEntry(
-                    seq,
-                    statement.describe(),
-                    collection,
-                    token[0][1],
-                    result.rows,
-                )
+        result = Executor(self.database).execute(statement)
+        # Rebuild any summaries the delta left dirty (paths at a cap;
+        # below it a write retracts exactly and this is a no-op) as part
+        # of the write, so reads never repair state.
+        stats = self.database._statistics.get(collection)
+        if stats is not None:
+            stats.rebuild_dirty_summaries()
+        seq = self._seq
+        self._seq += 1
+        epoch = self.gate.epochs([collection])
+        self.journal.append(
+            JournalEntry(
+                seq, statement.describe(), collection, epoch[0][1], result.rows
             )
+        )
         value = DmlValue(
             result.rows,
             result.docs_examined,
             self._stats_fingerprint([collection]),
         )
-        return value, token, 0, seq
+        return value, epoch, seq
 
-    def _apply_dml(self, statement, collection: str):
-        result = Executor(self.database).execute(statement)
-        # Rebuild any summaries the delta left dirty (paths at a cap;
-        # below it a write retracts exactly and this is a no-op) *inside*
-        # the writer critical section, so later lock-free reads never
-        # repair state.
-        stats = self.database._statistics.get(collection)
-        if stats is not None:
-            stats.rebuild_dirty_summaries()
-        return result
-
-    async def _do_whatif(self, statements, patterns, collection, tenant):
+    def _do_whatif(self, statements, patterns, collection, tenant):
         from repro.core.whatif import analyze, configuration_from_specs
         from repro.optimizer.session import WhatIfSession
 
@@ -548,12 +442,11 @@ class AdvisorServer:
         )
         configuration = configuration_from_specs(patterns, collection)
         key = ("whatif", collection, tuple(statements), tuple(patterns))
-        (held, state, snapshot), token, retries, watermark = (
-            await self._advise_read(key, touched)
-        )
+        epoch = self.gate.epochs(touched)
+        held, state, snapshot = self._advise_read(key, touched)
         if snapshot is None:
             self._bump("advice_hits")
-            return held, token, retries, watermark
+            return held, epoch, self._seq
         session = WhatIfSession(snapshot)
         report = analyze(snapshot, workload, configuration, session=session)
         value = {
@@ -578,9 +471,9 @@ class AdvisorServer:
         )
         if session.is_degraded:
             state = None
-        return self._shared(key, value, state), token, retries, watermark
+        return self._shared(key, value, state), epoch, self._seq
 
-    async def _do_recommend(
+    def _do_recommend(
         self, statements, budget_bytes, tenant, deadline_seconds
     ):
         workload = Workload.from_statements(
@@ -601,12 +494,11 @@ class AdvisorServer:
             else deadline_seconds,
         )
         key = ("recommend", tuple(statements), budget_bytes)
-        (held, state, snapshot), token, retries, watermark = (
-            await self._advise_read(key, touched)
-        )
+        epoch = self.gate.epochs(touched)
+        held, state, snapshot = self._advise_read(key, touched)
         if snapshot is None:
             self._bump("advice_hits")
-            return held, token, retries, watermark
+            return held, epoch, self._seq
         recommendation = run_portfolio(
             snapshot,
             workload,
@@ -629,8 +521,7 @@ class AdvisorServer:
             or value["diagnostics"]
         ):
             state = None
-        value = self._shared(key, value, state)
-        return value, token, retries, watermark
+        return self._shared(key, value, state), epoch, self._seq
 
     # ------------------------------------------------------------------
     # Schedule driving (CLI, bench, differential tests)
@@ -663,27 +554,11 @@ class AdvisorServer:
             "bad-request",
         )
 
-    async def run_schedule(
-        self, schedule: Sequence[Dict], clients: int = 1
-    ) -> List[Response]:
-        """Drive ``schedule`` through ``clients`` concurrent client
-        tasks (each pulls the next request off a shared queue); the
-        returned responses parallel the schedule's order."""
-        queue: asyncio.Queue = asyncio.Queue()
-        for index, request in enumerate(schedule):
-            queue.put_nowait((index, request))
-        responses: List[Optional[Response]] = [None] * len(schedule)
-
-        async def client() -> None:
-            while True:
-                try:
-                    index, request = queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    return
-                responses[index] = await self.dispatch(request)
-
-        await asyncio.gather(*(client() for _ in range(max(1, clients))))
-        return responses
+    async def run_schedule(self, schedule: Sequence[Dict]) -> List[Response]:
+        """Serve ``schedule``'s requests in order; the responses parallel
+        it.  Requests are atomic, so concurrent clients would serve the
+        same requests in the same order."""
+        return [await self.dispatch(request) for request in schedule]
 
     # ------------------------------------------------------------------
     # Telemetry

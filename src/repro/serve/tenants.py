@@ -2,12 +2,11 @@
 
 AIM (PAPERS.md) runs index management as a supervised multi-tenant
 service; the analogue here is a per-tenant budget pool.  Each tenant has
-a :class:`TenantPolicy` -- an in-flight concurrency cap, an
-optimizer-call quota shared by all of its advise-class requests, and a
-per-request deadline ceiling.  The :class:`AdmissionController` admits
-or rejects requests against those policies (typed
-:class:`~repro.robustness.errors.AdmissionRejected`, mapped to a
-``rejected`` response -- never a traceback) and mints the
+a :class:`TenantPolicy` -- an optimizer-call quota shared by all of its
+advise-class requests, and a per-request deadline ceiling.  The
+:class:`AdmissionController` admits or rejects requests against those
+policies (typed :class:`~repro.robustness.errors.AdmissionRejected`,
+mapped to a ``rejected`` response -- never a traceback) and mints the
 :class:`~repro.robustness.budget.SearchBudget` each admitted
 advise-class request runs under, clamped to what is left of the
 tenant's pool.
@@ -34,12 +33,10 @@ class TenantPolicy:
     across all of its advise-class requests (``None`` = unmetered);
     ``deadline_seconds`` caps each advise request's wall-clock deadline
     (requests asking for more are clamped down, requests asking for less
-    keep their own); ``max_in_flight`` bounds concurrently admitted
-    requests of any kind.
+    keep their own).
     """
 
     name: str = "default"
-    max_in_flight: int = 64
     search_call_quota: Optional[int] = None
     deadline_seconds: Optional[float] = None
 
@@ -54,7 +51,6 @@ class AdmissionController:
     ) -> None:
         self._policies: Dict[str, TenantPolicy] = dict(policies or {})
         self._default = default
-        self._in_flight: Dict[str, int] = {}
         self._calls_charged: Dict[str, int] = {}
         self.admitted: Dict[str, int] = {}
         self.rejected: Dict[str, int] = {}
@@ -64,7 +60,6 @@ class AdmissionController:
         if policy is None:
             policy = TenantPolicy(
                 name=tenant,
-                max_in_flight=self._default.max_in_flight,
                 search_call_quota=self._default.search_call_quota,
                 deadline_seconds=self._default.deadline_seconds,
             )
@@ -78,18 +73,11 @@ class AdmissionController:
     def admit(self, tenant: str, kind: str):
         """Admit one request or raise :class:`AdmissionRejected`.
 
-        The in-flight slot is held for the ``with`` body; quota checks
-        happen up front so an exhausted pool rejects *before* any engine
-        work starts.
+        Quota checks happen up front so an exhausted pool rejects
+        *before* any engine work starts; the ``with`` body is the
+        request's engine work.
         """
         policy = self.policy(tenant)
-        if self._in_flight.get(tenant, 0) >= policy.max_in_flight:
-            self.rejected[tenant] = self.rejected.get(tenant, 0) + 1
-            raise AdmissionRejected(
-                f"in-flight limit of {policy.max_in_flight} reached",
-                tenant=tenant,
-                reason="in-flight-limit",
-            )
         if (
             kind in ADVISE_KINDS
             and policy.search_call_quota is not None
@@ -102,12 +90,8 @@ class AdmissionController:
                 tenant=tenant,
                 reason="quota-exhausted",
             )
-        self._in_flight[tenant] = self._in_flight.get(tenant, 0) + 1
         self.admitted[tenant] = self.admitted.get(tenant, 0) + 1
-        try:
-            yield policy
-        finally:
-            self._in_flight[tenant] -= 1
+        yield policy
 
     # ------------------------------------------------------------------
     # Quota metering
@@ -171,7 +155,6 @@ class AdmissionController:
             tenant: {
                 "admitted": self.admitted.get(tenant, 0),
                 "rejected": self.rejected.get(tenant, 0),
-                "in_flight": self._in_flight.get(tenant, 0),
                 "calls_charged": self._calls_charged.get(tenant, 0),
                 "quota_remaining": self.quota_remaining(tenant),
             }

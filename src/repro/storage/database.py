@@ -355,7 +355,12 @@ class Database:
 
 class EpochGate:
     """Optimistic read / serialized write gate over a database's
-    per-collection epochs -- the serving layer's concurrency control.
+    per-collection epochs.
+
+    :class:`~repro.serve.server.AdvisorServer` serves atomic requests,
+    so it only takes :meth:`epochs` tokens from its gate and never opens
+    a read or write section (those counters read 0 there); the sections
+    are for callers whose reads and writes can interleave mid-request.
 
     Readers are lock-free, seqlock style: :meth:`read_view` snapshots
     the epochs of the collections a request touches (refusing to start
@@ -370,8 +375,7 @@ class EpochGate:
     tracks which collections currently have an active writer, so new
     reads refuse to start against them (the epoch bump itself happens
     inside the write via :meth:`Database.touch`).  Serializing writers
-    *per collection* is the caller's job -- the serve layer holds one
-    ``asyncio.Lock`` per collection around the gate.
+    *per collection* is the caller's job.
     """
 
     def __init__(self, database: "Database") -> None:
@@ -383,15 +387,6 @@ class EpochGate:
         self.reads_torn = 0
         self.reads_refused = 0
         self.writes_gated = 0
-        #: Adaptive backoff waits readers took between retries instead
-        #: of hot-spinning against an active writer (serve layer).
-        self.reads_backoff_waits = 0
-
-    def note_backoff(self) -> None:
-        """Record one reader backoff wait (the serve layer calls this
-        before parking a refused/torn read, so starvation pressure is
-        visible next to the torn/refused counts it relieves)."""
-        self.reads_backoff_waits += 1
 
     def epochs(self, collections: Iterable[str]) -> tuple:
         """Sorted ``(collection, epoch)`` snapshot; unknown collections
@@ -459,6 +454,5 @@ class EpochGate:
             "reads_validated": self.reads_validated,
             "reads_torn": self.reads_torn,
             "reads_refused": self.reads_refused,
-            "reads_backoff_waits": self.reads_backoff_waits,
             "writes_gated": self.writes_gated,
         }

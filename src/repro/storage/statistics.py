@@ -571,11 +571,11 @@ class DataStatistics:
 
     def rebuild_dirty_summaries(self) -> int:
         """Eagerly rebuild every dirty per-path summary (the serve
-        layer's write path calls this inside the writer critical section
-        so subsequent lock-free reads never repair state -- reads stay
-        side-effect free and the ``summary_rebuilds`` counter moves only
-        under the write gate).  O(dirty paths): a no-op while every
-        touched path is below its caps.  Returns the number rebuilt."""
+        layer's write path calls this as part of each write so later
+        reads never repair state -- reads stay side-effect free and the
+        ``summary_rebuilds`` counter moves only on writes).
+        O(dirty paths): a no-op while every touched path is below its
+        caps.  Returns the number rebuilt."""
         dirty = list(self._dirty_paths)
         for tag_path in dirty:
             self._clean_summary(

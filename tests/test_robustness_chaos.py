@@ -250,7 +250,7 @@ def test_request_faults_always_typed_never_hang(rate, seed):
 
     async def scenario():
         async with AdvisorServer(small_database()) as server:
-            responses = await server.run_schedule(schedule, clients=3)
+            responses = await server.run_schedule(schedule)
             return responses, server
 
     with injected(FaultInjector(rules, seed=seed)):
@@ -284,7 +284,7 @@ def test_serve_chaos_replays_deterministically(seed):
 
     async def scenario():
         async with AdvisorServer(small_database()) as server:
-            return await server.run_schedule(schedule, clients=2)
+            return await server.run_schedule(schedule)
 
     def run_once():
         with injected(FaultInjector(rules, seed=seed)):

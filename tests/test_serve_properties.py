@@ -1,15 +1,16 @@
-"""Property tests (PR 9 satellite): under *any* seeded adversarial
-interleaving of queries, DML and advise requests, the server never
-serves a torn epoch.
+"""Property tests: under *any* arrival order of concurrent queries and
+DML, the server never serves a torn epoch.
 
 "Never a torn epoch" is checked with the strongest oracle available:
 the serial-replay differential.  If a read had returned state from a
 half-committed write -- rows from one epoch, statistics from another --
 its response could not equal the response of a serial replay at its
 watermark, because serial replays only ever see fully-committed states.
-Both the schedule and the interleaving are pure functions of hypothesis
--drawn values (``SeededScheduler``), so any counterexample shrinks to a
-minimal schedule + seed pair and replays exactly.
+Served requests are atomic (tests/test_serve_atomic.py), so the order in
+which concurrent client tasks arrive is the only freedom a schedule has.
+Hypothesis draws the schedule and that order and runs one task per
+request under ``asyncio.gather``, so any counterexample shrinks to a
+minimal (schedule, arrival order) pair and replays exactly.
 """
 
 import asyncio
@@ -17,9 +18,10 @@ import asyncio
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve import AdvisorServer, SeededScheduler
+from repro.serve import AdvisorServer
 from repro.serve.server import serial_order
 from repro.workloads import tpox
+from tests.test_serve_differential import gathered_run
 
 TIMEOUT = 120
 
@@ -58,48 +60,38 @@ OPS = (
 SCHEDULES = st.lists(
     st.sampled_from(range(len(OPS))), min_size=2, max_size=8
 )
+#: A schedule (indexes into OPS) and the order its tasks arrive in.
+ARRIVALS = SCHEDULES.flatmap(
+    lambda ops: st.tuples(st.just(ops), st.permutations(range(len(ops))))
+)
 
 
 def run(coro):
     return asyncio.run(asyncio.wait_for(coro, timeout=TIMEOUT))
 
 
-async def adversarial_run(schedule, seed):
-    database = small_database()
-    scheduler = SeededScheduler(seed=seed)
-    server = AdvisorServer(database, scheduler=scheduler)
-    async with server:
-        responses = await scheduler.drive(
-            [server.dispatch(request) for request in schedule]
-        )
-    return server, responses, scheduler
-
-
 async def serial_replay(requests):
     database = small_database()
     server = AdvisorServer(database)
     async with server:
-        responses = await server.run_schedule(requests, clients=1)
+        responses = await server.run_schedule(requests)
     return server, responses
 
 
 @settings(max_examples=25, deadline=None)
-@given(ops=SCHEDULES, seed=st.integers(min_value=0, max_value=2**16))
-def test_no_torn_epoch_under_any_interleaving(ops, seed):
+@given(drawn=ARRIVALS)
+def test_no_torn_epoch_under_any_interleaving(drawn):
+    ops, arrival = drawn
     schedule = [OPS[index] for index in ops]
-    server, responses, scheduler = run(adversarial_run(schedule, seed))
+    server, responses = run(gathered_run(schedule, arrival))
 
     # 1. Liveness and typed handling: every request completed ok.
     assert all(response.ok for response in responses), [
         (r.kind, r.code, r.error) for r in responses if not r.ok
     ]
 
-    # 2. Every response carries a consistent epoch token: reads only
-    #    return after the gate validated their token, so the gate never
-    #    counted a torn read *into* a response (torn attempts retried).
-    reads = [r for r in responses if r.kind == "query"]
+    # 2. Every response carries its epoch token and watermark.
     assert all(r.epoch is not None and r.seq is not None for r in responses)
-    assert server.gate.stats()["reads_validated"] >= len(reads)
 
     # 3. The differential oracle: the concurrent run is bit-identical to
     #    its serial replay, so no response leaked a half-committed state.
@@ -120,42 +112,49 @@ def test_no_torn_epoch_under_any_interleaving(ops, seed):
 
 
 @settings(max_examples=10, deadline=None)
-@given(ops=SCHEDULES, seed=st.integers(min_value=0, max_value=2**16))
-def test_schedules_are_replayable_by_seed(ops, seed):
-    """Shrinkability rests on determinism: the same (schedule, seed)
-    pair reproduces the same interleaving trace and the same responses,
-    so hypothesis can minimize any counterexample it finds."""
+@given(drawn=ARRIVALS)
+def test_schedules_are_replayable_by_seed(drawn):
+    """Shrinkability rests on determinism: the same (schedule, arrival
+    order) pair reproduces the same responses, so hypothesis can
+    minimize any counterexample it finds."""
+    ops, arrival = drawn
     schedule = [OPS[index] for index in ops]
-    first_server, first, first_sched = run(adversarial_run(schedule, seed))
-    again_server, again, again_sched = run(adversarial_run(schedule, seed))
-    assert first_sched.trace == again_sched.trace
+    first_server, first = run(gathered_run(schedule, arrival))
+    again_server, again = run(gathered_run(schedule, arrival))
     assert [r.comparable() for r in first] == [
         r.comparable() for r in again
     ]
     assert first_server.journal == again_server.journal
-    assert first_server.gate.stats() == again_server.gate.stats()
+    assert (
+        first_server.database.storage_stats()
+        == again_server.database.storage_stats()
+    )
+
+
+#: A pure write burst: four inserts, each followed by a read.
+WRITE_BURST = [{"kind": "query", "text": QUERY_TEXTS[0]}] + [
+    request
+    for index in range(4)
+    for request in (
+        {
+            "kind": "dml",
+            "text": "insert into SDOC value "
+            f"'<Security><Symbol>B{index}</Symbol></Security>'",
+        },
+        {"kind": "query", "text": QUERY_TEXTS[1]},
+    )
+]
 
 
 @settings(max_examples=10, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**16))
-def test_writer_never_starves_and_reads_retry_through(seed):
-    """A pure write burst against concurrent readers: all writes commit
-    (each exactly once, in journal order 0..n-1) and every reader
-    eventually validates -- refused/torn reads retry, they never error
-    out or return partial state."""
-    schedule = [{"kind": "query", "text": QUERY_TEXTS[0]}]
-    for index in range(4):
-        schedule.append(
-            {
-                "kind": "dml",
-                "text": "insert into SDOC value "
-                f"'<Security><Symbol>B{index}</Symbol></Security>'",
-            }
-        )
-        schedule.append({"kind": "query", "text": QUERY_TEXTS[1]})
-    server, responses, _ = run(adversarial_run(schedule, seed))
+@given(arrival=st.permutations(range(len(WRITE_BURST))))
+def test_writer_never_starves_and_reads_retry_through(arrival):
+    """The write burst against concurrent readers, in any arrival
+    order: all writes commit (each exactly once, in journal order
+    0..n-1) and every reader completes -- none errors out or returns
+    partial state."""
+    server, responses = run(gathered_run(WRITE_BURST, arrival))
     assert all(response.ok for response in responses)
     writes = [r for r in responses if r.kind == "dml"]
     assert sorted(r.seq for r in writes) == list(range(4))
     assert [entry["seq"] for entry in server.journal] == list(range(4))
-    assert server.gate.stats()["writes_gated"] == 4

@@ -21,9 +21,7 @@ Three layers of pinning:
    writable; concurrent lanes reading one shared part leave it
    unchanged.
 4. **Consumers** -- the serve layer's request snapshots are
-   bit-identical to their store-less baselines, and the EpochGate's
-   read-retry backoff (satellite 1) makes validated reads dominate
-   under the seeded adversarial scheduler.
+   bit-identical to their store-less baselines.
 """
 
 import asyncio
@@ -39,7 +37,7 @@ from repro.core.advisor import IndexAdvisor
 from repro.optimizer.session import WhatIfSession
 from repro.query.workload import Workload
 from repro.robustness.errors import ReadOnlySnapshotError
-from repro.serve import AdvisorServer, SeededScheduler
+from repro.serve import AdvisorServer
 from repro.storage import IndexDefinition, IndexValueType, statistics
 from repro.storage.snapshots import (
     SnapshotStore,
@@ -648,10 +646,8 @@ class TestServeConsumer:
     def test_server_snapshot_is_store_backed_and_bit_identical(self):
         async def scenario():
             async with AdvisorServer(build_database()) as server:
-                (_, _, snapshot), _token, _retries, _seq = (
-                    await server._advise_read(
-                        None, list(server.database.collections)
-                    )
+                _, _, snapshot = server._advise_read(
+                    None, list(server.database.collections)
                 )
                 return server, snapshot
 
@@ -707,81 +703,3 @@ class TestServeConsumer:
         assert written["compositions"] == steady["compositions"] + 1
         assert written["clones"] == steady["clones"] + 1
         assert written["generations"] == 3
-
-    @staticmethod
-    def _contended_schedule(rounds: int = 3):
-        """Reads racing writes: one DML per query in round 0, then
-        write-free read rounds."""
-        schedule = []
-        for round_index in range(rounds):
-            for index, text in enumerate(QUERY_TEXTS):
-                schedule.append({"kind": "query", "text": text})
-                if round_index == 0:
-                    schedule.append(
-                        {
-                            "kind": "dml",
-                            "text": "insert into SDOC value "
-                            f"'<Security><Symbol>B{index}</Symbol>"
-                            "</Security>'",
-                        }
-                    )
-        return schedule
-
-    @staticmethod
-    async def _legacy_backoff(self, attempt, site):
-        """The pre-backoff retry loop: one bare yield, no wait."""
-        await self._yield(site)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_backoff_beats_immediate_retry_under_seeded_scheduler(
-        self, seed, monkeypatch
-    ):
-        """Satellite 1, the deterministic half: on the SAME seeded
-        adversarial schedule, bounded backoff must waste strictly fewer
-        read attempts (torn + refused) than the old immediate-retry
-        loop -- the scheduler makes both runs pure functions of the
-        seed, so this is an exact regression pin, not a timing test."""
-        schedule = self._contended_schedule()
-
-        async def scenario():
-            scheduler = SeededScheduler(seed=seed)
-            server = AdvisorServer(build_database(), scheduler=scheduler)
-            async with server:
-                responses = await scheduler.drive(
-                    [server.dispatch(request) for request in schedule]
-                )
-            assert all(response.ok for response in responses)
-            return server.gate.stats()
-
-        with_backoff = _run(scenario())
-        monkeypatch.setattr(
-            AdvisorServer, "_read_backoff", self._legacy_backoff
-        )
-        legacy = _run(scenario())
-        assert legacy["reads_backoff_waits"] == 0
-        assert with_backoff["reads_backoff_waits"] > 0
-        wasted = with_backoff["reads_torn"] + with_backoff["reads_refused"]
-        legacy_wasted = legacy["reads_torn"] + legacy["reads_refused"]
-        assert wasted < legacy_wasted, (with_backoff, legacy)
-        # every read still validates, in both worlds
-        reads = sum(1 for r in schedule if r["kind"] == "query")
-        assert with_backoff["reads_validated"] == reads
-        assert legacy["reads_validated"] == reads
-
-    def test_backoff_makes_validated_reads_dominate_free_running(self):
-        """Under free-running concurrent clients the old loop wasted
-        more attempts than it validated (32 torn + 54 refused vs 40
-        validated); with backoff validated reads must dominate torn +
-        refused."""
-        schedule = self._contended_schedule(rounds=4)
-
-        async def scenario():
-            server = AdvisorServer(build_database())
-            async with server:
-                responses = await server.run_schedule(schedule, clients=4)
-            assert all(response.ok for response in responses)
-            return server.gate.stats()
-
-        stats = _run(scenario())
-        wasted = stats["reads_torn"] + stats["reads_refused"]
-        assert stats["reads_validated"] > wasted, stats
