@@ -185,10 +185,10 @@ def test_evaluate_faults_never_escape_a_recommend(rate, seed):
 
 
 # ---------------------------------------------------------------------------
-# The served recommend is the ILP search
+# Every caller runs the same ILP search
 # ---------------------------------------------------------------------------
 
-#: What a served recommend must share with a fresh ILP advisor.
+#: What each caller's advice must share with a fresh ILP advisor.
 PARITY_KEYS = (
     "algorithm", "budget_bytes", "degraded", "indexes", "ddl", "benefit",
     "size_bytes", "optimizer_calls", "ilp",
@@ -227,15 +227,124 @@ def parity_projection(data):
     return {key: data[key] for key in PARITY_KEYS}
 
 
-@pytest.mark.parametrize("seed", [11, 1229, 7])
-@pytest.mark.parametrize("fraction", [0.1, 0.3, 0.6])
-@pytest.mark.parametrize("case", ["tpox_db", "xmark_db", "mixed_db"])
-def test_served_recommend_equals_a_fresh_ilp_advisor(
-    case, fraction, seed, request, fault_free
-):
+# Each caller below advises on ``database`` for ``texts`` within
+# ``budget`` by its default path and returns its advice as a
+# ``Recommendation.to_dict()``, with the database and workload a fresh
+# advisor must be handed to see what the caller saw.
+
+def advice_from_server(database, texts, budget, tmp_path, capsys):
     import asyncio
 
     from repro.serve import AdvisorServer
+
+    async def served():
+        async with AdvisorServer(database) as server:
+            return await server.recommend(texts, budget)
+
+    response = asyncio.run(asyncio.wait_for(served(), timeout=120))
+    assert response.ok, response.error
+    return (
+        response.value,
+        SnapshotStore().snapshot(database),
+        Workload.from_statements(texts),
+    )
+
+
+def advice_from_daemon(database, texts, budget, tmp_path, capsys):
+    """The daemon's first tuned cycle over a private copy of
+    ``database``: nothing is materialized yet, so nothing is hidden."""
+    import pickle
+
+    from repro.online import OnlineAdvisor, OnlinePolicy
+
+    snapshot = SnapshotStore().snapshot(database)
+    daemon = OnlineAdvisor(
+        pickle.loads(pickle.dumps(snapshot)),
+        OnlinePolicy(
+            budget_bytes=budget,
+            algorithm="ilp",
+            compress="off",
+            window_capacity=len(texts),
+            cycle_interval=10 * len(texts),
+        ),
+    )
+    for text in texts:
+        daemon.ingest(text)
+    tuned = []
+    tune = daemon._tune
+    daemon._tune = lambda workload: tuned.append(tune(workload)) or tuned[-1]
+    workload = daemon.window.workload()
+    report = daemon.run_cycle()
+    assert report.action != "failed", report.error
+    recommendation, _, _ = tuned[0]
+    return recommendation.to_dict(), snapshot, workload
+
+
+def advice_from_cluster(database, texts, budget, tmp_path, capsys):
+    from repro.cluster import Cluster, tune_cluster
+
+    workload = Workload.from_statements(texts)
+    result = tune_cluster(
+        Cluster.from_database(database, shards=1, replicas=1),
+        workload,
+        budget,
+    )
+    return (
+        result.tunings[0].recommendation.to_dict(),
+        SnapshotStore().snapshot(database),
+        workload,
+    )
+
+
+def advice_from_cli(database, texts, budget, tmp_path, capsys):
+    import json
+
+    from repro.cli import main, read_workload_file
+    from repro.storage.persist import load_database, save_database
+
+    dbdir = str(tmp_path / "db")
+    save_database(database, dbdir)
+    path = tmp_path / "workload.xq"
+    path.write_text("".join(f"{text}\n;\n" for text in texts))
+    capsys.readouterr()
+    assert main(
+        ["recommend", dbdir, "--workload", str(path), "--budget",
+         str(budget), "--json"]
+    ) == 0
+    return (
+        json.loads(capsys.readouterr().out),
+        load_database(dbdir),
+        read_workload_file(str(path)),
+    )
+
+
+CALLERS = {
+    "server": advice_from_server,
+    "daemon": advice_from_daemon,
+    "cluster": pytest.param(
+        advice_from_cluster,
+        marks=pytest.mark.xfail(
+            strict=True, reason="tune_cluster defaults to topdown_full"
+        ),
+    ),
+    "cli": pytest.param(
+        advice_from_cli,
+        marks=pytest.mark.xfail(
+            strict=True, reason="recommend defaults to topdown_full"
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [11, 1229, 7])
+@pytest.mark.parametrize("fraction", [0.1, 0.3, 0.6])
+@pytest.mark.parametrize("case", ["tpox_db", "xmark_db", "mixed_db"])
+@pytest.mark.parametrize(
+    "caller", list(CALLERS.values()), ids=list(CALLERS)
+)
+def test_served_recommend_equals_a_fresh_ilp_advisor(
+    caller, case, fraction, seed, request, tmp_path, capsys, fault_free
+):
     from tests.fault_projection import assert_same_advice
 
     database = request.getfixturevalue(case)
@@ -249,20 +358,14 @@ def test_served_recommend_equals_a_fresh_ilp_advisor(
         ).candidates.basics()
     )
     budget = max(1, int(basics * fraction))
-
-    async def served():
-        async with AdvisorServer(database) as server:
-            return await server.recommend(texts, budget)
-
-    response = asyncio.run(asyncio.wait_for(served(), timeout=120))
-    assert response.ok, response.error
-    snapshot = SnapshotStore().snapshot(database)
+    advice, seen, workload = caller(
+        database, texts, budget, tmp_path, capsys
+    )
     fresh = IndexAdvisor(
-        snapshot, Workload.from_statements(texts),
-        session=WhatIfSession(snapshot),
+        seen, workload, session=WhatIfSession(seen)
     ).recommend(budget, algorithm="ilp")
     assert_same_advice(
-        parity_projection(response.value),
+        parity_projection(advice),
         parity_projection(fresh.to_dict()),
         f"{case} at {fraction} of the basics, seed {seed}",
     )
