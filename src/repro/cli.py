@@ -238,8 +238,8 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     if shards > 1 or replicas > 1 or args.divergent:
         return _recommend_cluster(args, db, workload, shards, replicas)
     advisor = IndexAdvisor(db, workload, compress=args.compress)
-    recommendation = advisor.recommend(
-        budget_bytes=args.budget,
+    recommendation = advisor.advise(
+        args.budget,
         algorithm=args.algorithm,
         deadline_seconds=args.deadline,
         optimizer_call_budget=args.call_budget,
@@ -361,7 +361,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         policy = OnlinePolicy(
             budget_bytes=args.budget,
             algorithm=args.algorithm,
-            fallback_algorithm=args.fallback_algorithm,
             window_capacity=args.window,
             cycle_interval=args.cycle_interval,
             drift_threshold=args.drift_threshold,
@@ -710,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, required=True, help="disk budget in bytes")
     p.add_argument(
         "--algorithm",
-        default="topdown_full",
+        default="ilp",
         choices=(
             "greedy",
             "greedy_heuristics",
@@ -806,14 +805,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="crash-safe daemon journal (state + cycle checkpoint)")
     p.add_argument("--resume", action="store_true",
                    help="reconstruct the daemon from --journal and continue")
-    p.add_argument("--algorithm", default="greedy",
-                   choices=("greedy", "greedy_heuristics", "topdown_lite",
-                            "topdown_full", "dp", "ilp"))
-    p.add_argument("--fallback-algorithm", default="greedy_heuristics",
+    p.add_argument("--algorithm", default="ilp",
                    choices=("greedy", "greedy_heuristics", "topdown_lite",
                             "topdown_full", "dp", "ilp"),
-                   help="algorithm used after retries fail or the "
-                        "watchdog trips")
+                   help="search of each tuning cycle; greedy_heuristics "
+                        "runs after its retries fail or once the watchdog "
+                        "trips")
     p.add_argument("--window", type=int, default=200,
                    help="sliding-window capacity in statements")
     p.add_argument("--cycle-interval", type=int, default=25,
@@ -838,10 +835,11 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("off", "exact", "template", "cluster"),
                    help="window compression before each tuning pass")
     p.add_argument("--retries", type=int, default=1,
-                   help="retries per failed tuning cycle before fallback")
+                   help="retries of a failed --algorithm attempt before "
+                        "greedy_heuristics")
     p.add_argument("--watchdog-limit", type=int, default=3,
                    help="consecutive failed cycles before the watchdog "
-                        "pins the fallback algorithm")
+                        "pins greedy_heuristics")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for --synthetic streams")
     p.add_argument("--phases", type=int, default=3,

@@ -202,7 +202,7 @@ def tune_cluster(
     workload: Workload,
     budget_bytes: int,
     divergent: bool = True,
-    algorithm: str = "topdown_full",
+    algorithm: str = "ilp",
     create: bool = True,
     deadline_seconds: Optional[float] = None,
     optimizer_call_budget: Optional[int] = None,
@@ -230,7 +230,7 @@ def tune_cluster(
             slice_workload = slices[replica]
             if divergent or uniform_recommendation is None:
                 advisor = IndexAdvisor(database, slice_workload)
-                recommendation = advisor.recommend(
+                recommendation = advisor.advise(
                     budget_bytes,
                     algorithm=algorithm,
                     deadline_seconds=deadline_seconds,

@@ -9,8 +9,7 @@ optimizer's Evaluate Indexes mode with sub-configuration caching.
 Typical use::
 
     advisor = IndexAdvisor(database, workload)
-    recommendation = advisor.recommend(budget_bytes=2_000_000,
-                                       algorithm="topdown_full")
+    recommendation = advisor.advise(2_000_000)   # ilp, greedy fallback
     print(recommendation.report())
     advisor.create_indexes(recommendation)   # build them for real
 """
@@ -42,8 +41,23 @@ from repro.optimizer.session import WhatIfSession
 from repro.query.workload import Workload
 from repro.robustness.budget import SearchBudget
 from repro.robustness.checkpoint import SearchCheckpoint
-from repro.robustness.errors import AdvisorError, FatalAdvisorError
+from repro.robustness.errors import (
+    AdvisorError,
+    ConfigError,
+    FatalAdvisorError,
+)
+from repro.robustness.faults import maybe_inject
 from repro.storage.database import Database, resolve_database
+
+
+#: The one fallback rung of :meth:`IndexAdvisor.advise`.
+FALLBACK_ALGORITHM = "greedy_heuristics"
+
+#: The deadline a later attempt gets once the ladder's has run out:
+#: already spent, so the search truncates at its first budget check and
+#: reports its best-so-far (a :class:`SearchBudget` deadline must be
+#: positive).
+_EXPIRED_SECONDS = 1e-9
 
 
 def _bound(value: Optional[float]) -> str:
@@ -64,7 +78,8 @@ class Recommendation:
     session_stats: Dict = field(default_factory=dict)
     #: True when any cost behind this recommendation came from the
     #: heuristic fallback estimator (optimizer failures past retries or
-    #: missing statistics) -- see docs/robustness.md.
+    #: missing statistics), or when :meth:`IndexAdvisor.advise`'s
+    #: fallback search gave it -- see docs/robustness.md.
     degraded: bool = False
     #: Per-input diagnostics collected on the way here (skipped workload
     #: statements, degraded candidate sizes, ...).
@@ -458,6 +473,75 @@ class IndexAdvisor:
         return self._package(
             result, extra_diagnostics=search_budget.diagnostics
         )
+
+    def advise(
+        self,
+        budget_bytes: int,
+        *,
+        algorithm: str = "ilp",
+        retries: int = 0,
+        deadline_seconds: Optional[float] = None,
+        optimizer_call_budget: Optional[int] = None,
+        checkpoint_path: Optional[str] = None,
+    ) -> Recommendation:
+        """The attempt ladder every caller runs (docs/robustness.md).
+
+        ``algorithm`` runs ``1 + retries`` times, then one
+        ``greedy_heuristics`` attempt when ``algorithm`` is something
+        else, all on this advisor, so a later attempt reuses the
+        candidates and costs an earlier one computed.  Every attempt
+        draws the ``advise.attempt`` fault site and gets the same
+        ``optimizer_call_budget``; the attempts share one
+        ``deadline_seconds`` clock, so a later attempt gets only what is
+        left of it.  Failed attempts are recorded in the answer's
+        diagnostics, and the answer is ``degraded`` when an algorithm
+        other than ``algorithm`` gave it.  When every attempt fails, one
+        typed error is raised: :class:`ConfigError` if any attempt
+        failed on configuration junk, :class:`FatalAdvisorError`
+        otherwise.
+        """
+        if algorithm not in ALGORITHMS:
+            raise ValueError(
+                f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
+            )
+        if budget_bytes <= 0:
+            raise ValueError(
+                f"budget_bytes must be a positive number of bytes, got "
+                f"{budget_bytes}"
+            )
+        attempts = [algorithm] * (1 + retries)
+        if algorithm != FALLBACK_ALGORITHM:
+            attempts.append(FALLBACK_ALGORITHM)
+        clock = SearchBudget(deadline_seconds=deadline_seconds)
+        failed = []
+        for attempt in attempts:
+            try:
+                maybe_inject("advise.attempt")
+                remaining = clock.remaining_seconds()
+                if remaining is not None:
+                    remaining = max(remaining, _EXPIRED_SECONDS)
+                recommendation = self.recommend(
+                    budget_bytes,
+                    algorithm=attempt,
+                    deadline_seconds=remaining,
+                    optimizer_call_budget=optimizer_call_budget,
+                    checkpoint_path=checkpoint_path,
+                )
+            except Exception as exc:
+                failed.append((attempt, exc))
+                continue
+            recommendation.diagnostics += [
+                f"{name} attempt failed ({type(exc).__name__}: {exc})"
+                for name, exc in failed
+            ]
+            recommendation.degraded |= attempt != algorithm
+            return recommendation
+        message = "every advise attempt failed (" + "; ".join(
+            f"{name}: {exc}" for name, exc in failed
+        ) + ")"
+        if any(isinstance(exc, ConfigError) for _, exc in failed):
+            raise ConfigError(message)
+        raise FatalAdvisorError(message, phase="advise")
 
     def _package(
         self,

@@ -7,8 +7,8 @@ long-running service:
 * :mod:`repro.online.window` -- sliding-window, template-weighted
   workload statistics with coverage-signature drift detection;
 * :mod:`repro.online.policy` -- every daemon knob (drift threshold,
-  hysteresis, per-cycle budgets, retry/fallback ladder) with typed
-  validation;
+  hysteresis, per-cycle budgets, the advise ladder's algorithm and
+  retries) with typed validation;
 * :mod:`repro.online.journal` -- the atomic state journal behind
   ``repro serve --resume``;
 * :mod:`repro.online.daemon` -- the supervised state machine:

@@ -10,14 +10,16 @@ One :class:`OnlineAdvisor` turns the paper's one-shot batch
    coverage-signature distribution drifted past the policy threshold
    from the window that produced the current configuration (or when no
    configuration exists yet);
-3. **tune** -- a fresh :class:`~repro.core.advisor.IndexAdvisor` runs on
-   the window under a per-cycle anytime budget with a crash-safe search
-   checkpoint.  The daemon's own materialized indexes are *hidden*
-   during tuning (the ``core.review`` idiom) so the search scores
-   against a no-index baseline and the winner is comparable to the
-   current configuration.  A failed cycle retries with backoff, falls
-   back to the policy's fallback algorithm, and at worst is skipped --
-   the daemon never dies of a cycle (:class:`~repro.robustness.errors.
+3. **tune** -- one fresh :class:`~repro.core.advisor.IndexAdvisor` per
+   cycle runs its :meth:`~repro.core.advisor.IndexAdvisor.advise` ladder
+   on the window under one per-cycle anytime budget with a crash-safe
+   search checkpoint.  The daemon's own materialized indexes are
+   *hidden* during tuning (the ``core.review`` idiom) so the search
+   scores against a no-index baseline and the winner is comparable to
+   the current configuration.  A failed attempt is retried, then
+   ``greedy_heuristics`` runs on the same advisor with what is left of
+   the cycle's deadline, and at worst the cycle is skipped -- the
+   daemon never dies of a cycle (:class:`~repro.robustness.errors.
    CycleError` is absorbed, the :class:`~repro.robustness.watchdog.
    Watchdog` counts it);
 4. **hysteresis** -- the winner is diffed against the materialized
@@ -41,10 +43,10 @@ every lifecycle path deterministic and fault-injectable.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.advisor import FALLBACK_ALGORITHM, IndexAdvisor
 from repro.core.candidates import CandidateIndex
 from repro.core.config import IndexConfiguration
 from repro.core.whatif import analyze
@@ -155,7 +157,6 @@ class OnlineAdvisor:
         policy: OnlinePolicy,
         journal_path: Optional[str] = None,
         verifier: Optional[Callable[..., float]] = None,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.storage = storage
         self.database = resolve_database(storage)
@@ -168,7 +169,6 @@ class OnlineAdvisor:
         self.heartbeat = Heartbeat()
         self.watchdog = Watchdog(policy.watchdog_limit)
         self._verifier = verifier or _live_window_cost
-        self._sleep = sleep
         #: Candidate-key -> materialized index (the daemon's view of the
         #: configuration it owns; compared by key, never by name).
         self.materialized: Dict[str, MaterializedIndex] = {}
@@ -254,7 +254,7 @@ class OnlineAdvisor:
                     self.diagnostics.append(
                         f"watchdog tripped after "
                         f"{self.watchdog.limit} consecutive failed cycles; "
-                        f"falling back to {self.policy.fallback_algorithm}"
+                        f"falling back to {FALLBACK_ALGORITHM}"
                     )
             else:
                 self.watchdog.record_success()
@@ -296,7 +296,8 @@ class OnlineAdvisor:
         self._write_journal("tuning")
         self.counters["cycles_tuned"] += 1
         workload = self.window.workload()
-        recommendation, algorithm, tune_diagnostics = self._tune(workload)
+        recommendation = self._tune(workload)
+        algorithm = recommendation.search.algorithm
         report = CycleReport(
             cycle=self.cycle,
             action="tuned-no-change",
@@ -311,7 +312,7 @@ class OnlineAdvisor:
                 recommendation.degraded
                 or algorithm != self.policy.algorithm
             ),
-            diagnostics=tune_diagnostics,
+            diagnostics=list(recommendation.diagnostics),
         )
 
         winner = {
@@ -351,21 +352,20 @@ class OnlineAdvisor:
         return report, True
 
     # ------------------------------------------------------------------
-    # Tuning (retry -> backoff -> fallback ladder)
+    # Tuning (the advise ladder)
     # ------------------------------------------------------------------
     def _tune(self, workload: Workload):
-        """Run one bounded tuning search over the window with the
-        daemon's indexes hidden.  Returns ``(recommendation, algorithm,
-        diagnostics)`` or raises :class:`CycleError` once every attempt
-        (primary + retries, then fallback) has failed."""
+        """Run the advise ladder over the window with the daemon's
+        indexes hidden: the policy's algorithm ``1 + retries`` times and
+        then ``greedy_heuristics``, or ``greedy_heuristics`` alone once
+        the watchdog tripped.  Returns the recommendation or raises
+        :class:`CycleError` once every attempt has failed."""
         policy = self.policy
-        if self.watchdog.tripped:
-            attempts = [policy.fallback_algorithm]
-        else:
-            attempts = [policy.algorithm] * (1 + policy.retries)
-            if policy.fallback_algorithm != policy.algorithm:
-                attempts.append(policy.fallback_algorithm)
-        diagnostics: List[str] = []
+        ladder = (
+            {"algorithm": FALLBACK_ALGORITHM}
+            if self.watchdog.tripped
+            else {"algorithm": policy.algorithm, "retries": policy.retries}
+        )
         hidden = {
             entry.name: self.database.indexes.pop(entry.name)
             for entry in self.materialized.values()
@@ -373,49 +373,28 @@ class OnlineAdvisor:
         }
         self.database.touch()
         try:
-            last_error: Optional[Exception] = None
-            for attempt, algorithm in enumerate(attempts):
-                if attempt > 0 and policy.retry_backoff_seconds > 0:
-                    self._sleep(
-                        policy.retry_backoff_seconds * (2 ** (attempt - 1))
-                    )
-                try:
-                    recommendation = self._recommend(workload, algorithm)
-                except AdvisorError as exc:
-                    last_error = exc
-                    diagnostics.append(
-                        f"attempt {attempt + 1} ({algorithm}) failed: {exc}"
-                    )
-                    continue
-                self._current_config_cost = self._score_configuration(
-                    workload
-                )
-                return recommendation, algorithm, diagnostics
-            raise CycleError(
-                f"all tuning attempts failed (last: {last_error})",
-                cycle=self.cycle,
+            advisor = IndexAdvisor(
+                self.database, workload, compress=policy.compress
             )
+            try:
+                recommendation = advisor.advise(
+                    policy.budget_bytes,
+                    **ladder,
+                    deadline_seconds=policy.cycle_deadline_seconds,
+                    optimizer_call_budget=policy.cycle_call_budget,
+                    checkpoint_path=(
+                        self.journal.checkpoint_path if self.journal else None
+                    ),
+                )
+            except AdvisorError as exc:
+                raise CycleError(
+                    f"tuning failed: {exc}", cycle=self.cycle
+                ) from exc
+            self._current_config_cost = self._score_configuration(workload)
+            return recommendation
         finally:
             self.database.indexes.update(hidden)
             self.database.touch()
-
-    def _recommend(self, workload: Workload, algorithm: str):
-        from repro.core.advisor import IndexAdvisor
-
-        advisor = IndexAdvisor(
-            self.database,
-            workload,
-            compress=self.policy.compress,
-        )
-        return advisor.recommend(
-            budget_bytes=self.policy.budget_bytes,
-            algorithm=algorithm,
-            deadline_seconds=self.policy.cycle_deadline_seconds,
-            optimizer_call_budget=self.policy.cycle_call_budget,
-            checkpoint_path=(
-                self.journal.checkpoint_path if self.journal else None
-            ),
-        )
 
     def _score_configuration(self, workload: Workload) -> float:
         """What-if cost of the *current* configuration on the window.
@@ -637,7 +616,6 @@ class OnlineAdvisor:
         policy: OnlinePolicy,
         journal_path: str,
         verifier: Optional[Callable[..., float]] = None,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> "OnlineAdvisor":
         """Reconstruct a daemon from its journal.  A missing journal
         starts fresh; a corrupt one degrades to fresh with a diagnostic
@@ -651,7 +629,6 @@ class OnlineAdvisor:
             policy,
             journal_path=journal_path,
             verifier=verifier,
-            sleep=sleep,
         )
         if diagnostic is not None:
             daemon.diagnostics.append(diagnostic)

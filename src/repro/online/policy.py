@@ -8,12 +8,13 @@ knobs (docs/robustness.md has the full state machine):
 * **drift** -- re-tune only when the window's coverage-signature
   distribution moved at least ``drift_threshold`` total-variation
   distance from the window that produced the current configuration;
-* **tuning** -- ``algorithm`` under a per-cycle anytime budget
+* **tuning** -- the advise ladder (:meth:`~repro.core.advisor.
+  IndexAdvisor.advise`) under one per-cycle anytime budget
   (``cycle_deadline_seconds`` / ``cycle_call_budget``), compressed by
-  ``compress``; a failed cycle retries ``retries`` times with
-  ``retry_backoff_seconds`` backoff, then falls back to
-  ``fallback_algorithm``; ``watchdog_limit`` consecutive failures trip
-  the watchdog and later cycles go straight to the fallback;
+  ``compress``: ``algorithm`` runs ``1 + retries`` times, then
+  ``greedy_heuristics`` with what is left of the cycle's deadline;
+  ``watchdog_limit`` consecutive failed cycles trip the watchdog and
+  later cycles run ``greedy_heuristics`` alone;
 * **hysteresis & safety** -- a winner must beat the current
   configuration by ``min_relative_improvement`` on the live window to
   be applied; after an apply the daemon holds ``cooldown_cycles``;
@@ -42,8 +43,7 @@ class OnlinePolicy:
     """All knobs of one online-daemon instance."""
 
     budget_bytes: int
-    algorithm: str = "greedy"
-    fallback_algorithm: str = "greedy_heuristics"
+    algorithm: str = "ilp"
     window_capacity: int = 200
     cycle_interval: int = 25
     drift_threshold: float = 0.25
@@ -54,7 +54,6 @@ class OnlinePolicy:
     cycle_call_budget: Optional[int] = None
     compress: str = "template"
     retries: int = 1
-    retry_backoff_seconds: float = 0.0
     watchdog_limit: int = 3
     verify_applies: bool = True
     rollback_tolerance: float = 1e-9
@@ -69,16 +68,12 @@ class OnlinePolicy:
                 f"disk budget must be positive, got {self.budget_bytes}",
                 option="budget-bytes",
             )
-        for option, name in (
-            ("algorithm", self.algorithm),
-            ("fallback-algorithm", self.fallback_algorithm),
-        ):
-            if name not in ALGORITHMS:
-                raise ConfigError(
-                    f"unknown algorithm {name!r}; "
-                    f"choose from {sorted(ALGORITHMS)}",
-                    option=option,
-                )
+        if self.algorithm not in ALGORITHMS:
+            raise ConfigError(
+                f"unknown algorithm {self.algorithm!r}; "
+                f"choose from {sorted(ALGORITHMS)}",
+                option="algorithm",
+            )
         if self.window_capacity <= 0:
             raise ConfigError(
                 f"window capacity must be positive, got {self.window_capacity}",
@@ -129,12 +124,6 @@ class OnlinePolicy:
             raise ConfigError(
                 f"retries must be >= 0, got {self.retries}", option="retries"
             )
-        if self.retry_backoff_seconds < 0:
-            raise ConfigError(
-                f"backoff must be >= 0 seconds, "
-                f"got {self.retry_backoff_seconds}",
-                option="retry-backoff",
-            )
         if self.watchdog_limit <= 0:
             raise ConfigError(
                 f"watchdog limit must be positive, got {self.watchdog_limit}",
@@ -152,7 +141,6 @@ class OnlinePolicy:
         return {
             "budget_bytes": self.budget_bytes,
             "algorithm": self.algorithm,
-            "fallback_algorithm": self.fallback_algorithm,
             "window_capacity": self.window_capacity,
             "cycle_interval": self.cycle_interval,
             "drift_threshold": self.drift_threshold,
@@ -163,7 +151,6 @@ class OnlinePolicy:
             "cycle_call_budget": self.cycle_call_budget,
             "compress": self.compress,
             "retries": self.retries,
-            "retry_backoff_seconds": self.retry_backoff_seconds,
             "watchdog_limit": self.watchdog_limit,
             "verify_applies": self.verify_applies,
             "rollback_tolerance": self.rollback_tolerance,

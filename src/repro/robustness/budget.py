@@ -110,8 +110,9 @@ class SearchBudget:
 
     def remaining_seconds(self) -> Optional[float]:
         """Wall-clock left on the deadline (``None`` when unbounded,
-        floored at 0).  The served recommend uses this to hand its
-        fallback attempt only what is left of the request deadline."""
+        floored at 0).  :meth:`~repro.core.advisor.IndexAdvisor.advise`
+        uses this to hand each later attempt only what is left of the
+        ladder's deadline."""
         if self.deadline_seconds is None:
             return None
         return max(

@@ -17,7 +17,7 @@ site                         guarded operation
 ``online.cycle``             entering one online-daemon tuning cycle
 ``online.apply``             materializing one online CREATE/DROP action
 ``serve.request``            admitting one serving-front-end request
-``serve.portfolio``          one attempt of a served recommend's search
+``advise.attempt``           one attempt of an advise ladder's search
 ===========================  ====================================================
 
 With no injector installed, :func:`maybe_inject` is a dictionary miss --

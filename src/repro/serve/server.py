@@ -358,8 +358,8 @@ class AdvisorServer:
         tenant: str = "default",
         deadline_seconds: Optional[float] = None,
     ) -> Response:
-        """Search an index configuration on an epoch snapshot with one
-        ILP search (serve/portfolio.py)."""
+        """Search an index configuration on an epoch snapshot with the
+        advise ladder (serve/portfolio.py)."""
         return await self._handle(
             "recommend",
             tenant,
@@ -512,14 +512,9 @@ class AdvisorServer:
         )
         # Only a complete answer is held: a deadline, a call quota or a
         # fault that shaped this one must not be served to a later
-        # request (an ``ilp`` answer also means no attempt failed).
+        # request (a fallback answer is ``degraded``).
         value = normalized_recommendation(recommendation)
-        if (
-            value["truncated"]
-            or value["degraded"]
-            or value["algorithm"] != "ilp"
-            or value["diagnostics"]
-        ):
+        if value["truncated"] or value["degraded"] or value["diagnostics"]:
             state = None
         return self._shared(key, value, state), epoch, self._seq
 

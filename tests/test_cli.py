@@ -137,7 +137,7 @@ class TestJsonOutput:
         assert main(["recommend", dbdir, "--workload", str(workload),
                      "--budget", "20000", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["algorithm"] == "topdown_full"
+        assert payload["algorithm"] == "ilp"
         assert payload["budget_bytes"] == 20000
         assert isinstance(payload["indexes"], list)
         for index in payload["indexes"]:

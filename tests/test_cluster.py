@@ -381,7 +381,7 @@ class TestTuning:
         configuration to cover both benchmarks): executed through the
         cluster executor, the workload's queries examine strictly fewer
         documents over divergently tuned replicas than over uniformly
-        tuned ones (115 vs 504, frequency-weighted).  The optimizer's
+        tuned ones (85 vs 491, frequency-weighted).  The optimizer's
         estimate of the routed cost agrees, and explains why: each
         replica column holds the indexes its slice of the traffic
         needs."""

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+import repro.core.advisor as advisor_module
 from repro.core.advisor import IndexAdvisor
 from repro.online import OnlineAdvisor, OnlinePolicy
 from repro.online.daemon import ONLINE_INDEX_PREFIX
@@ -204,7 +205,6 @@ class TestSupervision:
             small_db(),
             make_policy(
                 algorithm="greedy",
-                fallback_algorithm="greedy_heuristics",
                 watchdog_limit=2,
                 cycle_interval=10_000,  # cycles only run when forced
             ),
@@ -217,11 +217,65 @@ class TestSupervision:
             second = daemon.run_cycle(force=True)
             assert [first.action, second.action] == ["failed", "failed"]
             assert daemon.watchdog.tripped
-            assert any("watchdog tripped" in d for d in daemon.diagnostics)
+            assert any(
+                "watchdog tripped" in d and "greedy_heuristics" in d
+                for d in daemon.diagnostics
+            )
             third = daemon.run_cycle(force=True)
         assert third.action == "applied"
         assert third.algorithm == "greedy_heuristics"
         assert third.degraded  # ran on the fallback, not the primary
+
+    @pytest.mark.parametrize("deadline", [60.0, 0.01])
+    def test_the_fallback_gets_what_is_left_of_the_cycle(
+        self, deadline, monkeypatch
+    ):
+        """The cycle deadline bounds the whole ladder: a primary attempt
+        that stalls and fails under an injected fault hands
+        ``greedy_heuristics`` only what is left of the cycle's clock,
+        and the same call budget."""
+        attempts = []
+        original = IndexAdvisor.recommend
+
+        def recording(self, budget_bytes, algorithm, **knobs):
+            attempts.append((algorithm, knobs))
+            return original(self, budget_bytes, algorithm=algorithm, **knobs)
+
+        monkeypatch.setattr(IndexAdvisor, "recommend", recording)
+        daemon = OnlineAdvisor(
+            small_db(),
+            make_policy(
+                algorithm="ilp",
+                cycle_deadline_seconds=deadline,
+                cycle_call_budget=400,
+                cycle_interval=10_000,  # cycles only run when forced
+            ),
+        )
+        for text in phase_a(30):
+            daemon.ingest(text)
+        stall = 0.02
+        rules = [
+            FaultRule(site="advise.attempt", at={0}, stall_seconds=stall)
+        ]
+        with injected(FaultInjector(rules)):
+            report = daemon.run_cycle(force=True)
+        assert [algorithm for algorithm, _ in attempts] == [
+            "greedy_heuristics"
+        ]
+        ((_, knobs),) = attempts
+        assert knobs["optimizer_call_budget"] == 400
+        if deadline > 1.0:
+            assert knobs["deadline_seconds"] <= deadline - stall
+        else:
+            # spent while the ilp attempt stalled: floored, not zero
+            assert knobs["deadline_seconds"] == advisor_module._EXPIRED_SECONDS
+            assert report.truncated
+        assert report.algorithm == "greedy_heuristics"
+        assert report.degraded
+        assert any(
+            "ilp attempt failed (InjectedFault" in line
+            for line in report.diagnostics
+        )
 
     def test_cycle_call_budget_bounds_every_cycle(self):
         daemon = OnlineAdvisor(

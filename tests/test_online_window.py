@@ -129,7 +129,6 @@ class TestOnlinePolicyValidation:
         [
             ({"budget_bytes": 0}, "budget-bytes"),
             ({"algorithm": "nope"}, "algorithm"),
-            ({"fallback_algorithm": "nope"}, "fallback-algorithm"),
             ({"window_capacity": 0}, "window"),
             ({"cycle_interval": 0}, "cycle-interval"),
             ({"drift_threshold": 1.5}, "drift-threshold"),
@@ -140,7 +139,6 @@ class TestOnlinePolicyValidation:
             ({"cycle_call_budget": 0}, "cycle-call-budget"),
             ({"compress": "zip"}, "compress"),
             ({"retries": -1}, "retries"),
-            ({"retry_backoff_seconds": -1.0}, "retry-backoff"),
             ({"watchdog_limit": 0}, "watchdog-limit"),
             ({"rollback_tolerance": -1e-9}, "rollback-tolerance"),
         ],

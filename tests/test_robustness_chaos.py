@@ -164,12 +164,12 @@ def _serve(coro):
 
 
 def test_faulted_ilp_attempt_falls_back_to_greedy_heuristics():
-    """Killing exactly the first ``serve.portfolio`` attempt (the ILP)
+    """Killing exactly the first ``advise.attempt`` attempt (the ILP)
     must fall back to ``greedy_heuristics``'s standalone result -- the
     served recommend never surfaces the fault, it records it."""
     rules = [
         FaultRule(
-            site="serve.portfolio",
+            site="advise.attempt",
             at={0},
             exception=lambda site, index: InjectedFault(site, 0),
         )
@@ -202,7 +202,7 @@ def test_all_lanes_faulted_is_a_typed_response_never_a_hang():
     unhandled exception, not a hang, not a bare 500."""
     rules = [
         FaultRule(
-            site="serve.portfolio",
+            site="advise.attempt",
             rate=1.0,
             exception=lambda site, index: InjectedFault(site, 0),
         )

@@ -237,7 +237,7 @@ def test_degraded_and_fallback_answers_are_not_held():
     database = small_database()
     every_attempt = FaultRule("optimizer.evaluate", at={0, 1, 2})
     ilp_attempt = FaultRule(
-        "serve.portfolio", at={0},
+        "advise.attempt", at={0},
         exception=lambda site, index: InjectedFault(site, 0),
     )
 

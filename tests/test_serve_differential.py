@@ -130,12 +130,11 @@ async def serial_run(requests):
 
 def fault_touched(response) -> bool:
     """True when a fault changed what a recommend advises: it read a
-    fallback estimate (flagged ``degraded``) or its ILP attempt was
-    faulted and the greedy attempt answered."""
+    fallback estimate or its ILP attempt was faulted and the greedy
+    attempt answered (both flagged ``degraded``)."""
     if response.kind != "recommend" or not response.ok:
         return False
-    value = response.value
-    return value["degraded"] or value["algorithm"] != "ilp"
+    return response.value["degraded"]
 
 
 def comparable(response):

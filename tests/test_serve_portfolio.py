@@ -1,9 +1,10 @@
-"""The served recommend is one ILP search on the request's snapshot.
+"""The served recommend is one advise ladder on the request's snapshot.
 
-* **parity** -- a served recommend equals a fresh
-  ``IndexAdvisor.recommend(algorithm="ilp")`` on the same database:
-  configuration, DDL, benefit, size, optimizer calls and the ``ilp``
-  block, over TPoX, XMark and mixed databases at three budgets;
+* **parity** -- a served recommend, the daemon's first tuned cycle, a
+  1x1 ``tune_cluster`` and ``repro recommend --json`` each equal a
+  fresh ``IndexAdvisor.advise(budget)`` on the database and workload
+  they saw: configuration, DDL, benefit, size, optimizer calls and the
+  ``ilp`` block, over TPoX, XMark and mixed databases at three budgets;
 * **deadline** -- a recommend whose deadline ran out still answers,
   truncated and within budget;
 * **attempts** -- a failed ``ilp`` attempt is followed by exactly one
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.serve.portfolio as portfolio_module
+import repro.core.advisor as advisor_module
 from repro.core.advisor import IndexAdvisor
 from repro.optimizer.session import WhatIfSession
 from repro.query.workload import Workload
@@ -108,7 +109,7 @@ def test_the_fallback_gets_what_is_left_and_the_same_call_budget(
         assert second["deadline_seconds"] < first["deadline_seconds"] - 0.01
     else:
         # spent while the ilp attempt failed: floored, not zero
-        assert second["deadline_seconds"] == portfolio_module._EXPIRED_SECONDS
+        assert second["deadline_seconds"] == advisor_module._EXPIRED_SECONDS
         assert recommendation.truncated
     assert recommendation.search.algorithm == "greedy_heuristics"
     assert any(
@@ -276,11 +277,12 @@ def advice_from_daemon(database, texts, budget, tmp_path, capsys):
     workload = daemon.window.workload()
     report = daemon.run_cycle()
     assert report.action != "failed", report.error
-    recommendation, _, _ = tuned[0]
-    return recommendation.to_dict(), snapshot, workload
+    return tuned[0].to_dict(), snapshot, workload
 
 
 def advice_from_cluster(database, texts, budget, tmp_path, capsys):
+    """A 1x1 cluster; the fresh advisor gets a second one, whose catalog
+    mints the same index names."""
     from repro.cluster import Cluster, tune_cluster
 
     workload = Workload.from_statements(texts)
@@ -291,7 +293,7 @@ def advice_from_cluster(database, texts, budget, tmp_path, capsys):
     )
     return (
         result.tunings[0].recommendation.to_dict(),
-        SnapshotStore().snapshot(database),
+        Cluster.from_database(database, shards=1, replicas=1),
         workload,
     )
 
@@ -321,18 +323,8 @@ def advice_from_cli(database, texts, budget, tmp_path, capsys):
 CALLERS = {
     "server": advice_from_server,
     "daemon": advice_from_daemon,
-    "cluster": pytest.param(
-        advice_from_cluster,
-        marks=pytest.mark.xfail(
-            strict=True, reason="tune_cluster defaults to topdown_full"
-        ),
-    ),
-    "cli": pytest.param(
-        advice_from_cli,
-        marks=pytest.mark.xfail(
-            strict=True, reason="recommend defaults to topdown_full"
-        ),
-    ),
+    "cluster": advice_from_cluster,
+    "cli": advice_from_cli,
 }
 
 
@@ -363,7 +355,7 @@ def test_served_recommend_equals_a_fresh_ilp_advisor(
     )
     fresh = IndexAdvisor(
         seen, workload, session=WhatIfSession(seen)
-    ).recommend(budget, algorithm="ilp")
+    ).advise(budget)
     assert_same_advice(
         parity_projection(advice),
         parity_projection(fresh.to_dict()),
