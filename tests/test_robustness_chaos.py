@@ -164,8 +164,8 @@ def _serve(coro):
 
 
 def test_faulted_ilp_attempt_falls_back_to_greedy_heuristics():
-    """Killing exactly the first ``advise.attempt`` attempt (the ILP)
-    must fall back to ``greedy_heuristics``'s standalone result -- the
+    """Killing exactly the first attempt (the ILP) at the
+    ``advise.attempt`` site must fall back to ``greedy_heuristics``'s standalone result -- the
     served recommend never surfaces the fault, it records it."""
     rules = [
         FaultRule(

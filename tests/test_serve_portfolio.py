@@ -112,6 +112,7 @@ def test_the_fallback_gets_what_is_left_and_the_same_call_budget(
         assert second["deadline_seconds"] == advisor_module._EXPIRED_SECONDS
         assert recommendation.truncated
     assert recommendation.search.algorithm == "greedy_heuristics"
+    assert recommendation.degraded
     assert any(
         "ilp attempt failed (FatalAdvisorError: boom)" in line
         for line in recommendation.diagnostics
