@@ -72,6 +72,9 @@ class Recommendation:
     estimated_speedup: float
     workload_cost_before: float
     workload_cost_after: float
+    #: One ``CREATE INDEX`` per configured index, named ``xmlidx_1`` ..
+    #: ``xmlidx_k`` within this recommendation: advising mints no name
+    #: in the catalog, so the same advice on the same data reads the same.
     ddl: List[str] = field(default_factory=list)
     #: Instrumentation snapshot of the shared what-if session at
     #: packaging time (optimizer calls, cache hits/misses, phase times).
@@ -553,10 +556,8 @@ class IndexAdvisor:
         after = evaluator.workload_cost(result.configuration)
         speedup = evaluator.estimated_speedup(result.configuration)
         ddl = [
-            candidate.definition(
-                self.database.catalog.fresh_name("xmlidx"), virtual=False
-            ).ddl()
-            for candidate in result.configuration
+            candidate.definition(f"xmlidx_{number}", virtual=False).ddl()
+            for number, candidate in enumerate(result.configuration, 1)
         ]
         cluster_stats = getattr(self.storage, "cluster_stats", None)
         compression_stats: Dict = {}

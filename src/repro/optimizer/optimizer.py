@@ -25,8 +25,8 @@ and the collection's statistics at one ``mutation_stamp``: the merged
 requests, the result cardinality, the collection-scan cost and, per
 (request, index pattern), the cost model's index access estimate.  It is
 compiled once into an :class:`AccessEntry` of the :class:`AccessTable`
-attached to the statistics object, which every session and snapshot
-clone planning against those statistics shares.  An
+attached to the statistics object, which every session planning
+against those statistics shares.  An
 evaluate picks each request's best access among the visible definitions
 and runs the greedy index-ANDing combiner; the plan tree is built only
 when somebody reads ``OptimizationResult.plan``.

@@ -46,7 +46,6 @@ from repro.robustness.errors import (
     LifecycleError,
     OptimizerTimeout,
     PersistError,
-    ReadOnlySnapshotError,
     RetryableOptimizerError,
     StatisticsUnavailable,
     WorkloadParseError,
@@ -82,7 +81,6 @@ __all__ = [
     "NO_RETRY",
     "OptimizerTimeout",
     "PersistError",
-    "ReadOnlySnapshotError",
     "RetryPolicy",
     "RetryableOptimizerError",
     "SearchBudget",

@@ -19,9 +19,7 @@ the stack knows exactly which failures it may absorb:
 Plus the edge-of-system errors: :class:`PersistError` for corrupt or
 half-written on-disk databases, :class:`WorkloadParseError` for malformed
 workload statements, :class:`ConfigError` for junk configuration input
-(CLI flags and ``REPRO_*`` environment variables),
-:class:`ReadOnlySnapshotError` for a write through a shared store
-snapshot, and
+(CLI flags and ``REPRO_*`` environment variables), and
 :class:`BudgetExhausted`, the internal control signal of
 deadline-bounded anytime search.
 """
@@ -110,15 +108,6 @@ class PersistError(AdvisorError):
             message = f"{message} (path: {path})"
         super().__init__(message)
         self.path = path
-
-
-class ReadOnlySnapshotError(AdvisorError):
-    """DML, index DDL or ``invalidate_statistics`` on a database a
-    :class:`~repro.storage.snapshots.SnapshotStore` composed: its
-    collections, index entries and statistics are shared with every
-    other snapshot at the same epochs, so writing through one would
-    silently corrupt the others.  A ``pickle`` round-trip of the
-    snapshot owns its data and is writable."""
 
 
 class LifecycleError(AdvisorError):

@@ -13,7 +13,7 @@ into a service (ROADMAP north-star, AIM-style supervised multi-tenancy):
   (:class:`~repro.robustness.errors.AdmissionRejected`) when the budget
   pool is exhausted.
 * :func:`~repro.serve.portfolio.run_portfolio` -- the served
-  recommend: one ILP search on the request's snapshot, with one
+  recommend: one ILP search on the live database, with one
   ``greedy_heuristics`` attempt behind it when the ILP attempt fails.
 
 See docs/serving.md for the endpoint contracts and the concurrency model.

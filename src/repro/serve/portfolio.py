@@ -1,8 +1,8 @@
-"""The served recommend: one advise ladder on the request's snapshot.
+"""The served recommend: one advise ladder on the server's database.
 
 :func:`run_portfolio` builds one :class:`~repro.core.advisor.
 IndexAdvisor` and :class:`~repro.optimizer.session.WhatIfSession` on
-the snapshot it is handed and runs :meth:`~repro.core.advisor.
+the database it is handed and runs :meth:`~repro.core.advisor.
 IndexAdvisor.advise` on it: ``ilp``, then at most one
 ``greedy_heuristics`` attempt on the same warm advisor with what is
 left of the deadline and the same call budget.  The ILP already races
@@ -33,8 +33,8 @@ def run_portfolio(
     calls the whole recommend made.
 
     ``optimizer_call_budget`` bounds each attempt's calls, candidate
-    enumeration included.  ``snapshots`` is accepted and unused: the
-    caller hands in the snapshot to search on.
+    enumeration included.  ``snapshots`` is accepted and unused (the
+    benchmark harness still passes it).
     """
     from repro.core.advisor import IndexAdvisor
     from repro.optimizer.session import WhatIfSession

@@ -22,18 +22,13 @@ concurrent clients can only change the order of whole requests.
 * **Writes** (``dml``) apply, rebuild dirty summaries and journal.
 * **Advise requests** (``whatif``, ``recommend``) are answered from the
   server's table when it holds a complete answer to the same request at
-  the touched collections' current state (epochs, statistics stamps and
-  the catalog's stamp): no snapshot, advisor, optimizer call or search.
-  Otherwise they run on a read-only *snapshot* from the
-  :class:`~repro.storage.snapshots.SnapshotStore` -- a private shell over
-  the store's shared cloned collections, so a request at unchanged
-  epochs copies nothing and one after a write re-clones the written
-  collection's lists.  The snapshot keeps the advisor off the live
-  database: a recommendation mints its DDL's index names through the
-  catalog, which on the live database would move the catalog stamp and
-  invalidate the very answer just held, and the what-if work would
-  touch the live counters the differential tests pin.
-  storage/snapshots.py states the sharing contract.
+  the touched collections' current ``(epoch, statistics stamp)`` pairs:
+  no advisor, optimizer call or search.  Otherwise they run on the live
+  database.  The request is atomic, so no write reaches the advisor half
+  way, and advising writes nothing the database keeps: no catalog entry
+  (a recommendation names its DDL's indexes itself), no epoch and --
+  statistics being primed and clean, as for reads -- no storage
+  counter; only the statistics' planner memos fill.
 
 Every endpoint returns a typed :class:`~repro.serve.requests.Response`
 and never raises -- see requests.py for the error-code taxonomy.
@@ -127,8 +122,8 @@ class AdvisorServer:
         #: so the server opens no read or write section on it and its
         #: read/write counters stay 0.
         self.gate = EpochGate(self.database)
-        #: Epoch-keyed snapshot engine: advise-class reads run on
-        #: read-only snapshots over its shared cloned collections.
+        #: Kept for the benchmark harness's probes, like ``gate``; no
+        #: request takes a snapshot.
         self.snapshots = SnapshotStore()
         self.admission = AdmissionController(tenants, default_policy)
         self.deadline_seconds = deadline_seconds
@@ -213,22 +208,14 @@ class AdvisorServer:
     # Execution plumbing
     # ------------------------------------------------------------------
     def _advise_read(self, key, collections):
-        """The lookup of an advise request: ``(value, state, snapshot)``.
-        ``value`` is the answer held for ``key`` at ``state`` -- the
-        collections' (epoch, statistics stamp) pairs and the catalog's
-        stamp, all an advise answer depends on (a recommendation's DDL
-        mints its index names from the catalog) -- and ``snapshot`` is
-        ``None``; on a miss ``value`` is ``None`` and ``snapshot`` is a
-        read-only database snapshot from the snapshot store to compute
-        the answer on (see storage/snapshots.py for what it shares)."""
-        state = (
-            self._epoch_stamps(collections, self.database),
-            self.database.catalog.stamp,
-        )
+        """The lookup of an advise request: ``(value, state)``.
+        ``state`` is the collections' (epoch, statistics stamp) pairs,
+        all an advise answer depends on; ``value`` is the answer held
+        for ``key`` at ``state``, or ``None`` on a miss (the caller
+        computes it on the live database)."""
+        state = self._epoch_stamps(collections)
         held_state, value = self._values.get(key, (None, None))
-        if held_state == state:
-            return value, state, None
-        return None, state, self.snapshots.snapshot(self.database)
+        return (value if held_state == state else None), state
 
     def _bump(self, counter: str, by: int = 1) -> None:
         self.counters[counter] = self.counters.get(counter, 0) + by
@@ -245,9 +232,9 @@ class AdvisorServer:
             return [statement.left.collection, statement.right.collection]
         return [statement.collection]
 
-    @staticmethod
-    def _epoch_stamps(names, database) -> Tuple:
+    def _epoch_stamps(self, names) -> Tuple:
         """Each named collection's ``(epoch, statistics stamp)``."""
+        database = self.database
         return tuple(
             (
                 database.collection_epochs.get(name, 0),
@@ -256,7 +243,7 @@ class AdvisorServer:
             for name in names
         )
 
-    def _stats_fingerprint(self, collections, database=None) -> Dict:
+    def _stats_fingerprint(self, collections) -> Dict:
         """Deterministic per-collection statistics digest; returned with
         every read so a response is a *configuration/statistics pair*
         whose single-epoch consistency the property tests check.
@@ -265,12 +252,11 @@ class AdvisorServer:
         statistics stamp)``, so it is computed once per such state and
         the same dict rides every response until one moves -- callers
         must not modify it."""
-        database = database if database is not None else self.database
         names = tuple(sorted(set(collections)))
-        state = self._epoch_stamps(names, database)
+        state = self._epoch_stamps(names)
         held = self._fingerprints.get(names)
         if held is None or held[0] != state:
-            statistics = [database.runstats(name) for name in names]
+            statistics = [self.database.runstats(name) for name in names]
             held = self._fingerprints[names] = (
                 state,
                 {
@@ -344,7 +330,7 @@ class AdvisorServer:
         collection: str,
         tenant: str = "default",
     ) -> Response:
-        """Cost a hypothetical configuration on an epoch snapshot."""
+        """Cost a hypothetical configuration on the live database."""
         return await self._handle(
             "whatif",
             tenant,
@@ -358,7 +344,7 @@ class AdvisorServer:
         tenant: str = "default",
         deadline_seconds: Optional[float] = None,
     ) -> Response:
-        """Search an index configuration on an epoch snapshot with the
+        """Search an index configuration on the live database with the
         advise ladder (serve/portfolio.py)."""
         return await self._handle(
             "recommend",
@@ -443,12 +429,14 @@ class AdvisorServer:
         configuration = configuration_from_specs(patterns, collection)
         key = ("whatif", collection, tuple(statements), tuple(patterns))
         epoch = self.gate.epochs(touched)
-        held, state, snapshot = self._advise_read(key, touched)
-        if snapshot is None:
+        held, state = self._advise_read(key, touched)
+        if held is not None:
             self._bump("advice_hits")
             return held, epoch, self._seq
-        session = WhatIfSession(snapshot)
-        report = analyze(snapshot, workload, configuration, session=session)
+        session = WhatIfSession(self.database)
+        report = analyze(
+            self.database, workload, configuration, session=session
+        )
         value = {
             "total_benefit": report.total_benefit,
             "unused_indexes": report.unused_indexes(),
@@ -466,9 +454,7 @@ class AdvisorServer:
         self.admission.charge_calls(
             tenant, session.counters.optimizer_calls
         )
-        value["statistics"] = self._stats_fingerprint(
-            touched, database=snapshot
-        )
+        value["statistics"] = self._stats_fingerprint(touched)
         if session.is_degraded:
             state = None
         return self._shared(key, value, state), epoch, self._seq
@@ -495,12 +481,12 @@ class AdvisorServer:
         )
         key = ("recommend", tuple(statements), budget_bytes)
         epoch = self.gate.epochs(touched)
-        held, state, snapshot = self._advise_read(key, touched)
-        if snapshot is None:
+        held, state = self._advise_read(key, touched)
+        if held is not None:
             self._bump("advice_hits")
             return held, epoch, self._seq
         recommendation = run_portfolio(
-            snapshot,
+            self.database,
             workload,
             budget_bytes,
             deadline_seconds=deadline,

@@ -58,21 +58,16 @@ class Catalog:
     def __init__(self) -> None:
         self._definitions: Dict[str, IndexDefinition] = {}
         self._name_counter = 0
-        #: Moves with every name minted, added or removed: the name
-        #: :meth:`fresh_name` returns next is a function of it.
-        self.stamp = 0
 
     def add(self, definition: IndexDefinition) -> None:
         if definition.name in self._definitions:
             raise ValueError(f"index {definition.name!r} already exists")
         self._definitions[definition.name] = definition
-        self.stamp += 1
 
     def remove(self, name: str) -> None:
         if name not in self._definitions:
             raise KeyError(f"no index named {name!r}")
         del self._definitions[name]
-        self.stamp += 1
 
     def get(self, name: str) -> IndexDefinition:
         if name not in self._definitions:
@@ -98,7 +93,6 @@ class Catalog:
 
     def fresh_name(self, prefix: str = "idx") -> str:
         """Generate an unused index name."""
-        self.stamp += 1
         while True:
             self._name_counter += 1
             name = f"{prefix}_{self._name_counter}"
@@ -109,7 +103,6 @@ class Catalog:
         """Drop every virtual index definition (end of an advisor session)."""
         for name in [n for n, d in self._definitions.items() if d.virtual]:
             del self._definitions[name]
-            self.stamp += 1
 
     def __len__(self) -> int:
         return len(self._definitions)

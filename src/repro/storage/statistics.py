@@ -247,22 +247,6 @@ class PathValueSummary:
         self.numeric_min = numeric[0] if numeric else None
         self.numeric_max = numeric[-1] if numeric else None
 
-    def clone(self) -> "PathValueSummary":
-        """An independent copy (own containers, same values)."""
-        return PathValueSummary(
-            count=self.count,
-            numeric_count=self.numeric_count,
-            numeric_min=self.numeric_min,
-            numeric_max=self.numeric_max,
-            total_string_bytes=self.total_string_bytes,
-            numeric_sample=list(self.numeric_sample),
-            string_sample=list(self.string_sample),
-            string_freq=Counter(self.string_freq),
-            _distinct=set(self._distinct),
-            _sample_stride_state=self._sample_stride_state,
-            dirty=self.dirty,
-        )
-
     @property
     def distinct(self) -> int:
         return max(1, len(self._distinct))
@@ -339,8 +323,7 @@ class DataStatistics:
         #: outlives deltas that add, drop and move no path.
         self._matched_paths: Dict[str, List[Tuple[str, ...]]] = {}
         #: (interned id, path) pairs mirroring ``path_counts``; rebuilt
-        #: lazily after a delta that added, dropped or moved a path.  The
-        #: list is replaced, never modified: clones share it.
+        #: lazily after a delta that added, dropped or moved a path.
         self._path_ids: List[Tuple[int, Tuple[str, ...]]] = []
         #: path -> id of the first live document holding it (the document
         #: that fixes the path's place in rescan key order).
@@ -356,13 +339,14 @@ class DataStatistics:
         #: Moves on every serialization-visible mutation (delta applies
         #: and lazy summary repairs).  Collection epochs do NOT cover
         #: these -- lazy ``_clean_summary`` fires during read-only
-        #: probes -- so the snapshot engine keys cached blobs on
+        #: probes -- so the access table keys on the stamp, and the
+        #: server's held advise answers and statistics digests on
         #: ``(epoch, mutation_stamp)`` rather than the epoch alone.
         self.mutation_stamp = 0
         #: The optimizer's what-if access table
         #: (:class:`repro.optimizer.optimizer.AccessTable`) for one
         #: ``mutation_stamp``; replaced by the planner once the stamp
-        #: moves, shared with clones, never pickled.
+        #: moves, never pickled.
         self.access_table = None
         self._lock = threading.Lock()
 
@@ -403,32 +387,6 @@ class DataStatistics:
         """True when these statistics can absorb DML deltas (built by the
         synopsis engine, with the backing collection attached)."""
         return self._collection is not None
-
-    def clone(self, collection) -> "DataStatistics":
-        """An independent copy of these statistics backed by
-        ``collection`` (a clone of the backing collection; the snapshot
-        engine builds its read-only generations this way).  Every
-        container is copied, so later deltas on either side never show on
-        the other; the pattern memos come along -- they are valid in this
-        process and at these counts -- and the access table is shared:
-        both sides are at its stamp, and whichever moves first installs a
-        table of its own."""
-        twin = DataStatistics.__new__(DataStatistics)
-        with self._lock:
-            twin.__dict__.update(self.__dict__)
-            twin.path_counts = dict(self.path_counts)
-            twin.path_doc_counts = dict(self.path_doc_counts)
-            summaries = _SummaryMap(twin)
-            for tag_path, summary in dict.items(self.summaries):
-                dict.__setitem__(summaries, tag_path, summary.clone())
-            twin.summaries = summaries
-            twin._matching_cache = dict(self._matching_cache)
-            twin._matched_paths = dict(self._matched_paths)
-            twin._first_holders = dict(self._first_holders)
-            twin._dirty_paths = set(self._dirty_paths)
-        twin._collection = collection
-        twin._lock = threading.Lock()
-        return twin
 
     def apply_insert(self, synopsis: DocumentSynopsis, doc_id: int) -> None:
         """Merge one inserted document's synopsis into live statistics.

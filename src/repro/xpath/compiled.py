@@ -104,7 +104,7 @@ class PathTable:
         self._encoded: List[Optional[str]] = []
         #: Guards id assignment: the table is process-wide, so two
         #: threads interning the same new path (a caller's own threads
-        #: sharing sessions or snapshots) must agree on its id.  The hit
+        #: sharing sessions) must agree on its id.  The hit
         #: path stays lock-free -- ``_ids`` is
         #: published last, so a visible id always has its path/encoding
         #: in place.

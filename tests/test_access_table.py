@@ -1,12 +1,13 @@
 """The what-if access table: one compiled set of planner inputs per
-statistics stamp, shared by every session, lane and snapshot clone.
+statistics stamp, shared by every session and thread planning against
+those statistics.
 
 The table planner in :mod:`repro.optimizer.optimizer` must answer exactly
 what the per-call planner it replaced (``tests/planner_oracle.py``)
 answers: ``==`` on ``estimated_cost``, ``used_indexes`` and the
 ``explain()`` text, for random configurations mixing real and virtual,
-generalized and numeric indexes, across interleaved DML, lazy summary
-repairs and snapshot clones.  The second half pins the table's lifetime
+generalized and numeric indexes, across interleaved DML and lazy summary
+repairs.  The second half pins the table's lifetime
 and isolation: it keeps no database alive, never enters a pickle, stores
 nothing computed while its statistics moved, and is safe to share
 between threads.
@@ -37,7 +38,6 @@ from repro.robustness.policy import RetryPolicy
 from repro.storage import statistics
 from repro.storage.catalog import IndexDefinition
 from repro.storage.index import IndexValueType
-from repro.storage.snapshots import SnapshotStore, canonical_dumps
 from repro.workloads import synthetic, tpox, xmark
 from repro.xmlmodel.parser import parse_fragment
 from repro.xpath.patterns import parse_pattern
@@ -180,41 +180,6 @@ def test_table_planner_matches_the_per_call_oracle(data):
         _compare_all(session, statements, definitions, oracle_first)
 
 
-def test_snapshot_clone_never_serves_a_later_live_stamp():
-    """A store snapshot's statistics share the live table at the clone's
-    stamp.  After DML the live side installs a table of its own; the
-    snapshot keeps planning against its own stamp and agrees with the
-    oracle on the snapshot, not on the live database."""
-    blob, statements, candidates = _fixture("tpox")
-    database = pickle.loads(blob)
-    definitions = tuple(c.definition(f"v{i}") for i, c in enumerate(candidates[:6]))
-    store = SnapshotStore()
-    queries = [s for s in statements if s.describe().startswith("for")][:8]
-    live_planner = Optimizer(database)
-    for statement in queries:
-        live_planner.optimize(statement, OptimizerMode.EVALUATE, definitions)
-    shared = database.runstats("SDOC").access_table
-    snapshot = store.snapshot(database)
-    assert snapshot._statistics["SDOC"].access_table is shared
-    for number in range(5):
-        database.insert_document(*_document("tpox", number))
-    for statement in queries:  # live plans first: fills the live table
-        live_planner.optimize(statement, OptimizerMode.EVALUATE, definitions)
-    assert database.runstats("SDOC").access_table is not shared
-    snapshot_planner = Optimizer(snapshot)
-    snapshot_oracle = OracleOptimizer(snapshot)
-    live_oracle = OracleOptimizer(database)
-    moved = 0
-    for statement in queries:
-        got = snapshot_planner.optimize(statement, OptimizerMode.EVALUATE, definitions)
-        expected = snapshot_oracle.optimize(statement, OptimizerMode.EVALUATE, definitions)
-        _assert_same(got, expected, statement.describe())
-        live = live_oracle.optimize(statement, OptimizerMode.EVALUATE, definitions)
-        moved += live.estimated_cost != got.estimated_cost
-    assert moved  # the DML changed what the live side answers
-    assert snapshot._statistics["SDOC"].access_table is shared
-
-
 # ---------------------------------------------------------------------------
 # Lifetime and isolation
 # ---------------------------------------------------------------------------
@@ -247,10 +212,6 @@ def test_table_never_enters_a_pickle():
     table, stats.access_table = stats.access_table, None
     assert pickle.dumps(stats) == dumped
     stats.access_table = table
-    store = SnapshotStore()
-    assert canonical_dumps(store.snapshot(database)) == canonical_dumps(
-        pickle.loads(pickle.dumps(database))
-    )
 
 
 def test_entry_computed_while_the_stamp_moved_is_not_stored():
@@ -330,12 +291,11 @@ def test_fault_mid_fill_leaves_no_partial_or_degraded_entry():
         )
 
 
-def test_threads_planning_through_one_shared_part_match_serial():
+def test_threads_planning_through_one_database_match_serial():
     blob, statements, candidates = _fixture("tpox")
     database = pickle.loads(blob)
     for name in database.collections:
-        database.runstats(name)  # the parts carry the statistics
-    store = SnapshotStore()
+        database.runstats(name)  # the threads share these statistics
     configurations = [
         tuple(c.definition(f"v{i}") for i, c in enumerate(candidates[k::3]))
         for k in range(3)
@@ -350,8 +310,6 @@ def test_threads_planning_through_one_shared_part_match_serial():
         ]
         for definitions in configurations
     ]
-    snapshots = [store.snapshot(database) for _ in range(3)]
-    assert snapshots[0]._statistics["SDOC"] is snapshots[2]._statistics["SDOC"]
     results = [None] * 3
     barrier = threading.Barrier(3, timeout=60)
 
@@ -359,7 +317,7 @@ def test_threads_planning_through_one_shared_part_match_serial():
         barrier.wait()
         costs = []
         for _ in range(3):
-            session = WhatIfSession(snapshots[lane])
+            session = WhatIfSession(database)
             costs = [
                 session.cost(s, configurations[(lane + round_) % 3])
                 for round_ in range(3)

@@ -21,6 +21,21 @@ class TestRecommendation:
         assert "Estimated speedup" in report
         assert "greedy_heuristics" in report
 
+    def test_advising_twice_on_one_database_gives_the_same_ddl(
+        self, fault_free
+    ):
+        db = tpox.build_database(
+            num_securities=30, num_orders=30, num_customers=15, seed=3
+        )
+        workload = tpox.tpox_workload(num_securities=30, seed=3)
+        names = len(db.catalog)
+        first, second = (
+            IndexAdvisor(db, workload).advise(20_000) for _ in range(2)
+        )
+        assert first.ddl and first.ddl == second.ddl
+        assert first.ddl[0].startswith("CREATE INDEX xmlidx_1 ")
+        assert len(db.catalog) == names
+
     def test_unknown_algorithm_rejected(self, tpox_advisor):
         with pytest.raises(ValueError):
             tpox_advisor.recommend(budget_bytes=1000, algorithm="quantum")

@@ -2,17 +2,17 @@
 collection state is answered from the table.
 
 An advise answer is a function of the request and of the state it is
-computed at -- each touched collection's ``(epoch, statistics stamp)``
-and the catalog's stamp, from which a recommendation's DDL mints its
-index names.  The server holds the last *complete* answer per request
-key at that state and serves it again without a snapshot, an advisor,
-an optimizer call or a search:
+computed at: each touched collection's ``(epoch, statistics stamp)``.
+The server holds the last *complete* answer per request key at that
+state and serves it again without an advisor, an optimizer call or a
+search:
 
 * **parity** -- a hit equals a fresh ``IndexAdvisor.recommend(algorithm=
-  "ilp")`` / a fresh ``analyze`` on a snapshot, DDL included;
-* **invalidation** -- a write to a touched collection or a catalog
-  change recomputes (and equals a fresh advisor on the new state); a
-  write to an untouched collection keeps the hit;
+  "ilp")`` / a fresh ``analyze`` on a copy of the database, DDL
+  included;
+* **invalidation** -- a write or an index build on a touched collection
+  recomputes (and equals a fresh advisor on the new state); one on an
+  untouched collection keeps the hit;
 * **completeness** -- a truncated, degraded or fallback answer is never
   held, so a deadline, a quota or a fault is never replayed;
 * **metering and bounds** -- a hit charges its tenant nothing, and the
@@ -20,7 +20,12 @@ an optimizer call or a search:
 """
 
 import asyncio
+import pickle
 
+import pytest
+
+import repro.core.whatif as whatif_module
+import repro.serve.server as server_module
 from repro.core.advisor import IndexAdvisor
 from repro.core.whatif import analyze, configuration_from_specs
 from repro.optimizer.session import WhatIfSession
@@ -34,7 +39,6 @@ from repro.robustness.faults import (
 from repro.serve import AdvisorServer, TenantPolicy
 from repro.serve.server import normalized_recommendation
 from repro.storage import IndexDefinition, IndexValueType
-from repro.storage.snapshots import SnapshotStore
 from repro.xpath import parse_pattern
 from tests.test_serve_server import (
     BUDGET,
@@ -52,14 +56,18 @@ def run(coro):
     return asyncio.run(asyncio.wait_for(coro, timeout=120))
 
 
+def copy_of(database):
+    return pickle.loads(pickle.dumps(database))
+
+
 def fresh_recommendation(database, texts=QUERY_TEXTS, budget=BUDGET):
-    """A fresh ILP advisor on a snapshot of ``database``, in the served
+    """A fresh ILP advisor on a copy of ``database``, in the served
     value's shape: ``(value, optimizer calls it made)``."""
-    snapshot = SnapshotStore().snapshot(database)
+    copy = copy_of(database)
     advisor = IndexAdvisor(
-        snapshot,
+        copy,
         Workload.from_statements(texts),
-        session=WhatIfSession(snapshot),
+        session=WhatIfSession(copy),
     )
     recommendation = advisor.recommend(budget, algorithm="ilp")
     return (
@@ -76,12 +84,12 @@ def assert_fresh_recommend(value, database):
 
 
 def assert_fresh_whatif(value, database):
-    snapshot = SnapshotStore().snapshot(database)
+    copy = copy_of(database)
     report = analyze(
-        snapshot,
+        copy,
         Workload.from_statements(QUERY_TEXTS),
         configuration_from_specs(PATTERNS, "SDOC"),
-        session=WhatIfSession(snapshot),
+        session=WhatIfSession(copy),
     )
     assert value["total_benefit"] == report.total_benefit
     assert value["unused_indexes"] == report.unused_indexes()
@@ -101,6 +109,29 @@ def hits(server):
     return server.counters.get("advice_hits", 0)
 
 
+@pytest.fixture
+def searches(monkeypatch):
+    """Counts the server's ``run_portfolio`` and ``analyze`` calls: the
+    work an advise miss does and a hit does not."""
+    calls = {"recommend": 0, "whatif": 0}
+
+    def counted(kind, function):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        server_module, "run_portfolio",
+        counted("recommend", server_module.run_portfolio),
+    )
+    monkeypatch.setattr(
+        whatif_module, "analyze", counted("whatif", whatif_module.analyze)
+    )
+    return calls
+
+
 async def advise_both(server):
     return (
         await server.recommend(QUERY_TEXTS, BUDGET),
@@ -108,21 +139,21 @@ async def advise_both(server):
     )
 
 
-def test_a_repeat_is_a_hit_equal_to_a_fresh_advisor(fault_free):
+def test_a_repeat_is_a_hit_equal_to_a_fresh_advisor(searches, fault_free):
     database = small_database()
 
     async def scenario():
         async with AdvisorServer(database) as server:
             first = await advise_both(server)
-            cold = (hits(server), server.snapshots.stats()["compositions"])
+            cold = (hits(server), dict(searches))
             second = await advise_both(server)
             return first, second, cold, server
 
     first, second, cold, server = run(scenario())
     assert all(response.ok for response in first + second)
-    assert cold == (0, 2)
+    assert cold == (0, {"recommend": 1, "whatif": 1})
     assert hits(server) == 2
-    assert server.snapshots.stats()["compositions"] == 2  # the hits took none
+    assert searches == {"recommend": 1, "whatif": 1}  # the hits took none
     for before, after in zip(first, second):
         assert after.value is before.value
         assert after.epoch == before.epoch and after.seq == before.seq
@@ -133,7 +164,7 @@ def test_a_repeat_is_a_hit_equal_to_a_fresh_advisor(fault_free):
     assert table["advice"] == 2 and table["values"] == 2
 
 
-def test_a_write_to_a_touched_collection_recomputes(fault_free):
+def test_a_write_to_a_touched_collection_recomputes(searches, fault_free):
     database = small_database()
 
     async def scenario():
@@ -146,7 +177,7 @@ def test_a_write_to_a_touched_collection_recomputes(fault_free):
     before, write, after, server = run(scenario())
     assert write.ok and all(r.ok for r in before + after)
     assert hits(server) == 0
-    assert server.snapshots.stats()["compositions"] == 4
+    assert searches == {"recommend": 2, "whatif": 2}
     assert after[0].epoch != before[0].epoch
     assert after[1].value["statistics"] != before[1].value["statistics"]
     assert_fresh_recommend(after[0].value, database)
@@ -179,33 +210,39 @@ def test_a_write_to_an_untouched_collection_keeps_the_hit(fault_free):
     assert_fresh_whatif(after[1].value, database)
 
 
-def test_a_catalog_change_recomputes_the_ddl(fault_free):
-    """The DDL mints names from the database-global catalog, so a name
-    minted or taken anywhere -- even on a collection the request does
-    not read -- forces a recompute."""
+def test_only_an_index_on_a_touched_collection_recomputes(fault_free):
+    """A recommendation names its DDL's indexes itself, so the catalog
+    is no part of the held state: an index built on a collection the
+    request reads recomputes the answer, and one built on a collection
+    it does not read keeps the hit."""
     database = mixed_small_database()
 
     async def scenario():
         async with AdvisorServer(database) as server:
             first = await server.recommend(QUERY_TEXTS, BUDGET)
-            database.catalog.fresh_name("xmlidx")
-            minted = await server.recommend(QUERY_TEXTS, BUDGET)
-            taken = minted.value["ddl"][0].split()[2]
             database.create_index(
                 IndexDefinition(
-                    taken, "IDOC", parse_pattern("/item/name"),
+                    "untouched", "IDOC", parse_pattern("/item/name"),
                     IndexValueType.STRING,
                 )
             )
-            renamed = await server.recommend(QUERY_TEXTS, BUDGET)
-            return first, minted, renamed, server
+            kept = await server.recommend(QUERY_TEXTS, BUDGET)
+            database.create_index(
+                IndexDefinition(
+                    "touched", "SDOC", parse_pattern("/Security/Symbol"),
+                    IndexValueType.STRING,
+                )
+            )
+            recomputed = await server.recommend(QUERY_TEXTS, BUDGET)
+            return first, kept, recomputed, server
 
-    first, minted, renamed, server = run(scenario())
-    assert all(r.ok for r in (first, minted, renamed))
-    assert hits(server) == 0
-    assert minted.value["ddl"] != first.value["ddl"]
-    assert renamed.value["ddl"] != minted.value["ddl"]
-    assert_fresh_recommend(renamed.value, database)
+    first, kept, recomputed, server = run(scenario())
+    assert all(r.ok for r in (first, kept, recomputed))
+    assert kept.value is first.value
+    assert hits(server) == 1
+    assert recomputed.value != first.value
+    assert recomputed.value["ddl"][0].split()[2] == "xmlidx_1"
+    assert_fresh_recommend(recomputed.value, database)
 
 
 def test_an_expired_recommend_is_not_held(fault_free):
@@ -288,9 +325,9 @@ def test_a_hit_charges_its_tenant_nothing(fault_free):
     assert hits(server) == 2
 
 
-def test_the_table_resets_with_the_statement_table(monkeypatch, fault_free):
-    import repro.serve.server as server_module
-
+def test_the_table_resets_with_the_statement_table(
+    monkeypatch, searches, fault_free
+):
     monkeypatch.setattr(server_module, "STATEMENT_TABLE_LIMIT", 4)
     texts = QUERY_TEXTS[:2]
     others = [
@@ -316,4 +353,4 @@ def test_the_table_resets_with_the_statement_table(monkeypatch, fault_free):
     assert after_reset["statement_table"]["advice"] == 0
     assert hits(server) == 0
     assert again.value == first.value
-    assert server.snapshots.stats()["compositions"] == 2
+    assert searches["recommend"] == 2

@@ -1,4 +1,4 @@
-"""The served recommend is one advise ladder on the request's snapshot.
+"""The served recommend is one advise ladder on the server's database.
 
 * **parity** -- a served recommend, the daemon's first tuned cycle, a
   1x1 ``tune_cluster`` and ``repro recommend --json`` each equal a
@@ -28,7 +28,6 @@ from repro.query.workload import Workload
 from repro.robustness.errors import ConfigError, FatalAdvisorError
 from repro.robustness.faults import FaultInjector, FaultRule, injected
 from repro.serve import run_portfolio
-from repro.storage.snapshots import SnapshotStore
 from repro.workloads import tpox
 
 
@@ -245,11 +244,7 @@ def advice_from_server(database, texts, budget, tmp_path, capsys):
 
     response = asyncio.run(asyncio.wait_for(served(), timeout=120))
     assert response.ok, response.error
-    return (
-        response.value,
-        SnapshotStore().snapshot(database),
-        Workload.from_statements(texts),
-    )
+    return response.value, database, Workload.from_statements(texts)
 
 
 def advice_from_daemon(database, texts, budget, tmp_path, capsys):
@@ -259,9 +254,8 @@ def advice_from_daemon(database, texts, budget, tmp_path, capsys):
 
     from repro.online import OnlineAdvisor, OnlinePolicy
 
-    snapshot = SnapshotStore().snapshot(database)
     daemon = OnlineAdvisor(
-        pickle.loads(pickle.dumps(snapshot)),
+        pickle.loads(pickle.dumps(database)),
         OnlinePolicy(
             budget_bytes=budget,
             algorithm="ilp",
@@ -278,12 +272,12 @@ def advice_from_daemon(database, texts, budget, tmp_path, capsys):
     workload = daemon.window.workload()
     report = daemon.run_cycle()
     assert report.action != "failed", report.error
-    return tuned[0].to_dict(), snapshot, workload
+    return tuned[0].to_dict(), database, workload
 
 
 def advice_from_cluster(database, texts, budget, tmp_path, capsys):
-    """A 1x1 cluster; the fresh advisor gets a second one, whose catalog
-    mints the same index names."""
+    """A 1x1 cluster, which tuning builds the advised indexes on; the
+    fresh advisor gets a second one over the same data."""
     from repro.cluster import Cluster, tune_cluster
 
     workload = Workload.from_statements(texts)
@@ -342,12 +336,11 @@ def test_served_recommend_equals_a_fresh_ilp_advisor(
 
     database = request.getfixturevalue(case)
     texts = pool_sample(database, seed)
-    snapshot = SnapshotStore().snapshot(database)
     basics = sum(
         candidate.size_bytes
         for candidate in IndexAdvisor(
-            snapshot, Workload.from_statements(texts),
-            session=WhatIfSession(snapshot),
+            database, Workload.from_statements(texts),
+            session=WhatIfSession(database),
         ).candidates.basics()
     )
     budget = max(1, int(basics * fraction))

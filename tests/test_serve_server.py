@@ -4,12 +4,19 @@ configuration errors (a ``config`` response / CLI exit 2, never a bare
 traceback)."""
 
 import asyncio
+import contextlib
 import json
 
 import pytest
 
 from repro.query.workload import Workload
 from repro.robustness.errors import AdmissionRejected, ConfigError
+from repro.robustness.faults import (
+    FaultInjector,
+    FaultRule,
+    InjectedFault,
+    injected,
+)
 from repro.serve import (
     AdvisorServer,
     AdmissionController,
@@ -18,8 +25,10 @@ from repro.serve import (
 )
 from repro.serve.requests import Response
 from repro.serve.server import normalized_recommendation, serial_order
+from repro.storage import IndexDefinition, IndexValueType
 from repro.storage.database import EpochGate
 from repro.workloads import tpox
+from repro.xpath import parse_pattern
 
 TIMEOUT = 120
 
@@ -136,24 +145,80 @@ class TestAdmission:
 # Endpoints
 # ---------------------------------------------------------------------------
 
+#: One request batch per kind for the purity test; the advise kinds are
+#: misses (a fresh server holds no answer).
+PURITY_REQUESTS = {
+    "query": lambda server: [server.query(text) for text in QUERY_TEXTS],
+    "whatif": lambda server: [
+        server.whatif(
+            QUERY_TEXTS, ["/Security/Symbol", "/Security/Yield:numeric"],
+            "SDOC",
+        )
+    ],
+    "recommend": lambda server: [server.recommend(QUERY_TEXTS, BUDGET)],
+    "recommend-fallback": lambda server: [
+        server.recommend(QUERY_TEXTS, BUDGET)
+    ],
+}
+
+
+def database_state(db):
+    """Everything a request must leave as it found it."""
+    return (
+        db.storage_stats(),
+        dict(db.collection_epochs),
+        db.modification_count,
+        db.catalog.all_definitions(),
+        dict(db.indexes),
+    )
+
+
 class TestEndpoints:
-    def test_query_roundtrip_and_read_purity(self):
+    @pytest.mark.parametrize("kind", sorted(PURITY_REQUESTS))
+    def test_query_roundtrip_and_read_purity(self, kind):
+        """Reads and advise misses run on the live database and change
+        none of its counters, epochs, catalog or built indexes -- also
+        when the recommend's ILP attempt faults and the fallback
+        answers."""
         db = small_database()
+        db.create_index(
+            IndexDefinition(
+                "built", "SDOC", parse_pattern("/Security/Symbol"),
+                IndexValueType.STRING,
+            )
+        )
+        faults = contextlib.nullcontext()
+        if kind == "recommend-fallback":
+            faults = injected(
+                FaultInjector(
+                    [
+                        FaultRule(
+                            "advise.attempt", at={0},
+                            exception=lambda site, index: InjectedFault(site, 0),
+                        )
+                    ]
+                )
+            )
 
         async def scenario():
             async with AdvisorServer(db) as server:
-                before = db.storage_stats()
-                responses = [
-                    await server.query(text) for text in QUERY_TEXTS
-                ]
-                return before, db.storage_stats(), responses
+                before = database_state(db)
+                with faults:
+                    responses = [
+                        await request for request in PURITY_REQUESTS[kind](server)
+                    ]
+                return before, database_state(db), responses
 
         before, after, responses = run(scenario())
         assert all(r.ok for r in responses)
-        assert before == after  # reads never move storage counters
+        assert before == after
         first = responses[0]
         assert first.epoch is not None and first.seq == 0
-        assert "statistics" in first.value
+        if kind == "recommend-fallback":
+            assert first.value["algorithm"] == "greedy_heuristics"
+            assert first.value["degraded"]
+        elif kind != "recommend":
+            assert "statistics" in first.value
         json.dumps(first.to_dict())
 
     def test_dml_bumps_epoch_and_journals(self):
