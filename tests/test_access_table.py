@@ -38,10 +38,12 @@ from repro.robustness.policy import RetryPolicy
 from repro.storage import statistics
 from repro.storage.catalog import IndexDefinition
 from repro.storage.index import IndexValueType
+from repro.storage.snapshots import SnapshotStore
 from repro.workloads import synthetic, tpox, xmark
 from repro.xmlmodel.parser import parse_fragment
 from repro.xpath.patterns import parse_pattern
 from tests.planner_oracle import OracleOptimizer
+from tests.test_snapshot_store import canonical_dumps
 
 IXOR_TEXTS = [
     """for $s in X('SDOC')/Security[Symbol="AA0003" or Symbol="AA0007"]
@@ -180,6 +182,43 @@ def test_table_planner_matches_the_per_call_oracle(data):
         _compare_all(session, statements, definitions, oracle_first)
 
 
+def test_snapshot_clone_never_serves_a_later_live_stamp():
+    """A store snapshot is a pickled copy: its statistics carry no table
+    and compile one of their own.  After DML the live side installs a
+    new table; the snapshot keeps planning against its own stamp and
+    agrees with the oracle on the snapshot, not on the live database."""
+    blob, statements, candidates = _fixture("tpox")
+    database = pickle.loads(blob)
+    definitions = tuple(c.definition(f"v{i}") for i, c in enumerate(candidates[:6]))
+    queries = [s for s in statements if s.describe().startswith("for")][:8]
+    live_planner = Optimizer(database)
+    for statement in queries:
+        live_planner.optimize(statement, OptimizerMode.EVALUATE, definitions)
+    shared = database.runstats("SDOC").access_table
+    snapshot = SnapshotStore().snapshot(database)
+    assert snapshot.runstats("SDOC").access_table is None
+    for number in range(5):
+        database.insert_document(*_document("tpox", number))
+    for statement in queries:  # live plans first: fills the live table
+        live_planner.optimize(statement, OptimizerMode.EVALUATE, definitions)
+    assert database.runstats("SDOC").access_table is not shared
+    snapshot_planner = Optimizer(snapshot)
+    snapshot_oracle = OracleOptimizer(snapshot)
+    live_oracle = OracleOptimizer(database)
+    moved = 0
+    for statement in queries:
+        got = snapshot_planner.optimize(statement, OptimizerMode.EVALUATE, definitions)
+        expected = snapshot_oracle.optimize(statement, OptimizerMode.EVALUATE, definitions)
+        _assert_same(got, expected, statement.describe())
+        live = live_oracle.optimize(statement, OptimizerMode.EVALUATE, definitions)
+        moved += live.estimated_cost != got.estimated_cost
+    assert moved  # the DML changed what the live side answers
+    table = snapshot.runstats("SDOC").access_table
+    assert table is not None and table.entries
+    assert table is not shared
+    assert table is not database.runstats("SDOC").access_table
+
+
 # ---------------------------------------------------------------------------
 # Lifetime and isolation
 # ---------------------------------------------------------------------------
@@ -212,6 +251,10 @@ def test_table_never_enters_a_pickle():
     table, stats.access_table = stats.access_table, None
     assert pickle.dumps(stats) == dumped
     stats.access_table = table
+    store = SnapshotStore()
+    assert canonical_dumps(store.snapshot(database)) == canonical_dumps(
+        pickle.loads(pickle.dumps(database))
+    )
 
 
 def test_entry_computed_while_the_stamp_moved_is_not_stored():

@@ -4,8 +4,10 @@ import pytest
 
 from repro import Database, Executor, IndexAdvisor, Workload
 from repro.core.config import IndexConfiguration
+from repro.core.search import ALGORITHMS
 from repro.query import parse_statement
 from repro.workloads import tpox
+from tests.test_snapshot_store import canonical_dumps
 
 
 class TestRecommendation:
@@ -35,6 +37,46 @@ class TestRecommendation:
         assert first.ddl and first.ddl == second.ddl
         assert first.ddl[0].startswith("CREATE INDEX xmlidx_1 ")
         assert len(db.catalog) == names
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_ddl_numbers_the_configuration_and_keeps_the_database(
+        self, algorithm
+    ):
+        """Every search names its indexes ``xmlidx_1..k`` in
+        configuration order, and advising writes nothing the database
+        keeps: with its statistics collected, the database pickles
+        (canonically) to what it did before -- catalog name counter
+        included."""
+        db = tpox.build_database(
+            num_securities=30, num_orders=30, num_customers=15, seed=3
+        )
+        for name in db.collections:
+            db.runstats(name)
+        workload = tpox.tpox_workload(num_securities=30, seed=3).subset(6)
+        before = canonical_dumps(db)
+        rec = IndexAdvisor(db, workload).recommend(20_000, algorithm=algorithm)
+        assert canonical_dumps(db) == before
+        assert rec.ddl and len(rec.ddl) == len(rec.configuration)
+        assert [stmt.split()[2] for stmt in rec.ddl] == [
+            f"xmlidx_{number}" for number in range(1, len(rec.ddl) + 1)
+        ]
+
+    def test_ddl_ignores_the_catalog_name_history(self, fault_free):
+        """Names the catalog minted, and an index created and dropped
+        since, leave the advice's ddl as it was."""
+        db = tpox.build_database(
+            num_securities=30, num_orders=30, num_customers=15, seed=3
+        )
+        workload = tpox.tpox_workload(num_securities=30, seed=3)
+        first = IndexAdvisor(db, workload).advise(20_000)
+        for _ in range(3):
+            db.catalog.fresh_name("xmlidx")
+        name = db.catalog.fresh_name("xmlidx")
+        db.create_index(
+            next(iter(first.configuration)).definition(name, virtual=False)
+        )
+        db.drop_index(name)
+        assert IndexAdvisor(db, workload).advise(20_000).ddl == first.ddl
 
     def test_unknown_algorithm_rejected(self, tpox_advisor):
         with pytest.raises(ValueError):

@@ -29,6 +29,7 @@ from repro.storage import IndexDefinition, IndexValueType
 from repro.storage.database import EpochGate
 from repro.workloads import tpox
 from repro.xpath import parse_pattern
+from tests.test_snapshot_store import canonical_dumps
 
 TIMEOUT = 120
 
@@ -155,11 +156,40 @@ PURITY_REQUESTS = {
             "SDOC",
         )
     ],
+    "whatif-degraded": lambda server: [
+        server.whatif(
+            QUERY_TEXTS, ["/Security/Symbol", "/Security/Yield:numeric"],
+            "SDOC",
+        )
+    ],
     "recommend": lambda server: [server.recommend(QUERY_TEXTS, BUDGET)],
     "recommend-fallback": lambda server: [
         server.recommend(QUERY_TEXTS, BUDGET)
     ],
+    "recommend-truncated": lambda server: [
+        server.recommend(QUERY_TEXTS, BUDGET, deadline_seconds=1e-6)
+    ],
 }
+
+#: The fault schedule a purity kind runs under: the recommend's ILP
+#: attempt faults once, or every what-if optimizer call faults.  The
+#: other kinds run under whatever schedule the environment sets.
+PURITY_FAULTS = {
+    "whatif-degraded": [FaultRule("optimizer.evaluate")],
+    "recommend-fallback": [
+        FaultRule(
+            "advise.attempt", at={0},
+            exception=lambda site, index: InjectedFault(site, 0),
+        )
+    ],
+}
+
+
+def purity_faults(kind):
+    rules = PURITY_FAULTS.get(kind)
+    if rules is None:
+        return contextlib.nullcontext()
+    return injected(FaultInjector(rules))
 
 
 def database_state(db):
@@ -179,7 +209,8 @@ class TestEndpoints:
         """Reads and advise misses run on the live database and change
         none of its counters, epochs, catalog or built indexes -- also
         when the recommend's ILP attempt faults and the fallback
-        answers."""
+        answers, when every what-if call faults, and when the deadline
+        truncates the search."""
         db = small_database()
         db.create_index(
             IndexDefinition(
@@ -187,23 +218,11 @@ class TestEndpoints:
                 IndexValueType.STRING,
             )
         )
-        faults = contextlib.nullcontext()
-        if kind == "recommend-fallback":
-            faults = injected(
-                FaultInjector(
-                    [
-                        FaultRule(
-                            "advise.attempt", at={0},
-                            exception=lambda site, index: InjectedFault(site, 0),
-                        )
-                    ]
-                )
-            )
 
         async def scenario():
             async with AdvisorServer(db) as server:
                 before = database_state(db)
-                with faults:
+                with purity_faults(kind):
                     responses = [
                         await request for request in PURITY_REQUESTS[kind](server)
                     ]
@@ -217,9 +236,32 @@ class TestEndpoints:
         if kind == "recommend-fallback":
             assert first.value["algorithm"] == "greedy_heuristics"
             assert first.value["degraded"]
+        elif kind == "recommend-truncated":
+            assert first.value["truncated"]
         elif kind != "recommend":
             assert "statistics" in first.value
         json.dumps(first.to_dict())
+
+    @pytest.mark.parametrize("kind", sorted(PURITY_REQUESTS))
+    def test_a_request_leaves_the_whole_database_graph_unchanged(self, kind):
+        """The whole object graph, not just its counters: after a read or
+        an advise miss the database pickles (canonically) to what it did
+        before, and the server's snapshot store composed nothing."""
+        db = small_database()
+
+        async def scenario():
+            async with AdvisorServer(db) as server:
+                before = canonical_dumps(db)
+                with purity_faults(kind):
+                    responses = [
+                        await request for request in PURITY_REQUESTS[kind](server)
+                    ]
+                return server, before, canonical_dumps(db), responses
+
+        server, before, after, responses = run(scenario())
+        assert all(r.ok for r in responses)
+        assert before == after
+        assert server.snapshots.stats() == {"compositions": 0}
 
     def test_dml_bumps_epoch_and_journals(self):
         db = small_database()

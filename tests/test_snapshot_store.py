@@ -5,21 +5,35 @@ private, writable copy of the database as of the call.
   under :func:`canonical_dumps`, after any interleaving of DML, DDL,
   runstats and statistics invalidation (hypothesis drives the op stream);
 * **private** -- later writes to the database do not reach the snapshot,
-  and writes to the snapshot do not reach the database.
+  and writes to the snapshot do not reach the database; neither does the
+  in-place summary repair a what-if probe makes on either side;
+* **readers leave no trace** -- threads reading one database's
+  statistics at once agree with a private copy and leave it unchanged;
+* **kept only for probes** -- the server's store hands out such copies,
+  and no served request takes one.
 """
 
+import asyncio
+import contextlib
 import io
 import pickle
+import sys
+import threading
 from typing import Dict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage import IndexDefinition, IndexValueType
+from repro.optimizer.session import WhatIfSession
+from repro.serve import AdvisorServer
+from repro.storage import IndexDefinition, IndexValueType, statistics
 from repro.storage.snapshots import PROTOCOL, SnapshotStore
 from repro.workloads import tpox
 from repro.xpath import parse_pattern
+
+TIMEOUT = 180
+BUDGET = 50_000
 
 SECURITY = (
     "<Security><Symbol>ZZ9999</Symbol><Yield>9.9</Yield></Security>"
@@ -31,6 +45,10 @@ def build_database():
     return tpox.build_database(
         num_securities=12, num_orders=12, num_customers=6, seed=7
     )
+
+
+WORKLOAD = tpox.tpox_workload(num_securities=12, seed=7).subset(6)
+QUERY_TEXTS = [e.statement.describe() for e in WORKLOAD.entries]
 
 
 def canonical_dumps(obj: object) -> bytes:
@@ -200,3 +218,180 @@ class TestPrivateCopies:
         MUTATORS[mutator](database)
         assert canonical_dumps(sibling) == form
         assert canonical_dumps(snapshot) == canonical_dumps(database)
+
+
+def _probe(database):
+    """A what-if probe: it repairs dirty summaries in place (a delete
+    leaves them), moving the statistics without an epoch bump."""
+    WhatIfSession(database).evaluate(WORKLOAD.entries[0].statement)
+
+
+@contextlib.contextmanager
+def _dirty_database():
+    """A database whose SDOC summaries a delete left dirty: string value
+    summaries are capped low enough that the small data reaches the cap,
+    so the first probe has a repair to make."""
+    cap = statistics.MAX_STRING_FREQ
+    statistics.MAX_STRING_FREQ = 4
+    try:
+        database = build_database()
+        database.runstats("SDOC")
+        database.delete_document("SDOC", 0)
+        assert database.runstats("SDOC")._dirty_paths
+        yield database
+    finally:
+        statistics.MAX_STRING_FREQ = cap
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=5),
+            st.integers(min_value=0, max_value=7),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_whatif_probes_between_ops_stay_bit_identical(ops):
+    """Probe the database between every op: a snapshot taken after the
+    probe equals the repaired database, and the repair reaches no
+    snapshot taken before it."""
+    store = SnapshotStore()
+    taken = []
+    with _dirty_database() as database:
+        for op, payload in ops:
+            _apply_op(database, op, payload)
+            taken.append(
+                (store.snapshot(database), canonical_dumps(database))
+            )
+            _probe(database)
+            assert canonical_dumps(store.snapshot(database)) == (
+                canonical_dumps(database)
+            )
+            for earlier, form in taken:
+                assert canonical_dumps(earlier) == form
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=5),
+            st.integers(min_value=0, max_value=7),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_whatif_probes_through_snapshots_stay_bit_identical(ops):
+    """The same probe *through a snapshot*: the probed snapshot equals a
+    private round-trip copy given the same probe, and the repair it
+    makes reaches neither the database nor the next snapshot of it."""
+    store = SnapshotStore()
+    with _dirty_database() as database:
+        for op, payload in ops:
+            _apply_op(database, op, payload)
+            form = canonical_dumps(database)
+            snapshot = store.snapshot(database)
+            private = pickle.loads(pickle.dumps(database, PROTOCOL))
+            _probe(snapshot)
+            _probe(private)
+            assert canonical_dumps(snapshot) == canonical_dumps(private)
+            assert canonical_dumps(database) == form
+            assert canonical_dumps(store.snapshot(database)) == form
+
+
+def test_thread_lanes_reading_one_database_leave_it_unchanged():
+    """Three lanes (switching every few bytecodes) hammer ``runstats`` /
+    ``matching_paths`` on one database's statistics.  The per-pattern
+    memo they race on is the only thing written; every answer must equal
+    a private copy's and the database's canonical form must not move."""
+    database = build_database()
+    for name in database.collections:
+        database.runstats(name)
+    form = canonical_dumps(database)
+    reference = SnapshotStore().snapshot(database).runstats("SDOC")
+    patterns = [
+        parse_pattern(text)
+        for path in reference.path_counts
+        for text in ("/" + "/".join(path), "//" + path[-1], "/" + path[0] + "//*")
+    ]
+    expected = [reference.matching_paths(pattern) for pattern in patterns]
+    failures = []
+
+    def hammer():
+        try:
+            for _ in range(300):
+                stats = database.runstats("SDOC")
+                stats._matching_cache.clear()  # keep the memo race live
+                for pattern, want in zip(patterns, expected):
+                    if stats.matching_paths(pattern) != want:
+                        failures.append(str(pattern))
+        except Exception as exc:  # surfaced below, on the main thread
+            failures.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=hammer) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=TIMEOUT)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert canonical_dumps(database) == form
+
+
+def _run(coro):
+    return asyncio.run(asyncio.wait_for(coro, timeout=TIMEOUT))
+
+
+class TestServeConsumer:
+    def test_server_snapshot_is_a_private_copy_of_its_database(self):
+        """The server's store (kept for the benchmark probes) hands out
+        the database as of the call, and a write to the copy does not
+        reach the served database."""
+
+        async def scenario():
+            async with AdvisorServer(build_database()) as server:
+                form = canonical_dumps(server.database)
+                snapshot = server.snapshots.snapshot(server.database)
+                copied = canonical_dumps(snapshot)
+                MUTATORS["insert"](snapshot)
+                return server, form, copied
+
+        server, form, copied = _run(scenario())
+        assert copied == form
+        assert canonical_dumps(server.database) == form
+        assert server.snapshots.stats() == {"compositions": 1}
+
+    def test_served_advice_takes_no_snapshot(self, fault_free):
+        """Advise misses, their repeats and a recompute after a write all
+        run on the live database: the store composes nothing, and the
+        repeat at unchanged epochs is the held answer itself."""
+
+        async def scenario():
+            async with AdvisorServer(build_database()) as server:
+                first = await server.recommend(QUERY_TEXTS, BUDGET)
+                whatif = await server.whatif(
+                    QUERY_TEXTS, ["/Security/Yield:numeric"], "SDOC"
+                )
+                repeat = await server.recommend(QUERY_TEXTS, BUDGET)
+                write = await server.dml(
+                    f"insert into SDOC value '{SECURITY}'"
+                )
+                after = await server.recommend(QUERY_TEXTS, BUDGET)
+                return server, (first, whatif, repeat, write, after)
+
+        server, responses = _run(scenario())
+        first, _, repeat, _, after = responses
+        assert all(response.ok for response in responses)
+        assert repeat.value is first.value
+        assert after.epoch != first.epoch
+        assert server.counters["advice_hits"] == 1
+        assert server.snapshots.stats() == {"compositions": 0}
